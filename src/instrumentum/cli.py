@@ -26,7 +26,7 @@ from .cpmaps import ChoiMatrix, KrausSet, choi, cp_check
 from .dilation import measurement_model, minimal_stinespring, standard_model, verify_dilation
 from .errors import FormatError, InstrumentumError
 from .extremality import correlation_extremal, instrument_extremal, povm_extremal
-from .formats import Document, load, matrix_to_json, save
+from .formats import Document, label_to_json, load, matrix_to_json, save
 from .instruments import (
     DiscreteInstrument,
     associate_povm,
@@ -130,12 +130,6 @@ def _vector_from_doc(doc: Document, path) -> np.ndarray:
     raise FormatError(f"{path}: expected a row or column vector")
 
 
-def _label_json(label):
-    if isinstance(label, tuple):
-        return [_label_json(part) for part in label]
-    return label
-
-
 def _instrument_doc(m: DiscreteInstrument) -> Document:
     return Document(kind="instrument", value=m)
 
@@ -150,7 +144,7 @@ def _cmd_validate(args, tol):
             "normalization_defect": report.normalization_defect,
             "threshold": report.threshold,
             "outcomes": [
-                {"label": _label_json(label), "kraus_count": count}
+                {"label": label_to_json(label), "kraus_count": count}
                 for label, count in report.outcome_kraus_counts
             ],
         }
@@ -171,13 +165,13 @@ def _cmd_extremal(args, tol):
         "required_rank": report.required_rank,
         "marginal": report.marginal,
         "outcomes": [
-            {"label": _label_json(label), "block_dim": n}
+            {"label": label_to_json(label), "block_dim": n}
             for label, n in zip(report.labels, report.block_dims)
         ],
     }
     if report.witness is not None:
         out["witness"] = [
-            {"label": _label_json(label), "matrix": matrix_to_json(block)}
+            {"label": label_to_json(label), "matrix": matrix_to_json(block)}
             for label, block in zip(report.labels, report.witness)
         ]
     _emit(out)
@@ -212,7 +206,7 @@ def _cmd_dilate(args, tol):
             "isometry_defect": report.isometry_defect,
             "max_reconstruction_error": report.max_reconstruction_error,
             "outcomes": [
-                {"label": _label_json(label), "block_dim": n, "span_rank": r}
+                {"label": label_to_json(label), "block_dim": n, "span_rank": r}
                 for label, n, r in zip(dilation.labels, report.block_dims, report.block_span_ranks)
             ],
         }
@@ -224,14 +218,14 @@ def _cmd_dilate(args, tol):
 
 def _cmd_refine(args, tol):
     doc = _load_kind(args.file, ("instrument",))
-    refined = refine_rank1(doc.value)
+    refined = refine_rank1(doc.value, tol)
     _emit(
         {
             "command": "refine",
             "dim_in": refined.dim_in,
             "dim_out": refined.dim_out,
             "outcomes": [
-                {"label": _label_json(label), "kraus_count": len(kraus.ops)}
+                {"label": label_to_json(label), "kraus_count": len(kraus.ops)}
                 for label, kraus in refined.outcomes
             ],
         }
@@ -249,19 +243,19 @@ def _cmd_posterior(args, tol):
     out = {
         "command": "posterior",
         "distribution": [
-            {"label": _label_json(label), "probability": p}
+            {"label": label_to_json(label), "probability": p}
             for label, p in outcome_distribution(m, rho, tol)
         ],
     }
     try:
         if args.outcome is not None:
             result = posterior_state(m, rho, _parse_cli_label(args.outcome), tol)
-            out["outcome"] = _label_json(result.label)
+            out["outcome"] = label_to_json(result.label)
             out["probability"] = result.probability
             out["state"] = matrix_to_json(result.state)
         elif args.subset is not None:
             result = conditional_output(m, rho, _parse_subset(args.subset), tol)
-            out["subset"] = [_label_json(label) for label in result.label]
+            out["subset"] = [label_to_json(label) for label in result.label]
             out["probability"] = result.probability
             out["state"] = matrix_to_json(result.state)
     except KeyError as exc:
@@ -291,7 +285,7 @@ def _cmd_compat_build(args, tol):
     povm = _load_kind(args.povm, ("povm",)).value
     coeffs = _load_kind(args.coefficients, ("coefficients",)).value
     built = compat_from_coeffs(povm, coeffs, tol)
-    rebuilt = associate_povm(built)
+    rebuilt = associate_povm(built, tol)
     defect = max(
         float(np.linalg.norm(rebuilt.effect(label) - povm.effect(label)))
         for label in povm.labels
@@ -303,7 +297,7 @@ def _cmd_compat_build(args, tol):
             "dim_out": built.dim_out,
             "povm_defect": defect,
             "outcomes": [
-                {"label": _label_json(label), "kraus_count": len(kraus.ops)}
+                {"label": label_to_json(label), "kraus_count": len(kraus.ops)}
                 for label, kraus in built.outcomes
             ],
         }
@@ -322,7 +316,7 @@ def _cmd_compat_channel(args, tol):
             "passed": dec.passed,
             "max_residual": dec.max_residual,
             "outcomes": [
-                {"label": _label_json(label), "naimark_dim": n, "fiber_dim": f}
+                {"label": label_to_json(label), "naimark_dim": n, "fiber_dim": f}
                 for label, n, f in zip(dec.labels, dec.naimark_dims, dec.fiber_dims)
             ],
         }
@@ -341,7 +335,7 @@ def _cmd_factorize(args, tol):
         {
             "command": "factorize",
             "passed": report.passed,
-            "subset": [_label_json(label) for label in report.subset],
+            "subset": [label_to_json(label) for label in report.subset],
             "max_identity_error": report.max_identity_error,
             "unit_defect": report.unit_defect,
             "kraus_count": len(channel.ops),
@@ -366,7 +360,7 @@ def _cmd_nuclear_extract(args, tol):
             "passed": report.passed,
             "max_probe_error": report.max_probe_error,
             "rebuild_error": report.rebuild_error,
-            "outcomes": [{"label": _label_json(label)} for label in povm.labels],
+            "outcomes": [{"label": label_to_json(label)} for label in povm.labels],
         }
     )
     if args.output is not None:
@@ -390,7 +384,7 @@ def _cmd_model(args, tol):
             "system_dim": model.system_dim,
             "ancilla_dim": model.ancilla_dim,
             "outcomes": [
-                {"label": _label_json(label), "block_dim": n}
+                {"label": label_to_json(label), "block_dim": n}
                 for label, n in zip(model.labels, model.block_dims)
             ],
         }
@@ -429,7 +423,7 @@ def _cmd_standard_model(args, tol):
             "eigenvalues": list(kernel.eigenvalues.tolist()),
             "kernel": [[float(x) for x in row] for row in kernel.matrix],
             "effects": [
-                {"label": _label_json(label), "matrix": matrix_to_json(effect)}
+                {"label": label_to_json(label), "matrix": matrix_to_json(effect)}
                 for label, effect in povm.effects
             ],
         }

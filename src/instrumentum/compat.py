@@ -25,17 +25,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, apply_heisenberg, apply_schrodinger
-from .dilation import minimal_stinespring, naimark
+from .cpmaps import KrausSet, action_distance, apply_heisenberg, apply_schrodinger, unit_images
+from .dilation import _stinespring
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
     Povm,
-    associate_povm,
-    nuclear,
+    _nuclear,
+    _povm_of,
+    _trivial,
     require_valid,
     require_valid_povm,
-    trivial_from_povm,
 )
 from .matkernel import DEFAULT_TOL, Tolerances, dagger, herm_eig, isometry_complete, numeric_rank
 
@@ -96,7 +96,8 @@ class CompatChannelDecomposition:
     ``isometries[i]`` is ``C_i : C^{n(i)} -> K (x) C^{n'(i)}`` (output-major
     rows); ``channels[i]`` is the Kraus set of ``T_i`` from the fiber space
     of outcome ``i`` into the output space, or None when the effect is zero;
-    ``generalized_vectors[i][k, s, :]`` is ``D_k^s(i) = C_i^dag (k_s (x) b_k)``.
+    the property ``generalized_vectors[i][k, s, :]`` is
+    ``D_k^s(i) = C_i^dag (k_s (x) b_k)``, derived from the isometries.
     ``max_residual`` bounds the defect of every defining identity checked.
     """
 
@@ -107,9 +108,15 @@ class CompatChannelDecomposition:
     fiber_dims: tuple
     isometries: tuple = field(repr=False, default=())
     channels: tuple = field(repr=False, default=())
-    generalized_vectors: tuple = field(repr=False, default=())
     max_residual: float = 0.0
     passed: bool = True
+
+    @property
+    def generalized_vectors(self) -> tuple:
+        return tuple(
+            c.reshape(self.dim_out, n, c.shape[1]).transpose(1, 0, 2).conj()
+            for c, n in zip(self.isometries, self.fiber_dims)
+        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ def compat_from_coeffs(
     require_valid_povm(p, tol)
     if coeffs.labels != p.labels:
         raise ValueError("coefficient labels do not match the POVM labels")
-    trivial = trivial_from_povm(p, tol)
+    trivial = _trivial(p, tol)
     outcomes = []
     for (label, kraus), (_, tensor) in zip(trivial.outcomes, coeffs.outcomes):
         n_i = len(kraus)
@@ -187,13 +194,16 @@ def compat_channel(
     ``M(i, B)`` through the Gram map of the POVM fibers.
     """
     require_valid(m, tol)
-    p = associate_povm(m, tol)
-    povm_dil = naimark(p, tol)
-    inst_dil = minimal_stinespring(m, tol)
+    return _decompose(m, _povm_of(m), tol)[0]
+
+
+def _decompose(m: DiscreteInstrument, p: Povm, tol: Tolerances) -> tuple:
+    """``compat_channel`` of a normalized ``m`` with POVM ``p``, and the dilation of ``p``."""
+    povm_dil = _stinespring(_trivial(p, tol), tol)
+    inst_dil = _stinespring(m, tol)
     dim_in, dim_out = m.dim_in, m.dim_out
     isometries = []
     channels = []
-    generalized = []
     max_residual = 0.0
     for i, (label, kraus) in enumerate(m.outcomes):
         n_i = povm_dil.block_dims[i]
@@ -201,7 +211,6 @@ def compat_channel(
         if n_i == 0:
             isometries.append(np.zeros((dim_out * np_i, 0), dtype=np.complex128))
             channels.append(None)
-            generalized.append(np.zeros((np_i, dim_out, 0), dtype=np.complex128))
             continue
         # columns over the input basis of the two fiber images
         psi = povm_dil.structure_vectors[i][:, 0, :].T  # (n_i, dim_in)
@@ -213,19 +222,13 @@ def compat_channel(
         c_blocks = c_i.reshape(dim_out, np_i, n_i)
         ops = tuple(c_blocks[:, k, :] for k in range(np_i))
         t_i = KrausSet(n_i, dim_out, ops)
-        recon = 0.0
-        for s in range(dim_out):
-            for t in range(dim_out):
-                unit = np.zeros((dim_out, dim_out), dtype=np.complex128)
-                unit[s, t] = 1.0
-                lifted = psi.conj().T @ apply_heisenberg(t_i, unit) @ psi
-                recon = max(recon, float(np.linalg.norm(lifted - apply_heisenberg(kraus, unit))))
+        lifted = KrausSet(dim_in, dim_out, tuple(op @ psi for op in ops))  # psi^dag T_i(.) psi
+        recon = action_distance(lifted, kraus)
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
         isometries.append(c_i)
         channels.append(t_i)
-        generalized.append(c_blocks.transpose(1, 0, 2).conj())
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
-    return CompatChannelDecomposition(
+    dec = CompatChannelDecomposition(
         dim_in=dim_in,
         dim_out=dim_out,
         labels=m.labels,
@@ -233,10 +236,10 @@ def compat_channel(
         fiber_dims=inst_dil.block_dims,
         isometries=tuple(isometries),
         channels=tuple(channels),
-        generalized_vectors=tuple(generalized),
         max_residual=max_residual,
         passed=max_residual <= threshold,
     )
+    return dec, povm_dil
 
 
 def _decomposable_kraus(
@@ -276,9 +279,8 @@ def lueders_factorization(
     for label in subset:
         if label not in m.labels:
             raise KeyError(f"no outcome labeled {label!r}")
-    dec = compat_channel(m, tol)
-    p = associate_povm(m, tol)
-    povm_dil = naimark(p, tol)
+    p = _povm_of(m)
+    dec, povm_dil = _decompose(m, p, tol)
     dim = m.dim_in
     total = povm_dil.total_fibers
 
@@ -305,17 +307,11 @@ def lueders_factorization(
     phi_ops = tuple(op @ carrier for op in _decomposable_kraus(dec, povm_dil, m))
     phi = KrausSet(dim, m.dim_out, phi_ops)
 
-    max_err = 0.0
-    for s in range(m.dim_out):
-        for t in range(m.dim_out):
-            unit = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
-            unit[s, t] = 1.0
-            direct = np.zeros((dim, dim), dtype=np.complex128)
-            for label, kraus in m.outcomes:
-                if label in subset:
-                    direct += apply_heisenberg(kraus, unit)
-            factored = root @ apply_heisenberg(phi, unit) @ root
-            max_err = max(max_err, float(np.linalg.norm(factored - direct)))
+    direct = KrausSet(
+        dim, m.dim_out, tuple(op for label, k in m.outcomes if label in subset for op in k.ops)
+    )
+    factored = KrausSet(dim, m.dim_out, tuple(op @ root for op in phi.ops))  # root Phi(.) root
+    max_err = action_distance(factored, direct)
     unit_defect = float(
         np.linalg.norm(
             apply_heisenberg(phi, np.eye(m.dim_out, dtype=np.complex128)) - np.eye(dim)
@@ -336,15 +332,14 @@ def pvm_compat(
     ``M(i, B) = M(i) T(B) = T(B) M(i)``.
     """
     require_valid(m, tol)
-    p = associate_povm(m, tol)
+    p = _povm_of(m)
     for label, matrix in p.effects:
         idem = float(np.linalg.norm(matrix @ matrix - matrix))
         if idem > tol.eps_eq * max(1.0, float(np.linalg.norm(matrix))):
             raise InstrumentumError(
                 f"effect {label!r} is not a projection: defect {idem:.3e}"
             )
-    dec = compat_channel(m, tol)
-    povm_dil = naimark(p, tol)
+    dec, povm_dil = _decompose(m, p, tol)
     if povm_dil.total_fibers != m.dim_in:
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
     y_n = povm_dil.isometry
@@ -354,18 +349,11 @@ def pvm_compat(
         tuple(op @ y_n for op in _decomposable_kraus(dec, povm_dil, m)),
     )
     max_err = 0.0
-    for s in range(m.dim_out):
-        for t in range(m.dim_out):
-            unit = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
-            unit[s, t] = 1.0
-            image = apply_heisenberg(conjugated, unit)
-            for (label, kraus), (_, effect) in zip(m.outcomes, p.effects):
-                direct = apply_heisenberg(kraus, unit)
-                max_err = max(
-                    max_err,
-                    float(np.linalg.norm(effect @ image - direct)),
-                    float(np.linalg.norm(image @ effect - direct)),
-                )
+    rows = zip(unit_images(conjugated), *(unit_images(kraus) for _, kraus in m.outcomes))
+    for image, *direct in rows:  # image[t] = T(|k_s><k_t|), direct[i][t] = M(i, |k_s><k_t|)
+        for (_, effect), d in zip(p.effects, direct):
+            for defect in (effect @ image - d, image @ effect - d):
+                max_err = max(max_err, float(np.max(np.linalg.norm(defect, axis=(1, 2)))))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return conjugated, PvmCompatReport(max_err <= threshold, max_err)
 
@@ -381,7 +369,7 @@ def rank1_nuclear_extract(
     state by convention.  Raises when an effect has rank above one.
     """
     require_valid(m, tol)
-    p = associate_povm(m, tol)
+    p = _povm_of(m)
     for label, matrix in p.effects:
         rank, _ = numeric_rank(matrix, tol)
         if rank > 1:
@@ -406,19 +394,10 @@ def rank1_nuclear_extract(
             weight = float(np.trace(rho @ effect).real)
             defect = float(np.linalg.norm(apply_schrodinger(kraus, rho) - weight * sigma))
             max_probe_error = max(max_probe_error, defect)
-    rebuilt = nuclear(p, states, tol)
-    rebuild_error = 0.0
-    for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes):
-        for s in range(dim_out):
-            for t in range(dim_out):
-                unit = np.zeros((dim_out, dim_out), dtype=np.complex128)
-                unit[s, t] = 1.0
-                rebuild_error = max(
-                    rebuild_error,
-                    float(
-                        np.linalg.norm(apply_heisenberg(k1, unit) - apply_heisenberg(k2, unit))
-                    ),
-                )
+    rebuilt = _nuclear(p, states, tol)
+    rebuild_error = max(
+        action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)
+    )
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
     passed = max_probe_error <= threshold and rebuild_error <= threshold
     if max_probe_error > threshold:

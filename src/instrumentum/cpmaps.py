@@ -28,9 +28,9 @@ from .errors import InstrumentumError
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
+    _descending_eigh,
     as_matrix,
     dagger,
-    herm_eig,
     numeric_rank,
     psd_check,
 )
@@ -41,8 +41,11 @@ __all__ = [
     "choi",
     "cp_check",
     "kraus_from_choi",
+    "minimal_kraus",
     "apply_heisenberg",
     "apply_schrodinger",
+    "unit_images",
+    "action_distance",
     "kraus_equivalent",
 ]
 
@@ -118,7 +121,24 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     """
     if not cp_check(c, tol):
         raise InstrumentumError("Choi matrix is not positive semidefinite")
-    values, vectors = herm_eig(c.matrix, tol)
+    return _psd_kraus(c, tol)
+
+
+def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
+    """Minimal Kraus set of the map defined by ``k``.
+
+    The operators are, bit for bit, those ``kraus_from_choi`` returns for
+    ``choi(k)``, without its positivity check: ``choi(k)`` is a sum of
+    ``w w^dag`` and so positive semidefinite by construction.
+    """
+    return _psd_kraus(choi(k), tol)
+
+
+def _psd_kraus(c: ChoiMatrix, tol: Tolerances) -> KrausSet:
+    """``kraus_from_choi`` of a Choi matrix already known to be positive semidefinite."""
+    # Choi matrices built by choi() are Hermitian only to rounding; symmetrizing
+    # as herm_eig does, minus its Hermiticity check, keeps the eigenvectors exact
+    values, vectors = _descending_eigh((c.matrix + dagger(c.matrix)) / 2.0, tol)
     ops = []
     if values.size and values[0] > 0.0:
         cut = tol.sv_rel_cutoff * float(values[0])
@@ -157,6 +177,34 @@ def _op_stack(k: KrausSet) -> np.ndarray:
     if not k.ops:
         return np.zeros((k.dim_out * k.dim_in, 0), dtype=np.complex128)
     return np.column_stack([op.reshape(-1) for op in k.ops])
+
+
+def unit_images(k: KrausSet):
+    """Yield ``E(|k_s><k_t|)`` for all ``t`` as one ``(dim_out, dim_in, dim_in)`` array, per ``s``.
+
+    Item ``s`` is block row ``s`` of ``choi(k)``; producing one block row at
+    a time keeps memory at ``dim_out * dim_in**2`` entries.
+    """
+    w = _op_stack(k).conj()  # choi(k) = w @ w^dag
+    w_dag = dagger(w)
+    d_in = k.dim_in
+    for s in range(k.dim_out):
+        row = w[s * d_in : (s + 1) * d_in] @ w_dag
+        yield row.reshape(d_in, k.dim_out, d_in).transpose(1, 0, 2)
+
+
+def action_distance(k1: KrausSet, k2: KrausSet) -> float:
+    """Largest Frobenius distance ``||E1(|k_s><k_t|) - E2(|k_s><k_t|)||`` over matrix units.
+
+    Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
+    ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
+    """
+    if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
+        raise ValueError("Kraus sets act between different spaces")
+    worst = 0.0
+    for row1, row2 in zip(unit_images(k1), unit_images(k2)):
+        worst = max(worst, float(np.max(np.linalg.norm(row1 - row2, axis=(1, 2)))))
+    return worst
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):

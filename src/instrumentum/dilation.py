@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, apply_heisenberg, choi, kraus_from_choi
+from .cpmaps import KrausSet, action_distance, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
 from .matkernel import (
@@ -61,15 +61,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StinespringDilation:
-    """Isometry-plus-pointer data dilating an instrument, in the ambient convention above."""
+    """Isometry-plus-pointer data dilating an instrument, in the ambient convention above.
+
+    ``structure_vectors`` and ``generalized_vectors`` are properties derived
+    from the isometry, one array per outcome ``i`` with fiber dimension ``n_i``:
+
+    * ``structure_vectors[i][m, t, k] = <k_t | A_k(i) h_m>``, shape
+      ``(dim_in, dim_out, n_i)``;
+    * ``generalized_vectors[i][k, t, :] = conj(A_k(i)[t, :])``, shape
+      ``(n_i, dim_out, dim_in)``.
+    """
 
     dim_in: int
     dim_out: int
     labels: tuple
     block_dims: tuple
     isometry: np.ndarray = field(repr=False)
-    structure_vectors: tuple = field(repr=False, default=())
-    generalized_vectors: tuple = field(repr=False, default=())
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -84,21 +91,9 @@ class StinespringDilation:
             raise ValueError(
                 f"isometry has shape {iso.shape}, expected {(self.dim_out * total, self.dim_in)}"
             )
-        structure = tuple(np.array(a, dtype=np.complex128) for a in self.structure_vectors)
-        general = tuple(np.array(a, dtype=np.complex128) for a in self.generalized_vectors)
-        if structure:
-            for n_i, a in zip(block_dims, structure):
-                if a.shape != (self.dim_in, self.dim_out, n_i):
-                    raise ValueError("structure vector array has wrong shape")
-        if general:
-            for n_i, a in zip(block_dims, general):
-                if a.shape != (n_i, self.dim_out, self.dim_in):
-                    raise ValueError("generalized vector array has wrong shape")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "block_dims", block_dims)
         object.__setattr__(self, "isometry", iso)
-        object.__setattr__(self, "structure_vectors", structure)
-        object.__setattr__(self, "generalized_vectors", general)
 
     @property
     def total_fibers(self) -> int:
@@ -107,6 +102,19 @@ class StinespringDilation:
     def block_slice(self, index: int) -> slice:
         offset = sum(self.block_dims[:index])
         return slice(offset, offset + self.block_dims[index])
+
+    def _fiber_blocks(self) -> list:
+        """Per outcome, ``Y[s * total + offset(i) + k, m]`` as a ``(dim_out, n_i, dim_in)`` view."""
+        y = self.isometry.reshape(self.dim_out, self.total_fibers, self.dim_in)
+        return [y[:, self.block_slice(i), :] for i in range(len(self.block_dims))]
+
+    @property
+    def structure_vectors(self) -> tuple:
+        return tuple(z.transpose(2, 0, 1) for z in self._fiber_blocks())
+
+    @property
+    def generalized_vectors(self) -> tuple:
+        return tuple(z.transpose(1, 0, 2).conj() for z in self._fiber_blocks())
 
 
 @dataclass(frozen=True)
@@ -212,51 +220,34 @@ class IntertwinerReport:
     threshold: float
 
 
-def _minimal_outcome_sets(m: DiscreteInstrument, tol: Tolerances) -> list:
-    return [(label, kraus_from_choi(choi(kraus), tol)) for label, kraus in m.outcomes]
-
-
 def minimal_stinespring(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
     """Minimal dilation of ``m``: fiber dimensions are the outcome Choi ranks.
 
-    Returns the isometry together with structure vectors
-    ``structure_vectors[i][m, t, k] = <k_t | A_k(i) h_m>`` and generalized
-    vectors ``generalized_vectors[i][k, t, :] = conj(A_k(i)[t, :])``.
+    Block ``i`` of the isometry holds the minimal Kraus set of outcome ``i``.
     """
     require_valid(m, tol)
-    minimal = _minimal_outcome_sets(m, tol)
-    block_dims = tuple(len(ks) for _, ks in minimal)
-    total = sum(block_dims)
-    iso = np.zeros((m.dim_out * total, m.dim_in), dtype=np.complex128)
-    iso_blocks = iso.reshape(m.dim_out, total, m.dim_in)
-    structure = []
-    general = []
-    offset = 0
-    for _, ks in minimal:
-        n_i = len(ks)
-        ops = (
-            np.stack([np.asarray(op) for op in ks.ops])
-            if n_i
-            else np.zeros((0, m.dim_out, m.dim_in), dtype=np.complex128)
-        )
-        iso_blocks[:, offset : offset + n_i, :] = ops.transpose(1, 0, 2)
-        structure.append(ops.transpose(2, 1, 0))
-        general.append(ops.conj())
-        offset += n_i
+    return _stinespring(m, tol)
+
+
+def _stinespring(m: DiscreteInstrument, tol: Tolerances) -> StinespringDilation:
+    """``minimal_stinespring`` of an instrument already known to be normalized."""
+    minimal = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
+    ops = [op for ks in minimal for op in ks.ops]
+    iso = np.zeros((m.dim_out, len(ops), m.dim_in), dtype=np.complex128)
+    for f, op in enumerate(ops):
+        iso[:, f, :] = op
     return StinespringDilation(
         dim_in=m.dim_in,
         dim_out=m.dim_out,
         labels=m.labels,
-        block_dims=block_dims,
-        isometry=iso,
-        structure_vectors=tuple(structure),
-        generalized_vectors=tuple(general),
+        block_dims=tuple(len(ks) for ks in minimal),
+        isometry=iso.reshape(m.dim_out * len(ops), m.dim_in),
     )
 
 
 def naimark(p: Povm, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
     """Dilation of a POVM: ``M(i) = Y^dag P_i Y`` with one-dimensional output space."""
-    return minimal_stinespring(trivial_from_povm(p, tol), tol)
+    return _stinespring(trivial_from_povm(p, tol), tol)
 
 
 def verify_dilation(
@@ -272,21 +263,13 @@ def verify_dilation(
     require_valid(m, tol)
     if (d.dim_in, d.dim_out) != (m.dim_in, m.dim_out) or d.labels != m.labels:
         raise ValueError("dilation and instrument disagree on dimensions or labels")
-    total = d.total_fibers
-    y_blocks = d.isometry.reshape(m.dim_out, total, m.dim_in)
     iso_defect = float(np.linalg.norm(d.isometry.conj().T @ d.isometry - np.eye(m.dim_in)))
     max_err = 0.0
     span_ranks = []
-    for i, (label, kraus) in enumerate(m.outcomes):
-        z = y_blocks[:, d.block_slice(i), :]  # (dim_out, n_i, dim_in)
-        for s in range(m.dim_out):
-            for t in range(m.dim_out):
-                unit = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
-                unit[s, t] = 1.0
-                direct = apply_heisenberg(kraus, unit)
-                dilated = z[s].conj().T @ z[t]
-                max_err = max(max_err, float(np.linalg.norm(direct - dilated)))
-        n_i = d.block_dims[i]
+    for (_, kraus), z in zip(m.outcomes, d._fiber_blocks()):
+        n_i = z.shape[1]
+        dilated = KrausSet(m.dim_in, m.dim_out, tuple(z[:, k, :] for k in range(n_i)))
+        max_err = max(max_err, action_distance(kraus, dilated))
         fiber_matrix = z.transpose(1, 0, 2).reshape(n_i, m.dim_out * m.dim_in)
         span_ranks.append(numeric_rank(fiber_matrix, tol)[0])
     passed = (
@@ -332,7 +315,9 @@ def measurement_model(
         unitary=unitary,
     )
     realized = realized_instrument(model)
-    err = _instrument_distance(m, realized)
+    err = max(
+        action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, realized.outcomes)
+    )
     if err > tol.eps_eq * max(1.0, float(d)):
         raise InstrumentumError(f"model construction failed to reproduce the instrument: {err:.3e}")
     return model
@@ -352,21 +337,6 @@ def realized_instrument(model: MeasurementModel) -> DiscreteInstrument:
     return DiscreteInstrument(d, d, tuple(outcomes))
 
 
-def _instrument_distance(m1: DiscreteInstrument, m2: DiscreteInstrument) -> float:
-    """Largest Frobenius distance between outcome maps on matrix units."""
-    worst = 0.0
-    for (_, k1), (_, k2) in zip(m1.outcomes, m2.outcomes):
-        for s in range(m1.dim_out):
-            for t in range(m1.dim_out):
-                unit = np.zeros((m1.dim_out, m1.dim_out), dtype=np.complex128)
-                unit[s, t] = 1.0
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(apply_heisenberg(k1, unit) - apply_heisenberg(k2, unit))),
-                )
-    return worst
-
-
 def model_intertwiner(
     model: MeasurementModel, m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, IntertwinerReport]:
@@ -381,7 +351,7 @@ def model_intertwiner(
         raise ValueError("model and instrument dimensions disagree")
     if model.labels != m.labels:
         raise ValueError("model and instrument outcome labels disagree")
-    dil = minimal_stinespring(m, tol)
+    dil = _stinespring(m, tol)
     d = m.dim_in
     total = dil.total_fibers
     anc = model.ancilla_dim

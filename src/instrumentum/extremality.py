@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, apply_heisenberg, choi, kraus_from_choi
+from .cpmaps import KrausSet, action_distance, apply_heisenberg, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
 from .matkernel import (
@@ -85,11 +85,6 @@ class CorrelationReport:
     witness: np.ndarray | None = field(repr=False, default=None)
 
 
-def _minimal_blocks(m: DiscreteInstrument, tol: Tolerances) -> list:
-    """Minimal Kraus set of every outcome, recomputed deterministically."""
-    return [kraus_from_choi(choi(kraus), tol) for _, kraus in m.outcomes]
-
-
 def _gram_columns(blocks: list, dim_in: int) -> np.ndarray:
     """Columns ``vec(A_k^dag A_l)`` over all outcomes and index pairs."""
     cols = []
@@ -130,7 +125,12 @@ def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
 def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Decide extremality of a valid instrument and produce a witness if it fails."""
     require_valid(m, tol)
-    blocks = _minimal_blocks(m, tol)
+    return _extremal(m, tol)
+
+
+def _extremal(m: DiscreteInstrument, tol: Tolerances) -> ExtremalityReport:
+    """``instrument_extremal`` of an instrument already known to be normalized."""
+    blocks = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
     block_dims = tuple(len(ks) for ks in blocks)
     gram = _gram_columns(blocks, m.dim_in)
     rank, singular_values, null_basis = svd_rank(gram, tol)
@@ -159,7 +159,7 @@ def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
 
 def povm_extremal(p: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality of a POVM among POVMs, via its one-dimensional-output instrument."""
-    return instrument_extremal(trivial_from_povm(p, tol), tol)
+    return _extremal(trivial_from_povm(p, tol), tol)
 
 
 def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
@@ -171,7 +171,7 @@ def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityR
     )
     if unital_defect > tol.eps_eq * float(np.sqrt(t.dim_in)):
         raise InstrumentumError(f"map is not a channel: unit defect {unital_defect:.3e}")
-    return instrument_extremal(DiscreteInstrument(t.dim_in, t.dim_out, (("0", t),)), tol)
+    return _extremal(DiscreteInstrument(t.dim_in, t.dim_out, (("0", t),)), tol)
 
 
 def witness_decompose(
@@ -185,7 +185,7 @@ def witness_decompose(
     at most one, or does not annihilate ``{A_k(i)^dag A_l(i)}``.
     """
     require_valid(m, tol)
-    blocks = _minimal_blocks(m, tol)
+    blocks = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
     block_dims = [len(ks) for ks in blocks]
     witness = list(witness)
     if len(witness) != len(blocks):
@@ -230,24 +230,12 @@ def witness_decompose(
 
     plus = build(1.0)
     minus = build(-1.0)
-    distance = _pair_distance(plus, minus)
+    distance = max(
+        action_distance(k1, k2) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes)
+    )
     if distance <= tol.eps_eq:
         raise InstrumentumError("witness produced two identical instruments")
     return plus, minus
-
-
-def _pair_distance(m1: DiscreteInstrument, m2: DiscreteInstrument) -> float:
-    worst = 0.0
-    for (_, k1), (_, k2) in zip(m1.outcomes, m2.outcomes):
-        for s in range(m1.dim_out):
-            for t in range(m1.dim_out):
-                unit = np.zeros((m1.dim_out, m1.dim_out), dtype=np.complex128)
-                unit[s, t] = 1.0
-                worst = max(
-                    worst,
-                    float(np.linalg.norm(apply_heisenberg(k1, unit) - apply_heisenberg(k2, unit))),
-                )
-    return worst
 
 
 def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:

@@ -17,7 +17,7 @@ Kinds and payloads:
     ``{"dim_in": d, "dim_out": e, "outcomes": [{"label": L, "kraus": [M, ...]}, ...]}``
 ``dilation``
     ``{"dim_in": d, "dim_out": e, "outcomes": [{"label": L, "block_dim": n}, ...],
-    "isometry": M}`` -- structure and generalized vectors are rebuilt on load.
+    "isometry": M}`` -- structure and generalized vectors are derived from the isometry.
 ``model``
     ``{"system_dim": d, "outcomes": [{"label": L, "block_dim": n}, ...],
     "xi": V, "unitary": M}``
@@ -42,7 +42,7 @@ from .dilation import MeasurementModel, StinespringDilation
 from .errors import FormatError
 from .instruments import DiscreteInstrument, Povm
 
-__all__ = ["Document", "load", "save", "matrix_to_json", "complex_to_json"]
+__all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json", "complex_to_json"]
 
 KINDS = ("matrix", "povm", "instrument", "dilation", "model", "coefficients", "states", "report")
 
@@ -76,9 +76,10 @@ def _tensor3_to_json(a) -> list:
     return [matrix_to_json(plane) for plane in a]
 
 
-def _label_to_json(label):
+def label_to_json(label):
+    """JSON form of an outcome label: tuples become (nested) arrays."""
     if isinstance(label, tuple):
-        return [_label_to_json(part) for part in label]
+        return [label_to_json(part) for part in label]
     return label
 
 
@@ -177,7 +178,7 @@ def _encode_matrix(value, meta):
     payload = {"matrix": matrix_to_json(value)}
     for key in ("dim_in", "dim_out", "label"):
         if key in meta:
-            payload[key] = _label_to_json(meta[key]) if key == "label" else int(meta[key])
+            payload[key] = label_to_json(meta[key]) if key == "label" else int(meta[key])
     return payload
 
 
@@ -195,7 +196,7 @@ def _encode_povm(value, meta):
     return {
         "dim": value.dim,
         "effects": [
-            {"label": _label_to_json(label), "matrix": matrix_to_json(matrix)}
+            {"label": label_to_json(label), "matrix": matrix_to_json(matrix)}
             for label, matrix in value.effects
         ],
     }
@@ -226,26 +227,12 @@ def _encode_instrument(value, meta):
         "dim_out": value.dim_out,
         "outcomes": [
             {
-                "label": _label_to_json(label),
+                "label": label_to_json(label),
                 "kraus": [matrix_to_json(op) for op in kraus.ops],
             }
             for label, kraus in value.outcomes
         ],
     }
-
-
-def _dilation_vectors(dim_in, dim_out, block_dims, isometry):
-    total = sum(block_dims)
-    blocks = isometry.reshape(dim_out, total, dim_in)
-    structure = []
-    general = []
-    offset = 0
-    for n_i in block_dims:
-        ops = blocks[:, offset : offset + n_i, :]  # (dim_out, n_i, dim_in)
-        structure.append(ops.transpose(2, 0, 1))
-        general.append(ops.transpose(1, 0, 2).conj())
-        offset += n_i
-    return tuple(structure), tuple(general)
 
 
 def _decode_dilation(payload, path):
@@ -257,7 +244,6 @@ def _decode_dilation(payload, path):
         labels.append(_parse_label(entry.get("label"), f"{entry_path}.label"))
         block_dims.append(_parse_int(entry.get("block_dim"), f"{entry_path}.block_dim", minimum=0))
     isometry = _parse_matrix(payload.get("isometry"), f"{path}.isometry")
-    structure, general = _dilation_vectors(dim_in, dim_out, tuple(block_dims), isometry)
     return (
         _wrap_construction(
             path,
@@ -267,8 +253,6 @@ def _decode_dilation(payload, path):
                 labels=tuple(labels),
                 block_dims=tuple(block_dims),
                 isometry=isometry,
-                structure_vectors=structure,
-                generalized_vectors=general,
             ),
         ),
         {},
@@ -280,7 +264,7 @@ def _encode_dilation(value, meta):
         "dim_in": value.dim_in,
         "dim_out": value.dim_out,
         "outcomes": [
-            {"label": _label_to_json(label), "block_dim": n}
+            {"label": label_to_json(label), "block_dim": n}
             for label, n in zip(value.labels, value.block_dims)
         ],
         "isometry": matrix_to_json(value.isometry),
@@ -315,7 +299,7 @@ def _encode_model(value, meta):
     return {
         "system_dim": value.system_dim,
         "outcomes": [
-            {"label": _label_to_json(label), "block_dim": n}
+            {"label": label_to_json(label), "block_dim": n}
             for label, n in zip(value.labels, value.block_dims)
         ],
         "xi": matrix_to_json(value.xi),
@@ -354,7 +338,7 @@ def _encode_coefficients(value, meta):
     return {
         "dim_k": value.dim_k,
         "outcomes": [
-            {"label": _label_to_json(label), "tensor": _tensor3_to_json(tensor)}
+            {"label": label_to_json(label), "tensor": _tensor3_to_json(tensor)}
             for label, tensor in value.outcomes
         ],
     }
@@ -379,7 +363,7 @@ def _encode_states(value, meta):
     return {
         "dim": dim,
         "states": [
-            {"label": _label_to_json(label), "matrix": matrix_to_json(matrix)}
+            {"label": label_to_json(label), "matrix": matrix_to_json(matrix)}
             for label, matrix in value
         ],
     }

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .cpmaps import ChoiMatrix, KrausSet, apply_heisenberg, choi, kraus_from_choi
+from .cpmaps import ChoiMatrix, KrausSet, _psd_kraus, apply_heisenberg, minimal_kraus
 from .errors import InstrumentumError
 from .matkernel import (
     DEFAULT_TOL,
@@ -222,6 +222,11 @@ def require_valid_povm(p: Povm, tol: Tolerances = DEFAULT_TOL) -> None:
 def associate_povm(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Povm:
     """The measure ``i -> M(i, I)`` of outcome effects."""
     require_valid(m, tol)
+    return _povm_of(m)
+
+
+def _povm_of(m: DiscreteInstrument) -> Povm:
+    """``associate_povm`` of an instrument already known to be normalized."""
     eye_out = np.eye(m.dim_out, dtype=np.complex128)
     effects = tuple((label, apply_heisenberg(kraus, eye_out)) for label, kraus in m.outcomes)
     return Povm(m.dim_in, effects)
@@ -258,9 +263,14 @@ def trivial_from_povm(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrum
     effect; a zero effect yields an empty Kraus set.
     """
     require_valid_povm(p, tol)
+    return _trivial(p, tol)
+
+
+def _trivial(p: Povm, tol: Tolerances) -> DiscreteInstrument:
+    """``trivial_from_povm`` of a POVM already known to be valid."""
     outcomes = []
     for label, matrix in p.effects:
-        kraus = kraus_from_choi(ChoiMatrix(p.dim, 1, matrix), tol)
+        kraus = _psd_kraus(ChoiMatrix(p.dim, 1, matrix), tol)
         outcomes.append((label, kraus))
     return DiscreteInstrument(p.dim, 1, tuple(outcomes))
 
@@ -282,6 +292,11 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     flattened row-major in ``(l, m)`` with both spectra descending.
     """
     require_valid_povm(p, tol)
+    return _nuclear(p, states, tol)
+
+
+def _nuclear(p: Povm, states, tol: Tolerances) -> DiscreteInstrument:
+    """``nuclear`` over a POVM already known to be valid."""
     states = [as_matrix(s, name="output state") for s in states]
     if len(states) != len(p):
         raise ValueError(f"got {len(states)} states for {len(p)} effects")
@@ -352,7 +367,7 @@ def margins(b: BiInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Povm]
     over the first.
     """
     require_valid(b, tol)
-    p = associate_povm(b, tol)
+    p = _povm_of(b)
     first = {label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.first_labels}
     second = {
         label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.second_labels
@@ -376,7 +391,6 @@ def refine_rank1(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Discre
     require_valid(m, tol)
     outcomes = []
     for label, kraus in m.outcomes:
-        minimal = kraus_from_choi(choi(kraus), tol)
-        for k, op in enumerate(minimal.ops):
+        for k, op in enumerate(minimal_kraus(kraus, tol).ops):
             outcomes.append(((k, label), KrausSet(m.dim_in, m.dim_out, (op,))))
     return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))

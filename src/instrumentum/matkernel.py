@@ -110,7 +110,11 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     ``sv_rel_cutoff`` is real and positive.  ``vectors[:, j]`` belongs to
     ``values[j]``.  Input is symmetrized before LAPACK sees it.
     """
-    sym = require_hermitian(a, tol)
+    return _descending_eigh(require_hermitian(a, tol), tol)
+
+
+def _descending_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of a matrix already symmetrized, without the Hermiticity check."""
     values, vectors = np.linalg.eigh(sym)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()

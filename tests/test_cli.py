@@ -7,6 +7,7 @@ import pytest
 
 from instrumentum import (
     CompatCoefficients,
+    DiscreteInstrument,
     Document,
     KrausSet,
     Povm,
@@ -362,7 +363,43 @@ class TestChoiAndCp:
         assert code == 1
 
 
+def defect_documents(tmp_path):
+    """Paths of inputs whose normalization defect is 1e-7, keyed by command.
+
+    The default threshold is ``1e-9 * sqrt(2)``; ``--tol-scale 1000`` lifts it
+    above the defect.
+    """
+    p0 = np.diag([1.0 + 1e-7, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    m = DiscreteInstrument(2, 2, ((0, (np.sqrt(p0),)), (1, (p1,))))
+    m_path = tmp_path / "defect.json"
+    save(Document(kind="instrument", value=m), m_path)
+    povm_path = tmp_path / "defect-povm.json"
+    save(Document(kind="povm", value=Povm(2, (("a", p0), ("b", p1)))), povm_path)
+    t = np.zeros((1, 2, 1), dtype=complex)
+    t[0, 0, 0] = 1.0
+    coeff_path = tmp_path / "defect-coeffs.json"
+    save(
+        Document(kind="coefficients", value=CompatCoefficients(2, (("a", t), ("b", t)))),
+        coeff_path,
+    )
+    return {
+        "validate": [str(m_path)],
+        "refine": [str(m_path)],
+        "compat-build": [str(povm_path), str(coeff_path)],
+    }
+
+
 class TestTolerancesAndUsage:
+    @pytest.mark.parametrize("command", ["validate", "refine", "compat-build"])
+    def test_tol_scale_reaches_every_check(self, run, tmp_path, command):
+        inputs = defect_documents(tmp_path)[command]
+        code, _, _ = run(command, *inputs)
+        assert code == 2
+        code, report, err = run(command, *inputs, "--tol-scale", "1000")
+        assert code == 0, err
+        assert report["command"] == command
+
     def test_env_scale(self, run, luders_file, monkeypatch):
         monkeypatch.setenv("INSTRUMENTUM_TOL", "100")
         code, report, _ = run("validate", luders_file)

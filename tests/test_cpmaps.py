@@ -7,16 +7,25 @@ from instrumentum import (
     ChoiMatrix,
     InstrumentumError,
     KrausSet,
+    action_distance,
     apply_heisenberg,
     apply_schrodinger,
     choi,
     cp_check,
     kraus_equivalent,
     kraus_from_choi,
+    minimal_kraus,
 )
 from instrumentum.matkernel import numeric_rank
 
-from helpers import depolarizing_kraus, kraus_action_distance, matrix_units, rand_state
+from helpers import (
+    depolarizing_kraus,
+    kraus_action_distance,
+    matrix_units,
+    rand_instrument,
+    rand_state,
+    rand_unitary,
+)
 
 IDENTITY_CHOI = np.array(
     [
@@ -199,3 +208,63 @@ class TestKrausEquivalent:
         u = kraus_equivalent(k1, k2)
         assert u is not None
         assert kraus_action_distance(k1, k2) < 1e-12
+
+
+def corpus_kraus_sets(corpus):
+    """Every outcome Kraus set of the corpus plus a d=8 instrument, by name."""
+    rng = np.random.default_rng(97)
+    instruments = dict(corpus, **{"random-8to8": rand_instrument(rng, 8, 8, (3, 2, 2))})
+    for name, m in instruments.items():
+        for label, kraus in m.outcomes:
+            yield f"{name}[{label}]", kraus
+
+
+class TestMinimalKraus:
+    def test_bit_identical_to_kraus_from_choi(self, corpus):
+        for name, kraus in corpus_kraus_sets(corpus):
+            got = minimal_kraus(kraus)
+            want = kraus_from_choi(choi(kraus))
+            assert len(got) == len(want), name
+            for a, b in zip(got.ops, want.ops):
+                assert np.array_equal(a, b), name
+
+    def test_drops_dependent_operators(self):
+        a = np.diag([1.0, 0.0]).astype(complex)
+        assert len(minimal_kraus(KrausSet(2, 2, (a, 2 * a, -a)))) == 1
+        assert len(minimal_kraus(KrausSet(2, 3, ()))) == 0
+
+
+class TestActionDistance:
+    def test_matches_loop_oracle(self, corpus):
+        """All outcome pairs of each instrument, covering empty sets and dim_in != dim_out."""
+        rng = np.random.default_rng(98)
+        instruments = dict(corpus, **{"random-8to8": rand_instrument(rng, 8, 8, (3, 2, 0))})
+        for name, m in instruments.items():
+            for _, k1 in m.outcomes:
+                for _, k2 in m.outcomes:
+                    want = kraus_action_distance(k1, k2)
+                    assert abs(action_distance(k1, k2) - want) <= 1e-14 * max(1.0, want), name
+        assert any(m.dim_in != m.dim_out for m in instruments.values())
+        assert any(len(k) == 0 for m in instruments.values() for _, k in m.outcomes)
+
+    def test_unitary_remix_is_zero(self, corpus):
+        rng = np.random.default_rng(99)
+        for name, kraus in corpus_kraus_sets(corpus):
+            if not kraus.ops:
+                continue
+            u = rand_unitary(rng, len(kraus))
+            ops = np.stack(kraus.ops)
+            remixed = KrausSet(kraus.dim_in, kraus.dim_out, tuple(np.tensordot(u, ops, axes=1)))
+            assert action_distance(kraus, remixed) <= 1e-14, name
+            assert action_distance(kraus, minimal_kraus(kraus)) <= 1e-12, name
+
+    def test_zero_map_distance_is_largest_block(self):
+        k = depolarizing_kraus()
+        zero = KrausSet(2, 2, ())
+        # every block E(|k_s><k_t|) of the depolarizing map is delta_st I / 2
+        assert action_distance(k, zero) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+        assert action_distance(zero, zero) == 0.0
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="different spaces"):
+            action_distance(KrausSet(2, 3, ()), KrausSet(3, 2, ()))
