@@ -22,13 +22,14 @@ from dataclasses import replace
 import numpy as np
 
 from .compat import compat_channel, compat_from_coeffs, lueders_factorization, rank1_nuclear_extract
-from .cpmaps import ChoiMatrix, KrausSet, choi, cp_check
+from .cpmaps import ChoiMatrix, choi, cp_check
 from .dilation import measurement_model, minimal_stinespring, standard_model, verify_dilation
 from .errors import FormatError, InstrumentumError
 from .extremality import correlation_extremal, instrument_extremal, povm_extremal
 from .formats import Document, label_to_json, load, matrix_to_json, save
 from .instruments import (
     DiscreteInstrument,
+    _pooled,
     associate_povm,
     compose_sequential,
     refine_rank1,
@@ -344,7 +345,7 @@ def _cmd_factorize(args, tol):
     if args.output is not None:
         save(
             _instrument_doc(
-                DiscreteInstrument(channel.dim_in, channel.dim_out, (("0", channel.ops),))
+                DiscreteInstrument(channel.dim_in, channel.dim_out, (("0", channel),))
             ),
             args.output,
         )
@@ -463,8 +464,7 @@ def _cmd_choi(args, tol):
         except KeyError as exc:
             raise FormatError(str(exc.args[0]))
     else:
-        ops = tuple(op for _, ks in m.outcomes for op in ks.ops)
-        kraus = KrausSet(m.dim_in, m.dim_out, ops)
+        kraus = _pooled(m)
     matrix = choi(kraus)
     rank = numeric_rank(matrix.matrix, tol)[0]
     _emit(

@@ -32,6 +32,7 @@ from .instruments import (
     DiscreteInstrument,
     Povm,
     _nuclear,
+    _pooled,
     _povm_of,
     _trivial,
     require_valid,
@@ -170,13 +171,9 @@ def compat_from_coeffs(
                 f"coefficient rows for {label!r} are not orthonormal: defect {gram_defect:.3e}"
             )
         # d_l(i) are the conjugated rows of the one-dimensional-output Kraus set
-        d_vectors = (
-            np.stack([op[0].conj() for op in kraus.ops])
-            if n_i
-            else np.zeros((0, p.dim), dtype=np.complex128)
-        )
+        d_vectors = kraus.stack[:, 0, :].conj()
         mixed = np.tensordot(tensor, d_vectors, axes=([0], [0]))  # (dim_k, r_i, dim)
-        ops = tuple(mixed[:, k, :].conj() for k in range(r_i))
+        ops = mixed.transpose(1, 0, 2).conj()
         outcomes.append((label, KrausSet(p.dim, coeffs.dim_k, ops)))
     built = DiscreteInstrument(p.dim, coeffs.dim_k, tuple(outcomes))
     require_valid(built, tol)
@@ -219,10 +216,8 @@ def _decompose(m: DiscreteInstrument, p: Povm, tol: Tolerances) -> tuple:
         c_i = sol.T  # (dim_out * np_i, n_i)
         solve_residual = float(np.linalg.norm(c_i @ psi - phi))
         iso_defect = float(np.linalg.norm(dagger(c_i) @ c_i - np.eye(n_i)))
-        c_blocks = c_i.reshape(dim_out, np_i, n_i)
-        ops = tuple(c_blocks[:, k, :] for k in range(np_i))
-        t_i = KrausSet(n_i, dim_out, ops)
-        lifted = KrausSet(dim_in, dim_out, tuple(op @ psi for op in ops))  # psi^dag T_i(.) psi
+        t_i = KrausSet(n_i, dim_out, c_i.reshape(dim_out, np_i, n_i).transpose(1, 0, 2))
+        lifted = KrausSet(dim_in, dim_out, t_i.stack @ psi)  # psi^dag T_i(.) psi
         recon = action_distance(lifted, kraus)
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
         isometries.append(c_i)
@@ -242,22 +237,15 @@ def _decompose(m: DiscreteInstrument, p: Povm, tol: Tolerances) -> tuple:
     return dec, povm_dil
 
 
-def _decomposable_kraus(
-    dec: CompatChannelDecomposition, povm_dil, m: DiscreteInstrument
-) -> list:
-    """Kraus operators of the block channel ``T = (+)_i T_i`` on the full fiber space."""
+def _decomposable_kraus(dec: CompatChannelDecomposition, povm_dil) -> np.ndarray:
+    """Kraus stack of the block channel ``T = (+)_i T_i`` on the full fiber space."""
     total = povm_dil.total_fibers
-    ops = []
-    for i in range(len(m.outcomes)):
-        block = povm_dil.block_slice(i)
-        t_i = dec.channels[i]
-        if t_i is None:
-            continue
-        for op in t_i.ops:
-            lifted = np.zeros((m.dim_out, total), dtype=np.complex128)
-            lifted[:, block] = op
-            ops.append(lifted)
-    return ops
+    lifted = []
+    for i, t_i in enumerate(dec.channels):
+        if t_i is not None:
+            block = povm_dil.block_slice(i)
+            lifted.append(np.pad(t_i.stack, ((0, 0), (0, 0), (block.start, total - block.stop))))
+    return np.concatenate(lifted)
 
 
 def lueders_factorization(
@@ -304,13 +292,9 @@ def lueders_factorization(
     completed = isometry_complete(range_images, tol)
     carrier = completed[:, :dim] @ dagger(vectors)
 
-    phi_ops = tuple(op @ carrier for op in _decomposable_kraus(dec, povm_dil, m))
-    phi = KrausSet(dim, m.dim_out, phi_ops)
-
-    direct = KrausSet(
-        dim, m.dim_out, tuple(op for label, k in m.outcomes if label in subset for op in k.ops)
-    )
-    factored = KrausSet(dim, m.dim_out, tuple(op @ root for op in phi.ops))  # root Phi(.) root
+    phi = KrausSet(dim, m.dim_out, _decomposable_kraus(dec, povm_dil) @ carrier)
+    direct = _pooled(m, subset)
+    factored = KrausSet(dim, m.dim_out, phi.stack @ root)  # root Phi(.) root
     max_err = action_distance(factored, direct)
     unit_defect = float(
         np.linalg.norm(
@@ -342,12 +326,8 @@ def pvm_compat(
     dec, povm_dil = _decompose(m, p, tol)
     if povm_dil.total_fibers != m.dim_in:
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
-    y_n = povm_dil.isometry
-    conjugated = KrausSet(
-        m.dim_in,
-        m.dim_out,
-        tuple(op @ y_n for op in _decomposable_kraus(dec, povm_dil, m)),
-    )
+    ops = _decomposable_kraus(dec, povm_dil) @ povm_dil.isometry
+    conjugated = KrausSet(m.dim_in, m.dim_out, ops)
     max_err = 0.0
     rows = zip(unit_images(conjugated), *(unit_images(kraus) for _, kraus in m.outcomes))
     for image, *direct in rows:  # image[t] = T(|k_s><k_t|), direct[i][t] = M(i, |k_s><k_t|)

@@ -2,8 +2,10 @@
 
 Conventions
 -----------
-A map is stored through Kraus operators ``A_k : H -> K`` held as
-``dim_out x dim_in`` arrays (``dim_out = dim K``, ``dim_in = dim H``) and acts
+A map is stored through Kraus operators ``A_k : H -> K``, held together as
+one ``(n, dim_out, dim_in)`` array ``stack`` with ``stack[k] = A_k``
+(``dim_out = dim K``, ``dim_in = dim H``); ``KrausSet.ops`` holds the 2-D
+views ``stack[k]``.  The map acts
 
 * in the Heisenberg picture as ``E(B) = sum_k A_k^dag B A_k`` on operators
   ``B`` of the output space, and
@@ -54,23 +56,36 @@ __all__ = [
 class KrausSet:
     """An ordered, possibly empty, family of Kraus operators of fixed shape.
 
-    The empty set is the canonical representation of the zero map.
+    The operators are stored once, in the read-only C-contiguous complex
+    array ``stack`` of shape ``(n, dim_out, dim_in)`` with ``stack[k] = A_k``;
+    ``ops`` is the tuple of its 2-D views ``stack[k]``.  The constructor takes
+    a sequence of ``dim_out x dim_in`` matrices or one such 3-D array.  The
+    empty set is the canonical representation of the zero map.
     """
 
     dim_in: int
     dim_out: int
     ops: tuple = ()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError(f"dimensions must be positive, got {self.dim_in}, {self.dim_out}")
-        ops = tuple(as_matrix(op, name="Kraus operator") for op in self.ops)
-        for op in ops:
-            if op.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator has shape {op.shape}, expected {(self.dim_out, self.dim_in)}"
-                )
-        object.__setattr__(self, "ops", ops)
+        shape = (self.dim_out, self.dim_in)
+        ops = self.ops if isinstance(self.ops, np.ndarray) else tuple(self.ops)
+        try:
+            stack = np.array(ops if len(ops) else np.zeros((0, *shape)), np.complex128, order="C")
+            valid = stack.shape[1:] == shape and np.all(np.isfinite(stack.view(np.float64)))
+        except (TypeError, ValueError):  # ragged, or not numbers
+            valid = False
+        if not valid:
+            # the per-operator checks name the first bad operator, entries before shapes
+            for op in [as_matrix(op, name="Kraus operator") for op in ops]:
+                if op.shape != shape:
+                    raise ValueError(f"Kraus operator has shape {op.shape}, expected {shape}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ops", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -139,15 +154,10 @@ def _psd_kraus(c: ChoiMatrix, tol: Tolerances) -> KrausSet:
     # Choi matrices built by choi() are Hermitian only to rounding; symmetrizing
     # as herm_eig does, minus its Hermiticity check, keeps the eigenvectors exact
     values, vectors = _descending_eigh((c.matrix + dagger(c.matrix)) / 2.0, tol)
-    ops = []
-    if values.size and values[0] > 0.0:
-        cut = tol.sv_rel_cutoff * float(values[0])
-        for j in range(values.size):
-            if values[j] <= cut:
-                break
-            w = np.sqrt(values[j]) * vectors[:, j]
-            ops.append(w.conj().reshape(c.dim_out, c.dim_in))
-    return KrausSet(c.dim_in, c.dim_out, tuple(ops))
+    # values descend, so the kept ones lead; none are kept when values[0] <= 0
+    r = int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
+    w = vectors[:, :r] * np.sqrt(values[:r])
+    return KrausSet(c.dim_in, c.dim_out, dagger(w).reshape(r, c.dim_out, c.dim_in))
 
 
 def apply_heisenberg(k: KrausSet, b) -> np.ndarray:
@@ -155,10 +165,7 @@ def apply_heisenberg(k: KrausSet, b) -> np.ndarray:
     b = as_matrix(b, name="operator")
     if b.shape != (k.dim_out, k.dim_out):
         raise ValueError(f"operator has shape {b.shape}, expected {(k.dim_out, k.dim_out)}")
-    out = np.zeros((k.dim_in, k.dim_in), dtype=np.complex128)
-    for op in k.ops:
-        out += dagger(op) @ b @ op
-    return out
+    return _running_sum(dagger(k.stack) @ b @ k.stack)
 
 
 def apply_schrodinger(k: KrausSet, rho) -> np.ndarray:
@@ -166,17 +173,12 @@ def apply_schrodinger(k: KrausSet, rho) -> np.ndarray:
     rho = as_matrix(rho, name="state")
     if rho.shape != (k.dim_in, k.dim_in):
         raise ValueError(f"state has shape {rho.shape}, expected {(k.dim_in, k.dim_in)}")
-    out = np.zeros((k.dim_out, k.dim_out), dtype=np.complex128)
-    for op in k.ops:
-        out += op @ rho @ dagger(op)
-    return out
+    return _running_sum(k.stack @ rho @ dagger(k.stack))
 
 
-def _op_stack(k: KrausSet) -> np.ndarray:
-    """Operators of ``k`` vectorized row-major into the columns of one matrix."""
-    if not k.ops:
-        return np.zeros((k.dim_out * k.dim_in, 0), dtype=np.complex128)
-    return np.column_stack([op.reshape(-1) for op in k.ops])
+def _running_sum(terms: np.ndarray) -> np.ndarray:
+    """Stacked matrices added one at a time onto zero (``np.sum`` adds 1 x 1 ones pairwise)."""
+    return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
 def unit_images(k: KrausSet):
@@ -185,7 +187,9 @@ def unit_images(k: KrausSet):
     Item ``s`` is block row ``s`` of ``choi(k)``; producing one block row at
     a time keeps memory at ``dim_out * dim_in**2`` entries.
     """
-    w = _op_stack(k).conj()  # choi(k) = w @ w^dag
+    # column j is conj(vec_row(A_j)), so choi(k) = w @ w^dag; row-major w keeps
+    # the block rows below contiguous
+    w = np.conj(k.stack.reshape(len(k), k.dim_out * k.dim_in).T, order="C")
     w_dag = dagger(w)
     d_in = k.dim_in
     for s in range(k.dim_out):
@@ -217,8 +221,8 @@ def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
-    m1 = _op_stack(k1)
-    m2 = _op_stack(k2)
+    # column j is vec_row(A_j)
+    m1, m2 = (k.stack.reshape(len(k), k.dim_out * k.dim_in).T for k in (k1, k2))
     for name, m, count in (("first", m1, len(k1)), ("second", m2, len(k2))):
         if count and numeric_rank(m, tol)[0] < count:
             raise InstrumentumError(f"{name} Kraus set is not minimal (linearly dependent)")

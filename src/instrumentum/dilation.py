@@ -232,16 +232,13 @@ def minimal_stinespring(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
 def _stinespring(m: DiscreteInstrument, tol: Tolerances) -> StinespringDilation:
     """``minimal_stinespring`` of an instrument already known to be normalized."""
     minimal = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
-    ops = [op for ks in minimal for op in ks.ops]
-    iso = np.zeros((m.dim_out, len(ops), m.dim_in), dtype=np.complex128)
-    for f, op in enumerate(ops):
-        iso[:, f, :] = op
+    fibers = np.concatenate([ks.stack for ks in minimal])  # [f, s, m] = A_k(i)[s, m]
     return StinespringDilation(
         dim_in=m.dim_in,
         dim_out=m.dim_out,
         labels=m.labels,
         block_dims=tuple(len(ks) for ks in minimal),
-        isometry=iso.reshape(m.dim_out * len(ops), m.dim_in),
+        isometry=fibers.transpose(1, 0, 2).reshape(-1, m.dim_in),
     )
 
 
@@ -267,10 +264,9 @@ def verify_dilation(
     max_err = 0.0
     span_ranks = []
     for (_, kraus), z in zip(m.outcomes, d._fiber_blocks()):
-        n_i = z.shape[1]
-        dilated = KrausSet(m.dim_in, m.dim_out, tuple(z[:, k, :] for k in range(n_i)))
+        dilated = KrausSet(m.dim_in, m.dim_out, z.transpose(1, 0, 2))
         max_err = max(max_err, action_distance(kraus, dilated))
-        fiber_matrix = z.transpose(1, 0, 2).reshape(n_i, m.dim_out * m.dim_in)
+        fiber_matrix = dilated.stack.reshape(len(dilated), m.dim_out * m.dim_in)
         span_ranks.append(numeric_rank(fiber_matrix, tol)[0])
     passed = (
         iso_defect <= tol.eps_eq * float(np.sqrt(m.dim_in))
@@ -326,15 +322,20 @@ def measurement_model(
 def realized_instrument(model: MeasurementModel) -> DiscreteInstrument:
     """The instrument measured by a model: couple, then read the pointer blocks."""
     d = model.system_dim
+    pointer_ops = _coupled(model).transpose(1, 0, 2)  # [a, s, n]
+    outcomes = tuple(
+        (label, KrausSet(d, d, pointer_ops[model.block_slice(i)]))
+        for i, label in enumerate(model.labels)
+    )
+    return DiscreteInstrument(d, d, outcomes)
+
+
+def _coupled(model: MeasurementModel) -> np.ndarray:
+    """``[s, a, n] = <h_s (x) e_a | U (h_n (x) xi)>``, shape ``(d, ancilla, d)``."""
+    d = model.system_dim
     anc = model.ancilla_dim
     coupled = model.unitary @ np.kron(np.eye(d, dtype=np.complex128), model.xi.reshape(anc, 1))
-    coupled = coupled.reshape(d, anc, d)  # [s, a, n] = <h_s (x) e_a | U (h_n (x) xi)>
-    outcomes = []
-    for i, label in enumerate(model.labels):
-        block = model.block_slice(i)
-        ops = tuple(coupled[:, a, :] for a in range(block.start, block.stop))
-        outcomes.append((label, KrausSet(d, d, ops)))
-    return DiscreteInstrument(d, d, tuple(outcomes))
+    return coupled.reshape(d, anc, d)
 
 
 def model_intertwiner(
@@ -356,8 +357,7 @@ def model_intertwiner(
     total = dil.total_fibers
     anc = model.ancilla_dim
     y_blocks = dil.isometry.reshape(d, total, d)  # [s, f, n]
-    coupled = model.unitary @ np.kron(np.eye(d, dtype=np.complex128), model.xi.reshape(anc, 1))
-    v_blocks = coupled.reshape(d, anc, d)  # [s, a, n]
+    v_blocks = _coupled(model)  # [s, a, n]
     w = np.zeros((anc, total), dtype=np.complex128)
     for i in range(len(dil.labels)):
         fibers = dil.block_slice(i)

@@ -87,14 +87,9 @@ class CorrelationReport:
 
 def _gram_columns(blocks: list, dim_in: int) -> np.ndarray:
     """Columns ``vec(A_k^dag A_l)`` over all outcomes and index pairs."""
-    cols = []
-    for ks in blocks:
-        for a_k in ks.ops:
-            for a_l in ks.ops:
-                cols.append((dagger(a_k) @ a_l).reshape(-1))
-    if not cols:
-        return np.zeros((dim_in * dim_in, 0), dtype=np.complex128)
-    return np.column_stack(cols)
+    # one (n, n, dim_in, dim_in) array per outcome with [k, l] = A_k^dag A_l
+    products = [dagger(ks.stack)[:, None] @ ks.stack[None] for ks in blocks]
+    return np.concatenate([p.reshape(-1, dim_in * dim_in) for p in products]).T
 
 
 def _marginal_flag(singular_values: np.ndarray, rank: int, shape, tol: Tolerances) -> bool:
@@ -222,10 +217,8 @@ def witness_decompose(
                 raise InstrumentumError("witness block pushes an eigenvalue below zero")
             keep = values > 0.0
             factor = (np.sqrt(values[keep])[:, None] * dagger(vectors[:, keep]))
-            stacked = np.stack([np.asarray(op) for op in ks.ops])
-            mixed = np.tensordot(factor, stacked, axes=(1, 0))
-            ops = tuple(mixed[n] for n in range(mixed.shape[0]))
-            outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ops)))
+            mixed = np.tensordot(factor, ks.stack, axes=(1, 0))
+            outcomes.append((label, KrausSet(m.dim_in, m.dim_out, mixed)))
         return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))
 
     plus = build(1.0)

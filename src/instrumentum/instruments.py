@@ -235,8 +235,13 @@ def _povm_of(m: DiscreteInstrument) -> Povm:
 def associate_channel(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     """The total channel ``M(Omega, .)``: all Kraus operators pooled across outcomes."""
     require_valid(m, tol)
-    ops = tuple(op for _, kraus in m.outcomes for op in kraus.ops)
-    return KrausSet(m.dim_in, m.dim_out, ops)
+    return _pooled(m)
+
+
+def _pooled(m: DiscreteInstrument, labels=None) -> KrausSet:
+    """The Kraus operators of the outcomes in ``labels`` (default: all), in outcome order."""
+    stacks = [k.stack for label, k in m.outcomes if labels is None or label in labels]
+    return KrausSet(m.dim_in, m.dim_out, np.concatenate(stacks))
 
 
 def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
@@ -349,7 +354,8 @@ def compose_sequential(
     outcomes = []
     for lab1, k1 in m1.outcomes:
         for lab2, k2 in m2.outcomes:
-            ops = tuple(b @ a for a in k1.ops for b in k2.ops)
+            products = k2.stack[None] @ k1.stack[:, None]  # [a, b] = B_b @ A_a
+            ops = products.reshape(-1, m2.dim_out, m1.dim_in)
             outcomes.append(((lab1, lab2), KrausSet(m1.dim_in, m2.dim_out, ops)))
     return BiInstrument(
         m1.dim_in,
@@ -391,6 +397,6 @@ def refine_rank1(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Discre
     require_valid(m, tol)
     outcomes = []
     for label, kraus in m.outcomes:
-        for k, op in enumerate(minimal_kraus(kraus, tol).ops):
-            outcomes.append(((k, label), KrausSet(m.dim_in, m.dim_out, (op,))))
+        for k, single in enumerate(minimal_kraus(kraus, tol).stack[:, None]):  # (1, out, in)
+            outcomes.append(((k, label), KrausSet(m.dim_in, m.dim_out, single)))
     return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))

@@ -74,8 +74,8 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -137,7 +137,7 @@ def svd_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndar
     rows, cols = a.shape
     if a.size == 0:
         return 0, np.zeros(0), np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)  # thin vh is square if rows >= cols
     if s.size and s[0] > 0.0:
         cut = tol.sv_rel_cutoff * float(s[0]) * max(rows, cols)
         rank = int(np.count_nonzero(s > cut))

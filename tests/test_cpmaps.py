@@ -1,5 +1,7 @@
 """Kraus sets, Choi matrices, and the unitary freedom between decompositions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,72 @@ class TestKrausSet:
     def test_choi_dims(self):
         with pytest.raises(ValueError):
             ChoiMatrix(2, 3, np.eye(5))
+
+    def test_stack_shape(self):
+        rng = np.random.default_rng(41)
+        ops = tuple(rng.standard_normal((3, 2)) for _ in range(4))
+        k = KrausSet(2, 3, ops)
+        assert k.stack.shape == (4, 3, 2)
+        assert k.stack.dtype == np.complex128 and k.stack.flags.c_contiguous
+        assert np.array_equal(k.stack, np.array(ops))
+        assert KrausSet(2, 3, ()).stack.shape == (0, 3, 2)
+
+    def test_stack_is_read_only(self):
+        k = depolarizing_kraus()
+        assert not k.stack.flags.writeable
+        with pytest.raises(ValueError):
+            k.stack[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            k.ops[0][0, 0] = 1.0
+
+    def test_ops_are_views_of_stack(self):
+        k = depolarizing_kraus()
+        assert len(k.ops) == len(k) == 4
+        for j, op in enumerate(k.ops):
+            assert op.shape == (2, 2)
+            assert np.shares_memory(op, k.stack)
+            assert np.array_equal(op, k.stack[j])
+
+    def test_stack_copies_its_input(self):
+        array = np.zeros((2, 2, 2), dtype=np.complex128)
+        k = KrausSet(2, 2, array)
+        array[0, 0, 0] = 1.0
+        assert k.stack[0, 0, 0] == 0.0
+        assert array.flags.writeable
+
+    def test_array_and_tuple_agree(self):
+        rng = np.random.default_rng(43)
+        array = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        from_array = KrausSet(4, 2, array)
+        from_tuple = KrausSet(4, 2, tuple(array[j] for j in range(3)))
+        assert np.array_equal(from_array.stack, from_tuple.stack)
+        assert len(from_array) == len(from_tuple) == 3
+
+    @pytest.mark.parametrize(
+        "ops, shape",
+        [
+            ((np.eye(2), np.zeros((3, 2))), "(3, 2)"),
+            (np.zeros((2, 3, 2)), "(3, 2)"),
+            ((np.zeros((2, 3)),), "(2, 3)"),
+        ],
+    )
+    def test_wrong_shape_message(self, ops, shape):
+        message = f"Kraus operator has shape {shape}, expected (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KrausSet(2, 2, ops)
+
+    def test_one_dimensional_operator_message(self):
+        with pytest.raises(ValueError, match="Kraus operator must be 2-dimensional"):
+            KrausSet(2, 2, (np.eye(2), np.ones(2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_message(self, bad):
+        op = np.eye(2, dtype=np.complex128)
+        op[1, 0] = bad
+        with pytest.raises(ValueError, match="Kraus operator contains NaN or Inf entries"):
+            KrausSet(2, 2, (np.eye(2), op))
+        with pytest.raises(ValueError, match="Kraus operator contains NaN or Inf entries"):
+            KrausSet(2, 2, np.stack([np.eye(2), op]))
 
 
 class TestChoi:
@@ -161,6 +229,25 @@ class TestApply:
             lhs = np.trace(rho @ apply_heisenberg(k, b))
             rhs = np.trace(apply_schrodinger(k, rho) @ b)
             assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("dim_in, dim_out, count", [(1, 3, 11), (3, 1, 9), (2, 4, 5), (3, 3, 0)])
+    def test_matches_operator_loop_bit_for_bit(self, dim_in, dim_out, count):
+        # a running sum from zero, in operator order, as a loop over the operators adds
+        rng = np.random.default_rng(39)
+        ops = tuple(
+            rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in))
+            for _ in range(count)
+        )
+        k = KrausSet(dim_in, dim_out, ops)
+        b = rng.standard_normal((dim_out, dim_out)) + 1j * rng.standard_normal((dim_out, dim_out))
+        rho = rand_state(rng, dim_in)
+        heisenberg = np.zeros((dim_in, dim_in), dtype=np.complex128)
+        schrodinger = np.zeros((dim_out, dim_out), dtype=np.complex128)
+        for op in k.ops:
+            heisenberg += op.conj().T @ b @ op
+            schrodinger += op @ rho @ op.conj().T
+        assert apply_heisenberg(k, b).tobytes() == heisenberg.tobytes()
+        assert apply_schrodinger(k, rho).tobytes() == schrodinger.tobytes()
 
     def test_shape_errors(self):
         k = KrausSet(3, 2, ())

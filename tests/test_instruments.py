@@ -22,7 +22,14 @@ from instrumentum import (
     validate,
 )
 
-from helpers import action_distance, basis_pvm, kraus_action_distance, matrix_units, rand_state
+from helpers import (
+    action_distance,
+    basis_pvm,
+    kraus_action_distance,
+    matrix_units,
+    rand_instrument,
+    rand_state,
+)
 
 
 def qubit_z_luders():
@@ -187,6 +194,16 @@ class TestCompose:
         for label in m2.labels:
             expected = apply_heisenberg(t1, associate_povm(m2).effect(label))
             assert np.allclose(second.effect(label), expected)
+
+    def test_products_follow_first_then_second_operator(self):
+        rng = np.random.default_rng(53)
+        m1 = rand_instrument(rng, 2, 3, (2, 3))
+        m2 = rand_instrument(rng, 3, 2, (3, 1))
+        composed = compose_sequential(m1, m2)
+        for lab1, k1 in m1.outcomes:
+            for lab2, k2 in m2.outcomes:
+                expected = np.array([b @ a for a in k1.ops for b in k2.ops])
+                assert composed.outcome((lab1, lab2)).stack.tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self):
         m1 = qubit_z_luders()

@@ -1,0 +1,75 @@
+"""Property tests: reports do not depend on how an outcome's Kraus family is written.
+
+Remixing an outcome's operators by a unitary, or padding them with redundant
+combinations ``B = V A`` for an isometry ``V``, leaves every outcome map, and
+so every report derived from the maps, unchanged.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from instrumentum import (
+    DiscreteInstrument,
+    KrausSet,
+    action_distance,
+    compat_channel,
+    instrument_extremal,
+    minimal_stinespring,
+    validate,
+)
+
+from helpers import rand_instrument, rand_isometry, rand_unitary
+
+DIMS = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def instruments(draw):
+    dim_in, dim_out = draw(DIMS), draw(DIMS)
+    fibers = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    if dim_out * sum(fibers) < dim_in:
+        fibers[0] += -(-dim_in // dim_out) - sum(fibers)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return rand_instrument(np.random.default_rng(seed), dim_in, dim_out, tuple(fibers)), seed
+
+
+def remixed(m, rng):
+    """Each outcome's operators mixed by a random unitary."""
+    return _mixed(m, lambda n: rand_unitary(rng, n) if n else np.zeros((0, 0)))
+
+
+def padded(m, rng):
+    """Each outcome's operators replaced by ``V A`` for a random isometry ``V`` with more rows."""
+    return _mixed(m, lambda n: rand_isometry(rng, n + 2, n) if n else np.zeros((2, 0)))
+
+
+def _mixed(m, matrix_for):
+    outcomes = []
+    for label, kraus in m.outcomes:
+        mix = matrix_for(len(kraus))
+        ops = np.tensordot(mix, kraus.stack, axes=(1, 0))
+        outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ops)))
+    return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))
+
+
+def report(m):
+    extremal = instrument_extremal(m)
+    compat = compat_channel(m)
+    return {
+        "valid": validate(m).passed,
+        "block_dims": minimal_stinespring(m).block_dims,
+        "extremal": (extremal.span_rank, extremal.required_rank, extremal.is_extreme),
+        "compat": (compat.naimark_dims, compat.fiber_dims),
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_reports_ignore_kraus_gauge_and_redundancy(case):
+    m, seed = case
+    expected = report(m)
+    rng = np.random.default_rng([seed, 1])
+    for changed in (remixed(m, rng), padded(m, rng)):
+        for (_, k1), (_, k2) in zip(m.outcomes, changed.outcomes):
+            assert action_distance(k1, k2) <= 1e-12
+        assert report(changed) == expected
