@@ -26,9 +26,10 @@ from .cpmaps import ChoiMatrix, choi, cp_check
 from .dilation import measurement_model, minimal_stinespring, standard_model, verify_dilation
 from .errors import FormatError, InstrumentumError
 from .extremality import correlation_extremal, instrument_extremal, povm_extremal
-from .formats import Document, label_to_json, load, matrix_to_json, save
+from .formats import Document, _labelled, _parse_label, label_to_json, load, matrix_to_json, save
 from .instruments import (
     DiscreteInstrument,
+    _label_fault,
     _pooled,
     associate_povm,
     compose_sequential,
@@ -95,30 +96,29 @@ def _load_kind(path, kinds) -> Document:
 
 
 def _parse_cli_label(text: str):
+    """A JSON label (an array names a tuple label); any other text is a string label."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
         return text
-    if isinstance(raw, bool) or isinstance(raw, float):
-        return text
     if isinstance(raw, list):
-        return _listed_label(raw, text)
-    if isinstance(raw, (str, int)):
-        return raw
-    return text
+        return _parse_label(raw, f"label {text!r}")
+    return text if _label_fault(raw, list) else raw
 
 
-def _listed_label(raw, text):
-    out = []
-    for part in raw:
-        if isinstance(part, bool) or not isinstance(part, (str, int, list)):
-            raise _UsageError(f"label {text!r}: entries must be strings or integers")
-        out.append(_listed_label(part, text) if isinstance(part, list) else part)
-    return tuple(out)
+def _split_labels(text: str) -> list:
+    """Split ``text`` at the commas outside brackets, so ``[0,1],2`` gives two labels."""
+    pieces, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char == "[") - (char == "]")
+        if char == "," and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    return pieces + [text[start:]]
 
 
 def _parse_subset(text: str) -> tuple:
-    labels = tuple(_parse_cli_label(piece) for piece in text.split(",") if piece != "")
+    labels = tuple(_parse_cli_label(piece) for piece in _split_labels(text) if piece != "")
     if not labels:
         raise _UsageError(f"subset {text!r}: no labels")
     return labels
@@ -144,10 +144,7 @@ def _cmd_validate(args, tol):
             "passed": report.passed,
             "normalization_defect": report.normalization_defect,
             "threshold": report.threshold,
-            "outcomes": [
-                {"label": label_to_json(label), "kraus_count": count}
-                for label, count in report.outcome_kraus_counts
-            ],
+            "outcomes": _labelled(report.outcome_kraus_counts, "kraus_count"),
         }
     )
     return 0 if report.passed else 2
@@ -165,16 +162,11 @@ def _cmd_extremal(args, tol):
         "span_rank": report.span_rank,
         "required_rank": report.required_rank,
         "marginal": report.marginal,
-        "outcomes": [
-            {"label": label_to_json(label), "block_dim": n}
-            for label, n in zip(report.labels, report.block_dims)
-        ],
+        "outcomes": _labelled(zip(report.labels, report.block_dims), "block_dim"),
     }
     if report.witness is not None:
-        out["witness"] = [
-            {"label": label_to_json(label), "matrix": matrix_to_json(block)}
-            for label, block in zip(report.labels, report.witness)
-        ]
+        blocks = map(matrix_to_json, report.witness)
+        out["witness"] = _labelled(zip(report.labels, blocks), "matrix")
     _emit(out)
     if args.witness is not None:
         if report.witness is None:
@@ -206,10 +198,11 @@ def _cmd_dilate(args, tol):
             "passed": report.passed,
             "isometry_defect": report.isometry_defect,
             "max_reconstruction_error": report.max_reconstruction_error,
-            "outcomes": [
-                {"label": label_to_json(label), "block_dim": n, "span_rank": r}
-                for label, n, r in zip(dilation.labels, report.block_dims, report.block_span_ranks)
-            ],
+            "outcomes": _labelled(
+                zip(dilation.labels, report.block_dims, report.block_span_ranks),
+                "block_dim",
+                "span_rank",
+            ),
         }
     )
     if args.output is not None:
@@ -225,10 +218,9 @@ def _cmd_refine(args, tol):
             "command": "refine",
             "dim_in": refined.dim_in,
             "dim_out": refined.dim_out,
-            "outcomes": [
-                {"label": label_to_json(label), "kraus_count": len(kraus.ops)}
-                for label, kraus in refined.outcomes
-            ],
+            "outcomes": _labelled(
+                ((label, len(kraus)) for label, kraus in refined.outcomes), "kraus_count"
+            ),
         }
     )
     if args.output is not None:
@@ -243,10 +235,7 @@ def _cmd_posterior(args, tol):
     rho = state_doc.value
     out = {
         "command": "posterior",
-        "distribution": [
-            {"label": label_to_json(label), "probability": p}
-            for label, p in outcome_distribution(m, rho, tol)
-        ],
+        "distribution": _labelled(outcome_distribution(m, rho, tol), "probability"),
     }
     try:
         if args.outcome is not None:
@@ -297,10 +286,9 @@ def _cmd_compat_build(args, tol):
             "dim_in": built.dim_in,
             "dim_out": built.dim_out,
             "povm_defect": defect,
-            "outcomes": [
-                {"label": label_to_json(label), "kraus_count": len(kraus.ops)}
-                for label, kraus in built.outcomes
-            ],
+            "outcomes": _labelled(
+                ((label, len(kraus)) for label, kraus in built.outcomes), "kraus_count"
+            ),
         }
     )
     if args.output is not None:
@@ -316,10 +304,9 @@ def _cmd_compat_channel(args, tol):
             "command": "compat-channel",
             "passed": dec.passed,
             "max_residual": dec.max_residual,
-            "outcomes": [
-                {"label": label_to_json(label), "naimark_dim": n, "fiber_dim": f}
-                for label, n, f in zip(dec.labels, dec.naimark_dims, dec.fiber_dims)
-            ],
+            "outcomes": _labelled(
+                zip(dec.labels, dec.naimark_dims, dec.fiber_dims), "naimark_dim", "fiber_dim"
+            ),
         }
     )
     return 0 if dec.passed else 2
@@ -361,7 +348,7 @@ def _cmd_nuclear_extract(args, tol):
             "passed": report.passed,
             "max_probe_error": report.max_probe_error,
             "rebuild_error": report.rebuild_error,
-            "outcomes": [{"label": label_to_json(label)} for label in povm.labels],
+            "outcomes": _labelled(zip(povm.labels)),
         }
     )
     if args.output is not None:
@@ -384,10 +371,7 @@ def _cmd_model(args, tol):
             "command": "model",
             "system_dim": model.system_dim,
             "ancilla_dim": model.ancilla_dim,
-            "outcomes": [
-                {"label": label_to_json(label), "block_dim": n}
-                for label, n in zip(model.labels, model.block_dims)
-            ],
+            "outcomes": _labelled(zip(model.labels, model.block_dims), "block_dim"),
         }
     )
     if args.output is not None:
@@ -412,7 +396,7 @@ def _cmd_standard_model(args, tol):
     pointer = _parse_pointer(args.pointer)
     labels = None
     if args.labels is not None:
-        labels = tuple(_parse_cli_label(piece) for piece in args.labels.split(","))
+        labels = tuple(_parse_cli_label(piece) for piece in _split_labels(args.labels))
     try:
         povm, kernel, m = standard_model(a_op, b_op, args.coupling, xi, pointer, labels, tol)
     except ValueError as exc:
@@ -423,10 +407,9 @@ def _cmd_standard_model(args, tol):
             "dim": povm.dim,
             "eigenvalues": list(kernel.eigenvalues.tolist()),
             "kernel": [[float(x) for x in row] for row in kernel.matrix],
-            "effects": [
-                {"label": label_to_json(label), "matrix": matrix_to_json(effect)}
-                for label, effect in povm.effects
-            ],
+            "effects": _labelled(
+                ((label, matrix_to_json(effect)) for label, effect in povm.effects), "matrix"
+            ),
         }
     )
     if args.output is not None:
@@ -529,6 +512,9 @@ def _cmd_cp_check(args, tol):
     return 0 if result else 2
 
 
+_SUBSET_HELP = "comma-separated outcome subset; a tuple label is a JSON array [a,b], e.g. [0,0],[1,1]"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="instrumentum", description="Quantum instrument toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -559,7 +545,7 @@ def build_parser() -> _Parser:
     p.add_argument("file", help="instrument document")
     p.add_argument("--state", required=True, metavar="FILE", help="input state document")
     p.add_argument("--outcome", metavar="LABEL", help="posterior state for one outcome")
-    p.add_argument("--subset", metavar="LABELS", help="comma-separated outcome subset")
+    p.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
 
     p = command("compose", _cmd_compose, "Sequential composition of two instruments.")
     p.add_argument("first", help="first instrument document")
@@ -576,7 +562,7 @@ def build_parser() -> _Parser:
 
     p = command("factorize", _cmd_factorize, "Factor outcomes through the associated channel.")
     p.add_argument("file", help="instrument document")
-    p.add_argument("--subset", metavar="LABELS", help="comma-separated outcome subset")
+    p.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
     p.add_argument("-o", "--output", metavar="OUT", help="write the factor channel as an instrument")
 
     p = command("nuclear-extract", _cmd_nuclear_extract, "Recover states of a rank-one nuclear instrument.")

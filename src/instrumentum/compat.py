@@ -31,6 +31,7 @@ from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
     Povm,
+    _check_labels,
     _nuclear,
     _pooled,
     _povm_of,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatCoefficients:
     """Per-outcome coefficient tensors selecting an instrument of a POVM.
 
@@ -83,6 +84,7 @@ class CompatCoefficients:
                 )
             tensor.setflags(write=False)
             entries.append((label, tensor))
+        _check_labels(label for label, _ in entries)
         object.__setattr__(self, "outcomes", tuple(entries))
 
     @property
@@ -90,7 +92,7 @@ class CompatCoefficients:
         return tuple(label for label, _ in self.outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatChannelDecomposition:
     """Fiber channels exhibiting an instrument over its POVM's dilation.
 

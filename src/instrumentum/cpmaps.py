@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """An ordered, possibly empty, family of Kraus operators of fixed shape.
 
@@ -66,7 +66,7 @@ class KrausSet:
     dim_in: int
     dim_out: int
     ops: tuple = ()
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim_in < 1 or self.dim_out < 1:
@@ -91,7 +91,7 @@ class KrausSet:
         return len(self.ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix of a CP map, in the block convention of this module."""
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .cpmaps import KrausSet, action_distance, minimal_kraus
 from .errors import InstrumentumError
-from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
+from .instruments import DiscreteInstrument, Povm, _check_labels, require_valid, trivial_from_povm
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringDilation:
     """Isometry-plus-pointer data dilating an instrument, in the ambient convention above.
 
@@ -83,6 +83,7 @@ class StinespringDilation:
         block_dims = tuple(int(n) for n in self.block_dims)
         if len(labels) != len(block_dims):
             raise ValueError("labels and block_dims disagree in length")
+        _check_labels(labels)
         if any(n < 0 for n in block_dims):
             raise ValueError("block dimensions must be nonnegative")
         total = sum(block_dims)
@@ -128,7 +129,7 @@ class DilationReport:
     block_dims: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Unitary realization of an instrument on system (x) ancilla.
 
@@ -148,6 +149,7 @@ class MeasurementModel:
         block_dims = tuple(int(n) for n in self.block_dims)
         if len(labels) != len(block_dims):
             raise ValueError("labels and block_dims disagree in length")
+        _check_labels(labels)
         if any(n < 0 for n in block_dims):
             raise ValueError("pointer block dimensions must be nonnegative")
         ancilla = sum(block_dims)
@@ -179,7 +181,7 @@ class MeasurementModel:
         return slice(offset, offset + self.block_dims[index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovKernel:
     """Column-stochastic kernel ``K[j, a]`` over pointer outcomes and input eigenvalues."""
 

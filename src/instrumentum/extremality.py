@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalityReport:
     """Verdict of the linear-independence criterion for an instrument.
 
@@ -68,7 +68,7 @@ class ExtremalityReport:
     witness: tuple | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationReport:
     """Verdict for a unit-diagonal PSD matrix.
 

@@ -2,9 +2,12 @@
 
 A document is an object ``{"kind": ..., "version": "1", "payload": ...}``.
 Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
-nested arrays of complex entries; labels are strings, integers, or arrays of
-those (arrays decode to tuples).  Floats rely on the shortest-round-trip
-decimal representation, so documents reload bit-exactly.
+nested arrays of complex entries.  A label is a string, an integer that is
+not a boolean, or an array of labels, which decodes to a tuple; this is the
+grammar every labelled constructor enforces, so every label a constructor
+accepts round-trips, and every label ``load`` rejects a constructor rejects
+too.  Floats rely on the shortest-round-trip decimal representation, so
+documents reload bit-exactly.
 
 Kinds and payloads:
 
@@ -40,7 +43,7 @@ import numpy as np
 from .compat import CompatCoefficients
 from .dilation import MeasurementModel, StinespringDilation
 from .errors import FormatError
-from .instruments import DiscreteInstrument, Povm
+from .instruments import DiscreteInstrument, Povm, _label_fault
 
 __all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json", "complex_to_json"]
 
@@ -49,7 +52,7 @@ KINDS = ("matrix", "povm", "instrument", "dilation", "model", "coefficients", "s
 VERSION = "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
     """A typed value together with its document kind and optional metadata."""
 
@@ -65,22 +68,26 @@ def complex_to_json(z) -> list:
 
 
 def matrix_to_json(a) -> list:
+    """Nested arrays of ``[re, im]`` pairs, for an array of any rank."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 1:
-        return [complex_to_json(z) for z in a]
-    return [[complex_to_json(z) for z in row] for row in a]
-
-
-def _tensor3_to_json(a) -> list:
-    a = np.asarray(a, dtype=np.complex128)
-    return [matrix_to_json(plane) for plane in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def label_to_json(label):
-    """JSON form of an outcome label: tuples become (nested) arrays."""
-    if isinstance(label, tuple):
-        return [label_to_json(part) for part in label]
-    return label
+    """JSON form of an outcome label: tuples become (nested) arrays.
+
+    Raises FormatError for a value outside the label grammar, so ``save``
+    writes no label that ``load`` rejects, even in kinds without a
+    constructor (``states`` and the ``matrix`` label).
+    """
+    fault = _label_fault(label)
+    if fault is not None:
+        raise FormatError(f"label {label!r}{fault[0]}: {fault[1]}")
+    return _lists(label)
+
+
+def _lists(label):
+    return [_lists(part) for part in label] if isinstance(label, tuple) else label
 
 
 def _expect(node, types, path: str, what: str):
@@ -137,23 +144,40 @@ def _parse_matrix(node, path: str) -> np.ndarray:
 
 
 def _parse_label(node, path: str):
-    if isinstance(node, bool):
-        raise FormatError(f"{path}: labels may not be booleans")
-    if isinstance(node, (str, int)):
-        return node
-    if isinstance(node, list):
-        return tuple(_parse_label(part, f"{path}[{i}]") for i, part in enumerate(node))
-    raise FormatError(f"{path}: expected a string, integer, or array label")
+    fault = _label_fault(node, list)
+    if fault is not None:
+        raise FormatError(f"{path}{fault[0]}: {fault[1]}")
+    return _tuples(node)
 
 
-def _parse_entries(payload, path: str, key: str) -> list:
+def _tuples(node):
+    return tuple(_tuples(part) for part in node) if isinstance(node, list) else node
+
+
+def _parse_labelled(payload, path: str, key: str, item: str, parse) -> tuple:
+    """The array ``payload[key]`` of ``{"label": L, item: X}`` objects as ``(L, parse(X))`` pairs.
+
+    Every entry is checked to be an object before any is read; then each
+    entry's label is read before its field.
+    """
     entries = _expect(payload.get(key), list, f"{path}.{key}", "an array")
     if not entries:
         raise FormatError(f"{path}.{key}: must not be empty")
-    out = []
-    for i, entry in enumerate(entries):
-        out.append((_expect(entry, dict, f"{path}.{key}[{i}]", "an object"), f"{path}.{key}[{i}]"))
-    return out
+    paths = [f"{path}.{key}[{i}]" for i in range(len(entries))]
+    for entry, entry_path in zip(entries, paths):
+        _expect(entry, dict, entry_path, "an object")
+    return tuple(
+        (
+            _parse_label(entry.get("label"), f"{entry_path}.label"),
+            parse(entry.get(item), f"{entry_path}.{item}"),
+        )
+        for entry, entry_path in zip(entries, paths)
+    )
+
+
+def _labelled(rows, *keys) -> list:
+    """``{"label": L, key: value, ...}`` objects from ``(L, value, ...)`` rows of JSON values."""
+    return [{"label": label_to_json(label), **dict(zip(keys, values))} for label, *values in rows]
 
 
 def _wrap_construction(path: str, builder):
@@ -184,76 +208,45 @@ def _encode_matrix(value, meta):
 
 def _decode_povm(payload, path):
     dim = _parse_int(payload.get("dim"), f"{path}.dim", minimum=1)
-    effects = []
-    for entry, entry_path in _parse_entries(payload, path, "effects"):
-        label = _parse_label(entry.get("label"), f"{entry_path}.label")
-        matrix = _parse_matrix(entry.get("matrix"), f"{entry_path}.matrix")
-        effects.append((label, matrix))
-    return _wrap_construction(path, lambda: Povm(dim, tuple(effects))), {}
+    effects = _parse_labelled(payload, path, "effects", "matrix", _parse_matrix)
+    return _wrap_construction(path, lambda: Povm(dim, effects)), {}
 
 
 def _encode_povm(value, meta):
-    return {
-        "dim": value.dim,
-        "effects": [
-            {"label": label_to_json(label), "matrix": matrix_to_json(matrix)}
-            for label, matrix in value.effects
-        ],
-    }
+    rows = ((label, matrix_to_json(matrix)) for label, matrix in value.effects)
+    return {"dim": value.dim, "effects": _labelled(rows, "matrix")}
+
+
+def _parse_kraus(node, path):
+    ops = _expect(node, list, path, "an array of matrices")
+    return tuple(_parse_matrix(op, f"{path}[{k}]") for k, op in enumerate(ops))
 
 
 def _decode_instrument(payload, path):
     dim_in = _parse_int(payload.get("dim_in"), f"{path}.dim_in", minimum=1)
     dim_out = _parse_int(payload.get("dim_out"), f"{path}.dim_out", minimum=1)
-    outcomes = []
-    for entry, entry_path in _parse_entries(payload, path, "outcomes"):
-        label = _parse_label(entry.get("label"), f"{entry_path}.label")
-        kraus_node = _expect(entry.get("kraus"), list, f"{entry_path}.kraus", "an array of matrices")
-        ops = tuple(
-            _parse_matrix(op, f"{entry_path}.kraus[{k}]") for k, op in enumerate(kraus_node)
-        )
-        outcomes.append((label, ops))
-    return (
-        _wrap_construction(
-            path, lambda: DiscreteInstrument(dim_in, dim_out, tuple(outcomes))
-        ),
-        {},
-    )
+    outcomes = _parse_labelled(payload, path, "outcomes", "kraus", _parse_kraus)
+    return _wrap_construction(path, lambda: DiscreteInstrument(dim_in, dim_out, outcomes)), {}
 
 
 def _encode_instrument(value, meta):
-    return {
-        "dim_in": value.dim_in,
-        "dim_out": value.dim_out,
-        "outcomes": [
-            {
-                "label": label_to_json(label),
-                "kraus": [matrix_to_json(op) for op in kraus.ops],
-            }
-            for label, kraus in value.outcomes
-        ],
-    }
+    rows = ((label, matrix_to_json(kraus.stack)) for label, kraus in value.outcomes)
+    return {"dim_in": value.dim_in, "dim_out": value.dim_out, "outcomes": _labelled(rows, "kraus")}
+
+
+def _parse_block_dim(node, path):
+    return _parse_int(node, path, minimum=0)
 
 
 def _decode_dilation(payload, path):
     dim_in = _parse_int(payload.get("dim_in"), f"{path}.dim_in", minimum=1)
     dim_out = _parse_int(payload.get("dim_out"), f"{path}.dim_out", minimum=1)
-    labels = []
-    block_dims = []
-    for entry, entry_path in _parse_entries(payload, path, "outcomes"):
-        labels.append(_parse_label(entry.get("label"), f"{entry_path}.label"))
-        block_dims.append(_parse_int(entry.get("block_dim"), f"{entry_path}.block_dim", minimum=0))
+    outcomes = _parse_labelled(payload, path, "outcomes", "block_dim", _parse_block_dim)
     isometry = _parse_matrix(payload.get("isometry"), f"{path}.isometry")
+    labels, block_dims = zip(*outcomes)
     return (
         _wrap_construction(
-            path,
-            lambda: StinespringDilation(
-                dim_in=dim_in,
-                dim_out=dim_out,
-                labels=tuple(labels),
-                block_dims=tuple(block_dims),
-                isometry=isometry,
-            ),
+            path, lambda: StinespringDilation(dim_in, dim_out, labels, block_dims, isometry)
         ),
         {},
     )
@@ -263,33 +256,20 @@ def _encode_dilation(value, meta):
     return {
         "dim_in": value.dim_in,
         "dim_out": value.dim_out,
-        "outcomes": [
-            {"label": label_to_json(label), "block_dim": n}
-            for label, n in zip(value.labels, value.block_dims)
-        ],
+        "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
         "isometry": matrix_to_json(value.isometry),
     }
 
 
 def _decode_model(payload, path):
     system_dim = _parse_int(payload.get("system_dim"), f"{path}.system_dim", minimum=1)
-    labels = []
-    block_dims = []
-    for entry, entry_path in _parse_entries(payload, path, "outcomes"):
-        labels.append(_parse_label(entry.get("label"), f"{entry_path}.label"))
-        block_dims.append(_parse_int(entry.get("block_dim"), f"{entry_path}.block_dim", minimum=0))
+    outcomes = _parse_labelled(payload, path, "outcomes", "block_dim", _parse_block_dim)
     xi = _parse_vector(payload.get("xi"), f"{path}.xi")
     unitary = _parse_matrix(payload.get("unitary"), f"{path}.unitary")
+    labels, block_dims = zip(*outcomes)
     return (
         _wrap_construction(
-            path,
-            lambda: MeasurementModel(
-                system_dim=system_dim,
-                labels=tuple(labels),
-                block_dims=tuple(block_dims),
-                xi=xi,
-                unitary=unitary,
-            ),
+            path, lambda: MeasurementModel(system_dim, labels, block_dims, xi, unitary)
         ),
         {},
     )
@@ -298,75 +278,52 @@ def _decode_model(payload, path):
 def _encode_model(value, meta):
     return {
         "system_dim": value.system_dim,
-        "outcomes": [
-            {"label": label_to_json(label), "block_dim": n}
-            for label, n in zip(value.labels, value.block_dims)
-        ],
+        "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
         "xi": matrix_to_json(value.xi),
         "unitary": matrix_to_json(value.unitary),
     }
 
 
-def _parse_tensor3(node, path):
+def _parse_tensor3(node, path, dim_k):
     planes = _expect(node, list, path, "a rank-3 nested array")
     parsed = [_parse_matrix(plane, f"{path}[{i}]") for i, plane in enumerate(planes)]
-    if parsed:
-        shape = parsed[0].shape
-        for i, plane in enumerate(parsed):
-            if plane.shape != shape:
-                raise FormatError(f"{path}[{i}]: planes disagree in shape")
-        return np.stack(parsed)
-    return np.zeros((0, 0, 0), dtype=np.complex128)
+    for i, plane in enumerate(parsed):
+        if plane.shape != parsed[0].shape:
+            raise FormatError(f"{path}[{i}]: planes disagree in shape")
+    return np.stack(parsed) if parsed else np.zeros((0, dim_k, 0), dtype=np.complex128)
 
 
 def _decode_coefficients(payload, path):
     dim_k = _parse_int(payload.get("dim_k"), f"{path}.dim_k", minimum=1)
-    outcomes = []
-    for entry, entry_path in _parse_entries(payload, path, "outcomes"):
-        label = _parse_label(entry.get("label"), f"{entry_path}.label")
-        tensor = _parse_tensor3(entry.get("tensor"), f"{entry_path}.tensor")
-        if tensor.shape[0] == 0:
-            tensor = np.zeros((0, dim_k, 0), dtype=np.complex128)
-        outcomes.append((label, tensor))
-    return (
-        _wrap_construction(path, lambda: CompatCoefficients(dim_k, tuple(outcomes))),
-        {},
+    outcomes = _parse_labelled(
+        payload, path, "outcomes", "tensor", lambda node, p: _parse_tensor3(node, p, dim_k)
     )
+    return _wrap_construction(path, lambda: CompatCoefficients(dim_k, outcomes)), {}
 
 
 def _encode_coefficients(value, meta):
-    return {
-        "dim_k": value.dim_k,
-        "outcomes": [
-            {"label": label_to_json(label), "tensor": _tensor3_to_json(tensor)}
-            for label, tensor in value.outcomes
-        ],
-    }
+    rows = ((label, matrix_to_json(tensor)) for label, tensor in value.outcomes)
+    return {"dim_k": value.dim_k, "outcomes": _labelled(rows, "tensor")}
 
 
 def _decode_states(payload, path):
     dim = _parse_int(payload.get("dim"), f"{path}.dim", minimum=1)
-    states = []
-    for entry, entry_path in _parse_entries(payload, path, "states"):
-        label = _parse_label(entry.get("label"), f"{entry_path}.label")
-        matrix = _parse_matrix(entry.get("matrix"), f"{entry_path}.matrix")
+
+    def parse_state(node, state_path):
+        matrix = _parse_matrix(node, state_path)
         if matrix.shape != (dim, dim):
-            raise FormatError(f"{entry_path}.matrix: expected shape {(dim, dim)}")
-        states.append((label, matrix))
-    return tuple(states), {"dim": dim}
+            raise FormatError(f"{state_path}: expected shape {(dim, dim)}")
+        return matrix
+
+    return _parse_labelled(payload, path, "states", "matrix", parse_state), {"dim": dim}
 
 
 def _encode_states(value, meta):
     dim = meta.get("dim")
     if dim is None:
         dim = int(np.asarray(value[0][1]).shape[0])
-    return {
-        "dim": dim,
-        "states": [
-            {"label": label_to_json(label), "matrix": matrix_to_json(matrix)}
-            for label, matrix in value
-        ],
-    }
+    rows = ((label, matrix_to_json(matrix)) for label, matrix in value)
+    return {"dim": dim, "states": _labelled(rows, "matrix")}
 
 
 def _decode_report(payload, path):

@@ -2,10 +2,11 @@
 
 An instrument assigns to each outcome label a CP map given by a Kraus set;
 the maps share input/output spaces and their Heisenberg actions on the
-identity sum to the identity.  Outcome labels may be strings, integers, or
-tuples of those (tuples arise from sequential composition and from rank-one
-refinement).  Zero effects and zero outcome maps are legal and retained, so
-label sets round-trip through files unchanged.
+identity sum to the identity.  Outcome labels follow one grammar, checked by
+every labelled constructor in the package: a label is a string, an integer
+that is not a boolean, or a tuple of labels (tuples arise from sequential
+composition and from rank-one refinement).  Zero effects and zero outcome
+maps are legal and retained, so label sets round-trip through files unchanged.
 """
 
 from __future__ import annotations
@@ -47,17 +48,41 @@ __all__ = [
 Label = Union[str, int, tuple]
 
 
+def _label_fault(node, array=tuple):
+    """Where and why ``node`` breaks the label grammar, or None when it is a label.
+
+    A label is a string, an integer that is not a boolean, or a sequence of
+    type ``array`` of labels (``tuple`` for values, ``list`` for decoded
+    JSON).  A fault is ``(where, reason)``, with ``where`` the index path of
+    the first offending element, such as ``"[1][0]"``; no string is built
+    for a valid label.
+    """
+    if isinstance(node, array):
+        for i, part in enumerate(node):
+            fault = _label_fault(part, array)
+            if fault is not None:
+                return f"[{i}]{fault[0]}", fault[1]
+        return None
+    if isinstance(node, bool):
+        return "", "labels may not be booleans"
+    if isinstance(node, (str, int)):
+        return None
+    return "", "expected a string, integer, or array label"
+
+
 def _check_labels(labels) -> None:
+    """Raise ValueError unless ``labels`` are distinct and each follows the label grammar."""
     seen = set()
     for label in labels:
-        if not isinstance(label, (str, int, tuple)):
-            raise ValueError(f"label {label!r} is not a string, integer, or tuple")
+        fault = _label_fault(label)
+        if fault is not None:
+            raise ValueError(f"label {label!r}{fault[0]}: {fault[1]}")
         if label in seen:
             raise ValueError(f"duplicate outcome label {label!r}")
         seen.add(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A discrete positive operator valued measure on a space of dimension ``dim``.
 
@@ -98,7 +123,7 @@ class Povm:
         return len(self.effects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteInstrument:
     """A CP instrument with finitely many outcomes.
 
@@ -142,7 +167,7 @@ class DiscreteInstrument:
         return len(self.outcomes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiInstrument(DiscreteInstrument):
     """An instrument over a product outcome set, as produced by sequential composition.
 

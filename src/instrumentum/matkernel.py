@@ -172,10 +172,10 @@ def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
 def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Extend orthonormal columns ``v`` to a full unitary.
 
-    The leading columns of the result are ``v`` exactly; later columns are
-    obtained by orthonormalizing the standard basis vectors against what is
-    already present, in index order, skipping candidates whose residual norm
-    falls below ``sv_rel_cutoff``.
+    The leading columns of the result are ``v`` exactly; the later columns
+    are the trailing right-singular vectors of ``v^dag``, an orthonormal
+    basis of its kernel.  ``v`` has full column rank, so no rank cutoff is
+    involved.  An empty ``v`` completes to the identity.
     """
     v = as_matrix(v, name="isometry columns")
     rows, cols = v.shape
@@ -184,24 +184,8 @@ def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     gram_defect = float(np.linalg.norm(v.conj().T @ v - np.eye(cols)))
     if gram_defect > tol.eps_eq * max(1.0, np.sqrt(cols)):
         raise InstrumentumError(f"columns are not orthonormal: defect {gram_defect:.3e}")
-    basis = [v[:, j].copy() for j in range(cols)]
-    for i in range(rows):
-        if len(basis) == rows:
-            break
-        cand = np.zeros(rows, dtype=np.complex128)
-        cand[i] = 1.0
-        # two orthogonalization sweeps keep the completion orthonormal to
-        # working precision even when a residual is small
-        for _ in range(2):
-            for b in basis:
-                cand = cand - b * (b.conj() @ cand)
-        norm = float(np.linalg.norm(cand))
-        if norm < tol.sv_rel_cutoff:
-            continue
-        basis.append(cand / norm)
-    if len(basis) < rows:
-        raise InstrumentumError("isometry completion ran out of candidate directions")
-    return np.column_stack(basis)
+    vh = np.linalg.svd(dagger(v))[2]
+    return np.hstack((v, dagger(vh[cols:])))
 
 
 def herm_exp(a, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorResult:
     """An outcome (or outcome set), its probability, and the conditioned output state."""
 

@@ -363,6 +363,60 @@ class TestChoiAndCp:
         assert code == 1
 
 
+class TestTupleLabels:
+    @pytest.fixture
+    def composed_file(self, run, luders_file, tmp_path):
+        out = tmp_path / "sq.json"
+        code, _, err = run("compose", luders_file, luders_file, "-o", str(out))
+        assert code == 0, err
+        return str(out)
+
+    def test_factorize_subset_of_tuple_labels(self, run, composed_file, tmp_path):
+        out = tmp_path / "factor.json"
+        code, report, err = run(
+            "factorize", composed_file, "--subset", "[0,0],[1,1]", "-o", str(out)
+        )
+        assert code == 0, err
+        assert report["passed"] is True
+        assert report["subset"] == [[0, 0], [1, 1]]
+        assert validate(load(out).value).passed
+
+    def test_posterior_subset_of_tuple_labels(self, run, composed_file, state_file):
+        code, report, err = run(
+            "posterior", composed_file, "--state", state_file, "--subset", "[0, 0],[0, 1]"
+        )
+        assert code == 0, err
+        assert report["subset"] == [[0, 0], [0, 1]]
+        assert report["probability"] == pytest.approx(0.5)
+
+    def test_posterior_tuple_outcome(self, run, composed_file, state_file):
+        code, report, err = run(
+            "posterior", composed_file, "--state", state_file, "--outcome", "[1, 1]"
+        )
+        assert code == 0, err
+        assert report["outcome"] == [1, 1]
+        assert report["probability"] == pytest.approx(0.5)
+
+    def test_subset_of_refined_labels(self, run, trivial_file, tmp_path):
+        refined = tmp_path / "ref.json"
+        assert run("refine", trivial_file, "-o", str(refined))[0] == 0
+        code, report, err = run("factorize", str(refined), "--subset", '[0,"a"],[1,"a"]')
+        assert code == 0, err
+        assert report["subset"] == [[0, "a"], [1, "a"]]
+
+    @pytest.mark.parametrize(
+        "label, where", [("[0, true]", "[1]: labels may not be booleans"), ("[0, [1.5]]", "[1][0]")]
+    )
+    def test_malformed_tuple_label_names_the_element(
+        self, run, composed_file, state_file, label, where
+    ):
+        code, report, err = run(
+            "posterior", composed_file, "--state", state_file, "--outcome", label
+        )
+        assert code == 1
+        assert report is None
+        assert f"label {label!r}{where}" in err
+
 def defect_documents(tmp_path):
     """Paths of inputs whose normalization defect is 1e-7, keyed by command.
 

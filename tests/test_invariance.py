@@ -2,7 +2,9 @@
 
 Remixing an outcome's operators by a unitary, or padding them with redundant
 combinations ``B = V A`` for an isometry ``V``, leaves every outcome map, and
-so every report derived from the maps, unchanged.
+so every report derived from the maps, unchanged.  Reordering the outcomes,
+each label kept with its map, reorders the per-outcome figures the same way
+and leaves the whole-instrument ones unchanged.
 """
 
 import numpy as np
@@ -73,3 +75,36 @@ def test_reports_ignore_kraus_gauge_and_redundancy(case):
         for (_, k1), (_, k2) in zip(m.outcomes, changed.outcomes):
             assert action_distance(k1, k2) <= 1e-12
         assert report(changed) == expected
+
+
+def permuted(m, order):
+    """The outcomes of ``m`` in the order ``order``, each label kept with its map."""
+    return DiscreteInstrument(m.dim_in, m.dim_out, tuple(m.outcomes[i] for i in order))
+
+
+def per_outcome(m):
+    dilation = minimal_stinespring(m)
+    compat = compat_channel(m)
+    return (
+        validate(m).outcome_kraus_counts,
+        tuple(zip(dilation.labels, dilation.block_dims)),
+        tuple(zip(compat.labels, compat.naimark_dims, compat.fiber_dims)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments(), st.data())
+def test_reports_follow_outcome_reordering(case, data):
+    m, _ = case
+    order = data.draw(st.permutations(range(len(m))))
+    changed = permuted(m, order)
+    assert changed.labels == tuple(m.labels[i] for i in order)
+    expected = tuple(tuple(rows[i] for i in order) for rows in per_outcome(m))
+    assert per_outcome(changed) == expected
+    assert validate(changed).passed == validate(m).passed
+    before, after = instrument_extremal(m), instrument_extremal(changed)
+    assert (after.span_rank, after.required_rank, after.is_extreme) == (
+        before.span_rank,
+        before.required_rank,
+        before.is_extreme,
+    )

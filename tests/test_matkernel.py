@@ -175,6 +175,36 @@ class TestIsometryComplete:
         with pytest.raises(InstrumentumError, match="more columns"):
             isometry_complete(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-11, 2e-10, 1e-9])
+    def test_column_near_a_basis_vector(self, offset):
+        # the residual of e_0 against v is about ``offset``, on both sides of sv_rel_cutoff
+        v = np.zeros((4, 1), dtype=np.complex128)
+        v[0, 0], v[1, 0] = 1.0, offset
+        v /= np.linalg.norm(v)
+        u = isometry_complete(v)
+        assert np.array_equal(u[:, :1], v)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-12
+
+    def test_columns_near_basis_vectors(self):
+        rng = np.random.default_rng(8)
+        g = np.eye(5, 2) + 1e-9 * (rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))
+        q, r = np.linalg.qr(g)
+        v = q * (np.diag(r) / np.abs(np.diag(r)))
+        assert np.abs(v - np.eye(5, 2)).max() < 1e-8
+        u = isometry_complete(v)
+        assert np.array_equal(u[:, :2], v)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-12
+
+    def test_largest_rank_cutoff_keeps_every_column(self):
+        # sv_rel_cutoff * rows exceeds one here, so a rank decision on v^dag would drop columns
+        v = rand_isometry(np.random.default_rng(9), 150, 3)
+        u = isometry_complete(v, Tolerances(sv_rel_cutoff=9e-3))
+        assert u.shape == (150, 150)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(150)) < 1e-12
+
+    def test_empty_columns_complete_to_identity(self):
+        assert np.array_equal(isometry_complete(np.zeros((3, 0))), np.eye(3))
+
 
 class TestHermExp:
     def test_full_turn_on_z(self):
