@@ -332,7 +332,7 @@ def _cmd_factorize(args, tol):
     if args.output is not None:
         save(
             _instrument_doc(
-                DiscreteInstrument(channel.dim_in, channel.dim_out, (("0", channel),))
+                DiscreteInstrument(channel.dim_in, channel.dim_out, ((0, channel),))
             ),
             args.output,
         )

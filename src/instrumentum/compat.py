@@ -26,20 +26,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import KrausSet, action_distance, apply_heisenberg, apply_schrodinger, unit_images
-from .dilation import _stinespring
+from .dilation import _dilation, _stinespring
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
     Povm,
     _check_labels,
-    _nuclear,
+    _checked_subset,
+    _effect_factors,
     _pooled,
     _povm_of,
-    _trivial,
+    _trivial_of_factors,
+    nuclear,
     require_valid,
-    require_valid_povm,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, dagger, herm_eig, isometry_complete, numeric_rank
+from .matkernel import (
+    DEFAULT_TOL,
+    Tolerances,
+    _factor,
+    dagger,
+    isometry_complete,
+    numeric_rank,
+    require_hermitian,
+)
 
 __all__ = [
     "CompatCoefficients",
@@ -153,13 +162,12 @@ def compat_from_coeffs(
     p: Povm, coeffs: CompatCoefficients, tol: Tolerances = DEFAULT_TOL
 ) -> DiscreteInstrument:
     """Build the instrument of ``p`` selected by a coefficient tensor family."""
-    require_valid_povm(p, tol)
+    effect_factors = _effect_factors(p, tol)
     if coeffs.labels != p.labels:
         raise ValueError("coefficient labels do not match the POVM labels")
-    trivial = _trivial(p, tol)
     outcomes = []
-    for (label, kraus), (_, tensor) in zip(trivial.outcomes, coeffs.outcomes):
-        n_i = len(kraus)
+    for d_vectors, (label, tensor) in zip(effect_factors, coeffs.outcomes):
+        n_i = d_vectors.shape[1]
         if tensor.shape[0] != n_i:
             raise ValueError(
                 f"coefficients for {label!r} have {tensor.shape[0]} rows, "
@@ -172,9 +180,7 @@ def compat_from_coeffs(
             raise InstrumentumError(
                 f"coefficient rows for {label!r} are not orthonormal: defect {gram_defect:.3e}"
             )
-        # d_l(i) are the conjugated rows of the one-dimensional-output Kraus set
-        d_vectors = kraus.stack[:, 0, :].conj()
-        mixed = np.tensordot(tensor, d_vectors, axes=([0], [0]))  # (dim_k, r_i, dim)
+        mixed = np.tensordot(tensor, d_vectors.T, axes=([0], [0]))  # (dim_k, r_i, dim)
         ops = mixed.transpose(1, 0, 2).conj()
         outcomes.append((label, KrausSet(p.dim, coeffs.dim_k, ops)))
     built = DiscreteInstrument(p.dim, coeffs.dim_k, tuple(outcomes))
@@ -198,7 +204,9 @@ def compat_channel(
 
 def _decompose(m: DiscreteInstrument, p: Povm, tol: Tolerances) -> tuple:
     """``compat_channel`` of a normalized ``m`` with POVM ``p``, and the dilation of ``p``."""
-    povm_dil = _stinespring(_trivial(p, tol), tol)
+    # the effects of a normalized instrument are positive by construction: factored unchecked
+    factors = [_factor((e + dagger(e)) / 2.0, tol).w for _, e in p.effects]
+    povm_dil = _dilation(_trivial_of_factors(p, factors))
     inst_dil = _stinespring(m, tol)
     dim_in, dim_out = m.dim_in, m.dim_out
     isometries = []
@@ -261,14 +269,7 @@ def lueders_factorization(
     off the range of ``M(X)``.
     """
     require_valid(m, tol)
-    if subset is None:
-        subset = m.labels
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("subset must contain at least one outcome label")
-    for label in subset:
-        if label not in m.labels:
-            raise KeyError(f"no outcome labeled {label!r}")
+    subset = _checked_subset(m, m.labels if subset is None else subset)
     p = _povm_of(m)
     dec, povm_dil = _decompose(m, p, tol)
     dim = m.dim_in
@@ -280,19 +281,14 @@ def lueders_factorization(
         if label in subset:
             mask[povm_dil.block_slice(i)] = 1.0
             subset_effect += matrix
-    values, vectors = herm_eig(subset_effect, tol)
-    cut = tol.sv_rel_cutoff * float(values[0]) if values.size and values[0] > 0.0 else np.inf
-    r = int(np.count_nonzero(values > cut))
-    root = (vectors[:, :r] * np.sqrt(values[:r])) @ dagger(vectors[:, :r])
+    f = _factor(require_hermitian(subset_effect, tol), tol)
+    r = f.w.shape[1]
+    root = f.w @ dagger(f.vectors[:, :r])
 
     masked_iso = mask[:, None] * povm_dil.isometry  # dim_out of the dilation is one
-    range_images = (
-        masked_iso @ vectors[:, :r] / np.sqrt(values[:r])[None, :]
-        if r
-        else np.zeros((total, 0), dtype=np.complex128)
-    )
+    range_images = masked_iso @ f.vectors[:, :r] / np.sqrt(f.values[:r])[None, :]
     completed = isometry_complete(range_images, tol)
-    carrier = completed[:, :dim] @ dagger(vectors)
+    carrier = completed[:, :dim] @ dagger(f.vectors)
 
     phi = KrausSet(dim, m.dim_out, _decomposable_kraus(dec, povm_dil) @ carrier)
     direct = _pooled(m, subset)
@@ -376,7 +372,7 @@ def rank1_nuclear_extract(
             weight = float(np.trace(rho @ effect).real)
             defect = float(np.linalg.norm(apply_schrodinger(kraus, rho) - weight * sigma))
             max_probe_error = max(max_probe_error, defect)
-    rebuilt = _nuclear(p, states, tol)
+    rebuilt = nuclear(p, states, tol)
     rebuild_error = max(
         action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)
     )

@@ -30,11 +30,12 @@ from .errors import InstrumentumError
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
-    _descending_eigh,
+    _factor,
     as_matrix,
     dagger,
     numeric_rank,
     psd_check,
+    require_hermitian,
 )
 
 __all__ = [
@@ -134,30 +135,26 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     number of operators equals the numerical rank of the Choi matrix and the
     result is a linearly independent family.
     """
-    if not cp_check(c, tol):
+    f = _factor(require_hermitian(c.matrix, tol), tol)
+    if not f.psd:
         raise InstrumentumError("Choi matrix is not positive semidefinite")
-    return _psd_kraus(c, tol)
+    return _kraus_of_factor(f.w, c.dim_in, c.dim_out)
 
 
 def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     """Minimal Kraus set of the map defined by ``k``.
 
     The operators are, bit for bit, those ``kraus_from_choi`` returns for
-    ``choi(k)``, without its positivity check: ``choi(k)`` is a sum of
-    ``w w^dag`` and so positive semidefinite by construction.
+    ``choi(k)``, without its checks: ``choi(k)`` is a sum of ``w w^dag``, so
+    positive semidefinite, and Hermitian to rounding, by construction.
     """
-    return _psd_kraus(choi(k), tol)
+    c = choi(k).matrix
+    return _kraus_of_factor(_factor((c + dagger(c)) / 2.0, tol).w, k.dim_in, k.dim_out)
 
 
-def _psd_kraus(c: ChoiMatrix, tol: Tolerances) -> KrausSet:
-    """``kraus_from_choi`` of a Choi matrix already known to be positive semidefinite."""
-    # Choi matrices built by choi() are Hermitian only to rounding; symmetrizing
-    # as herm_eig does, minus its Hermiticity check, keeps the eigenvectors exact
-    values, vectors = _descending_eigh((c.matrix + dagger(c.matrix)) / 2.0, tol)
-    # values descend, so the kept ones lead; none are kept when values[0] <= 0
-    r = int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
-    w = vectors[:, :r] * np.sqrt(values[:r])
-    return KrausSet(c.dim_in, c.dim_out, dagger(w).reshape(r, c.dim_out, c.dim_in))
+def _kraus_of_factor(w: np.ndarray, dim_in: int, dim_out: int) -> KrausSet:
+    """The Kraus set whose Choi matrix is ``w w^dag``: operator ``j`` from column ``j``."""
+    return KrausSet(dim_in, dim_out, dagger(w).reshape(w.shape[1], dim_out, dim_in))
 
 
 def apply_heisenberg(k: KrausSet, b) -> np.ndarray:

@@ -35,9 +35,9 @@ from .instruments import DiscreteInstrument, Povm, _check_labels, require_valid,
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
+    _descending_eigh,
     as_matrix,
-    herm_eig,
-    herm_exp,
+    dagger,
     isometry_complete,
     numeric_rank,
     require_hermitian,
@@ -233,20 +233,25 @@ def minimal_stinespring(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
 
 def _stinespring(m: DiscreteInstrument, tol: Tolerances) -> StinespringDilation:
     """``minimal_stinespring`` of an instrument already known to be normalized."""
-    minimal = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
-    fibers = np.concatenate([ks.stack for ks in minimal])  # [f, s, m] = A_k(i)[s, m]
+    minimal = tuple((label, minimal_kraus(kraus, tol)) for label, kraus in m.outcomes)
+    return _dilation(DiscreteInstrument(m.dim_in, m.dim_out, minimal))
+
+
+def _dilation(m: DiscreteInstrument) -> StinespringDilation:
+    """The dilation whose block ``i`` holds the Kraus set of outcome ``i``, minimal when those are."""
+    fibers = np.concatenate([ks.stack for _, ks in m.outcomes])  # [f, s, m] = A_k(i)[s, m]
     return StinespringDilation(
         dim_in=m.dim_in,
         dim_out=m.dim_out,
         labels=m.labels,
-        block_dims=tuple(len(ks) for ks in minimal),
+        block_dims=tuple(len(ks) for _, ks in m.outcomes),
         isometry=fibers.transpose(1, 0, 2).reshape(-1, m.dim_in),
     )
 
 
 def naimark(p: Povm, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
     """Dilation of a POVM: ``M(i) = Y^dag P_i Y`` with one-dimensional output space."""
-    return _stinespring(trivial_from_povm(p, tol), tol)
+    return _dilation(trivial_from_povm(p, tol))  # its Kraus sets are minimal by construction
 
 
 def verify_dilation(
@@ -439,34 +444,19 @@ def standard_model(
         raise ValueError("labels and pointer blocks disagree in length")
 
     d = a_op.shape[0]
-    values, vectors = herm_eig(a_op, tol)
+    values, vectors = _descending_eigh(a_op, tol)
     clusters = _distinct_eigenvalues(values, tol)
     distinct = np.array([values[cluster[0]] for cluster in clusters])
-    projections = []
-    for cluster in clusters:
-        cols = vectors[:, cluster]
-        projections.append(cols @ cols.conj().T)
-    shifted = [herm_exp(b_op, float(a) * float(coupling), tol) @ xi for a in distinct]
-
-    kernel = np.zeros((len(blocks), distinct.size))
-    for j, block in enumerate(blocks):
-        for a_idx, xi_a in enumerate(shifted):
-            kernel[j, a_idx] = float(np.sum(np.abs(xi_a[list(block)]) ** 2))
-    effects = []
-    outcomes = []
-    for j, block in enumerate(blocks):
-        effect = np.zeros((d, d), dtype=np.complex128)
-        for a_idx, proj in enumerate(projections):
-            effect += kernel[j, a_idx] * proj
-        effects.append((labels[j], effect))
-        ops = []
-        for r in block:
-            op = np.zeros((d, d), dtype=np.complex128)
-            for a_idx, proj in enumerate(projections):
-                op += shifted[a_idx][r] * proj
-            ops.append(op)
-        outcomes.append((labels[j], KrausSet(d, d, tuple(ops))))
-    povm = Povm(d, tuple(effects))
+    projections = np.array([vectors[:, c] @ dagger(vectors[:, c]) for c in clusters])
+    # row a is xi(a) = exp(i * distinct[a] * coupling * b_op) xi, from one decomposition of b_op
+    b_values, b_vectors = _descending_eigh(b_op, tol)
+    phases = np.exp(1j * np.outer(distinct * float(coupling), b_values))
+    shifted = (phases * (dagger(b_vectors) @ xi)) @ b_vectors.T
+    kernel = np.array([np.sum(np.abs(shifted[:, list(block)]) ** 2, axis=1) for block in blocks])
+    effects = np.tensordot(kernel, projections, axes=(1, 0))
+    ops = np.tensordot(shifted.T, projections, axes=(1, 0))  # [r] = sum_a xi(a)[r] E_a
+    outcomes = [(label, KrausSet(d, d, ops[list(block)])) for label, block in zip(labels, blocks)]
+    povm = Povm(d, tuple(zip(labels, effects)))
     markov = MarkovKernel(matrix=kernel, eigenvalues=distinct, labels=labels)
     instrument = DiscreteInstrument(d, d, tuple(outcomes))
     return povm, markov, instrument

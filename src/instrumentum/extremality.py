@@ -26,10 +26,9 @@ from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_p
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
+    _factor,
+    _sv_cut,
     dagger,
-    herm_eig,
-    numeric_rank,
-    psd_check,
     require_hermitian,
     svd_rank,
 )
@@ -95,9 +94,8 @@ def _gram_columns(blocks: list, dim_in: int) -> np.ndarray:
 def _marginal_flag(singular_values: np.ndarray, rank: int, shape, tol: Tolerances) -> bool:
     if rank == 0 or singular_values.size == 0 or singular_values[0] <= 0.0:
         return False
-    cut = tol.sv_rel_cutoff * float(singular_values[0]) * max(shape)
     smallest_kept = float(singular_values[rank - 1])
-    return smallest_kept <= 10.0 * cut
+    return smallest_kept <= 10.0 * _sv_cut(singular_values[0], shape, tol)
 
 
 def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
@@ -120,12 +118,11 @@ def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
 def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Decide extremality of a valid instrument and produce a witness if it fails."""
     require_valid(m, tol)
-    return _extremal(m, tol)
+    return _extremal(m, [minimal_kraus(kraus, tol) for _, kraus in m.outcomes], tol)
 
 
-def _extremal(m: DiscreteInstrument, tol: Tolerances) -> ExtremalityReport:
-    """``instrument_extremal`` of an instrument already known to be normalized."""
-    blocks = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
+def _extremal(m: DiscreteInstrument, blocks: list, tol: Tolerances) -> ExtremalityReport:
+    """``instrument_extremal`` of a normalized ``m`` whose minimal Kraus sets are ``blocks``."""
     block_dims = tuple(len(ks) for ks in blocks)
     gram = _gram_columns(blocks, m.dim_in)
     rank, singular_values, null_basis = svd_rank(gram, tol)
@@ -154,7 +151,8 @@ def _extremal(m: DiscreteInstrument, tol: Tolerances) -> ExtremalityReport:
 
 def povm_extremal(p: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality of a POVM among POVMs, via its one-dimensional-output instrument."""
-    return _extremal(trivial_from_povm(p, tol), tol)
+    t = trivial_from_povm(p, tol)  # its Kraus sets are minimal by construction
+    return _extremal(t, [kraus for _, kraus in t.outcomes], tol)
 
 
 def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
@@ -166,7 +164,8 @@ def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityR
     )
     if unital_defect > tol.eps_eq * float(np.sqrt(t.dim_in)):
         raise InstrumentumError(f"map is not a channel: unit defect {unital_defect:.3e}")
-    return _extremal(DiscreteInstrument(t.dim_in, t.dim_out, (("0", t),)), tol)
+    m = DiscreteInstrument(t.dim_in, t.dim_out, ((0, t),))
+    return _extremal(m, [minimal_kraus(t, tol)], tol)
 
 
 def witness_decompose(
@@ -212,11 +211,12 @@ def witness_decompose(
             if n_i == 0:
                 outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ())))
                 continue
-            values, vectors = herm_eig(np.eye(n_i) + sign * block, tol)
-            if values[-1] < -tol.eps_psd * max(1.0, float(values[0])):
+            # exactly Hermitian: block is symmetrized and the identity is real
+            f = _factor(np.eye(n_i) + sign * block, tol)
+            if not f.psd:
                 raise InstrumentumError("witness block pushes an eigenvalue below zero")
-            keep = values > 0.0
-            factor = (np.sqrt(values[keep])[:, None] * dagger(vectors[:, keep]))
+            keep = f.values > 0.0
+            factor = np.sqrt(f.values[keep])[:, None] * dagger(f.vectors[:, keep])
             mixed = np.tensordot(factor, ks.stack, axes=(1, 0))
             outcomes.append((label, KrausSet(m.dim_in, m.dim_out, mixed)))
         return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))
@@ -235,14 +235,16 @@ def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:
     """Extremality of a correlation matrix (unit-diagonal PSD) in its convex body."""
     c = require_hermitian(c, tol, name="correlation matrix")
     n = c.shape[0]
-    if not psd_check(c, tol):
+    f = _factor(c, tol)
+    if not f.psd:
         raise InstrumentumError("correlation matrix is not positive semidefinite")
     diag_defect = float(np.max(np.abs(np.diag(c) - 1.0)))
     if diag_defect > tol.eps_eq:
         raise InstrumentumError(f"diagonal is not one: defect {diag_defect:.3e}")
-    rank, _ = numeric_rank(c, tol)
-    values, vectors = herm_eig(c, tol)
-    gram = (np.sqrt(values[:rank])[:, None] * dagger(vectors[:, :rank])).T  # row i = m_i
+    # svd_rank's rule on the singular values |lambda| of the Hermitian c
+    magnitudes = np.abs(f.values)
+    rank = int(np.count_nonzero(magnitudes > _sv_cut(np.max(magnitudes), c.shape, tol)))
+    gram = (np.sqrt(f.values[:rank])[:, None] * dagger(f.vectors[:, :rank])).T  # row i = m_i
     span = np.zeros((n, rank * rank), dtype=np.complex128)
     for i in range(n):
         span[i] = np.outer(gram[i].conj(), gram[i]).reshape(-1)

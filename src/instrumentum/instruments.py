@@ -16,16 +16,9 @@ from typing import Union
 
 import numpy as np
 
-from .cpmaps import ChoiMatrix, KrausSet, _psd_kraus, apply_heisenberg, minimal_kraus
+from .cpmaps import KrausSet, _kraus_of_factor, apply_heisenberg, minimal_kraus
 from .errors import InstrumentumError
-from .matkernel import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    herm_eig,
-    psd_check,
-    require_hermitian,
-)
+from .matkernel import DEFAULT_TOL, Tolerances, _factor, as_matrix, require_hermitian
 
 __all__ = [
     "Label",
@@ -226,22 +219,24 @@ def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> None:
         )
 
 
-def povm_defect(p: Povm) -> float:
-    """Frobenius norm of ``sum_i M(i) - I``."""
+def _effect_factors(p: Povm, tol: Tolerances) -> list:
+    """Raise unless ``p`` is a valid POVM; else the factors ``[d_l(i)]_l`` of each ``M(i)``.
+
+    One ``eigh`` per effect decides positivity and yields the columns ``d_l(i)``
+    of the minimal factorization ``M(i) = sum_l |d_l(i)><d_l(i)|``.
+    """
+    factors = []
     total = np.zeros((p.dim, p.dim), dtype=np.complex128)
-    for _, matrix in p.effects:
-        total += matrix
-    return float(np.linalg.norm(total - np.eye(p.dim)))
-
-
-def require_valid_povm(p: Povm, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Raise unless every effect is Hermitian PSD and the effects sum to the identity."""
     for label, matrix in p.effects:
-        if not psd_check(matrix, tol):
+        f = _factor(require_hermitian(matrix, tol), tol)
+        if not f.psd:
             raise InstrumentumError(f"effect {label!r} is not positive semidefinite")
-    defect = povm_defect(p)
+        factors.append(f.w)
+        total += matrix
+    defect = float(np.linalg.norm(total - np.eye(p.dim)))
     if defect > tol.eps_eq * float(np.sqrt(p.dim)):
         raise InstrumentumError(f"effects do not sum to the identity: defect {defect:.3e}")
+    return factors
 
 
 def associate_povm(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Povm:
@@ -269,12 +264,23 @@ def _pooled(m: DiscreteInstrument, labels=None) -> KrausSet:
     return KrausSet(m.dim_in, m.dim_out, np.concatenate(stacks))
 
 
+def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
+    """``subset`` as a tuple; raises unless it is non-empty and names outcomes of ``m``."""
+    subset = tuple(subset)
+    if not subset:
+        raise ValueError("subset must contain at least one outcome label")
+    for label in subset:
+        if label not in m.labels:
+            raise KeyError(f"no outcome labeled {label!r}")
+    return subset
+
+
 def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     """The instrument ``B -> P_i B P_i`` of a projection valued measure.
 
     Each effect must be Hermitian and idempotent within ``eps_eq``.
     """
-    require_valid_povm(p, tol)
+    _effect_factors(p, tol)
     outcomes = []
     for label, matrix in p.effects:
         proj = require_hermitian(matrix, tol, name=f"effect {label!r}")
@@ -292,22 +298,18 @@ def trivial_from_povm(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrum
     whose operators are the rows ``<d_l(i)|`` of a spectral square-root of the
     effect; a zero effect yields an empty Kraus set.
     """
-    require_valid_povm(p, tol)
-    return _trivial(p, tol)
+    return _trivial_of_factors(p, _effect_factors(p, tol))
 
 
-def _trivial(p: Povm, tol: Tolerances) -> DiscreteInstrument:
-    """``trivial_from_povm`` of a POVM already known to be valid."""
-    outcomes = []
-    for label, matrix in p.effects:
-        kraus = _psd_kraus(ChoiMatrix(p.dim, 1, matrix), tol)
-        outcomes.append((label, kraus))
-    return DiscreteInstrument(p.dim, 1, tuple(outcomes))
+def _trivial_of_factors(p: Povm, factors: list) -> DiscreteInstrument:
+    """``trivial_from_povm`` built from the minimal factors ``[d_l(i)]_l`` of the effects."""
+    outcomes = tuple((label, _kraus_of_factor(w, p.dim, 1)) for label, w in zip(p.labels, factors))
+    return DiscreteInstrument(p.dim, 1, outcomes)
 
 
 def trivial_from_channel(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
-    """The single-outcome instrument whose only map is the channel ``t``."""
-    m = DiscreteInstrument(t.dim_in, t.dim_out, (("0", t),))
+    """The single-outcome instrument, labeled ``0``, whose only map is the channel ``t``."""
+    m = DiscreteInstrument(t.dim_in, t.dim_out, ((0, t),))
     require_valid(m, tol)
     return m
 
@@ -321,12 +323,7 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     ``d_l(i)`` of the effect and eigenpair ``(p_m, phi_m)`` of ``sigma_i``,
     flattened row-major in ``(l, m)`` with both spectra descending.
     """
-    require_valid_povm(p, tol)
-    return _nuclear(p, states, tol)
-
-
-def _nuclear(p: Povm, states, tol: Tolerances) -> DiscreteInstrument:
-    """``nuclear`` over a POVM already known to be valid."""
+    effect_factors = _effect_factors(p, tol)
     states = [as_matrix(s, name="output state") for s in states]
     if len(states) != len(p):
         raise ValueError(f"got {len(states)} states for {len(p)} effects")
@@ -334,30 +331,19 @@ def _nuclear(p: Povm, states, tol: Tolerances) -> DiscreteInstrument:
         raise ValueError("at least one outcome is required")
     dim_out = states[0].shape[0]
     outcomes = []
-    for (label, matrix), sigma in zip(p.effects, states):
+    for label, d, sigma in zip(p.labels, effect_factors, states):
         if sigma.shape != (dim_out, dim_out):
             raise ValueError(f"state for outcome {label!r} has shape {sigma.shape}")
-        if not psd_check(sigma, tol):
+        f = _factor(require_hermitian(sigma, tol), tol)
+        if not f.psd:
             raise InstrumentumError(f"state for outcome {label!r} is not positive semidefinite")
         trace = float(np.trace(sigma).real)
         if abs(trace - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(dim_out))):
             raise InstrumentumError(f"state for outcome {label!r} has trace {trace!r}")
-        effect_vals, effect_vecs = herm_eig(matrix, tol)
-        state_vals, state_vecs = herm_eig(sigma, tol)
-        ops = []
-        if effect_vals.size and effect_vals[0] > 0.0:
-            e_cut = tol.sv_rel_cutoff * float(effect_vals[0])
-            s_cut = tol.sv_rel_cutoff * float(state_vals[0])
-            for l in range(effect_vals.size):
-                if effect_vals[l] <= e_cut:
-                    break
-                d_l = np.sqrt(effect_vals[l]) * effect_vecs[:, l]
-                for m_idx in range(state_vals.size):
-                    if state_vals[m_idx] <= s_cut:
-                        break
-                    phi = state_vecs[:, m_idx]
-                    ops.append(np.sqrt(state_vals[m_idx]) * np.outer(phi, d_l.conj()))
-        outcomes.append((label, KrausSet(p.dim, dim_out, tuple(ops))))
+        # [l, m] = sqrt(p_m) |phi_m><d_l(i)|
+        ops = f.w.T[None, :, :, None] * d.conj().T[:, None, None, :]
+        ops = ops.reshape(-1, dim_out, p.dim)
+        outcomes.append((label, KrausSet(p.dim, dim_out, ops)))
     return DiscreteInstrument(p.dim, dim_out, tuple(outcomes))
 
 

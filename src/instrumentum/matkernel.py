@@ -8,6 +8,7 @@ of cutoffs and every verdict is deterministic for identical input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,6 +128,40 @@ def _descending_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.n
     return values, vectors
 
 
+class _Factor(NamedTuple):
+    """One eigendecomposition of a Hermitian matrix and what is read off it."""
+
+    values: np.ndarray  # descending, as herm_eig returns them
+    vectors: np.ndarray  # vectors[:, j] belongs to values[j], herm_eig's phases
+    w: np.ndarray  # minimal factor: columns sqrt(values[j]) vectors[:, j] above the cut
+    psd: bool  # psd_check's verdict
+
+
+def _factor(sym: np.ndarray, tol: Tolerances) -> _Factor:
+    """Minimal factorization ``sym ~ w w^dag`` of a symmetrized matrix, from one ``eigh``.
+
+    ``w`` keeps the eigenvalues above ``sv_rel_cutoff * lambda_max`` (none when
+    ``lambda_max <= 0``), so its column count is the numerical rank of a
+    positive ``sym``; ``psd`` applies ``psd_check``'s criterion to the same
+    eigenvalues.  The caller checks Hermiticity, or knows it.
+    """
+    values, vectors = _descending_eigh(sym, tol)
+    # values descend, so the kept ones lead
+    r = int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
+    w = vectors[:, :r] * np.sqrt(values[:r])
+    return _Factor(values, vectors, w, _psd_verdict(float(values[-1]), float(values[0]), tol))
+
+
+def _psd_verdict(lo: float, hi: float, tol: Tolerances) -> bool:
+    """The positivity criterion on the smallest and largest eigenvalue."""
+    return lo >= -tol.eps_psd * max(1.0, hi)
+
+
+def _sv_cut(s_max: float, shape, tol: Tolerances) -> float:
+    """The rank cutoff of ``svd_rank``: singular values at or below it count as zero."""
+    return tol.sv_rel_cutoff * float(s_max) * max(shape)
+
+
 def svd_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:
     """Rank, singular values, and an orthonormal kernel basis in one pass.
 
@@ -138,11 +173,7 @@ def svd_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndar
     if a.size == 0:
         return 0, np.zeros(0), np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)  # thin vh is square if rows >= cols
-    if s.size and s[0] > 0.0:
-        cut = tol.sv_rel_cutoff * float(s[0]) * max(rows, cols)
-        rank = int(np.count_nonzero(s > cut))
-    else:
-        rank = 0
+    rank = int(np.count_nonzero(s > _sv_cut(s[0], a.shape, tol)))
     null_basis = vh[rank:, :].conj().T.copy()
     return rank, s, null_basis
 
@@ -163,10 +194,13 @@ def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     The criterion is ``lambda_min >= -eps_psd * max(1, lambda_max)``.
     Raises when ``a`` is not Hermitian within ``eps_herm``.
     """
-    sym = require_hermitian(a, tol)
-    values = np.linalg.eigvalsh(sym)
-    lo, hi = float(values[0]), float(values[-1])
-    return lo >= -tol.eps_psd * max(1.0, hi)
+    return _is_psd(require_hermitian(a, tol), tol)
+
+
+def _is_psd(sym: np.ndarray, tol: Tolerances) -> bool:
+    """``psd_check`` of a matrix already symmetrized, without the Hermiticity check."""
+    values = np.linalg.eigvalsh(sym)  # ascending
+    return _psd_verdict(float(values[0]), float(values[-1]), tol)
 
 
 def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -8,15 +8,8 @@ import numpy as np
 
 from .cpmaps import apply_heisenberg, apply_schrodinger
 from .errors import InstrumentumError
-from .instruments import DiscreteInstrument, Label, require_valid
-from .matkernel import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    dagger,
-    psd_check,
-    require_hermitian,
-)
+from .instruments import DiscreteInstrument, Label, _checked_subset, require_valid
+from .matkernel import DEFAULT_TOL, Tolerances, _is_psd, as_matrix, dagger, require_hermitian
 
 __all__ = [
     "PosteriorResult",
@@ -40,7 +33,7 @@ def _check_state(rho, dim: int, tol: Tolerances) -> np.ndarray:
     rho = require_hermitian(rho, tol, name="input state")
     if rho.shape != (dim, dim):
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-    if not psd_check(rho, tol):
+    if not _is_psd(rho, tol):
         raise InstrumentumError("input state is not positive semidefinite")
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(dim))):
@@ -86,12 +79,8 @@ def conditional_output(
     """The output state conditioned on the outcome falling in ``subset``."""
     require_valid(m, tol)
     rho = _check_state(rho, m.dim_in, tol)
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("subset must contain at least one outcome label")
-    for label in subset:
-        if label not in m.labels:
-            raise KeyError(f"no outcome labeled {label!r}")
+    subset = _checked_subset(m, subset)
+    # summed per outcome: one running sum over the pooled operators rounds differently
     raw = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
     for label, kraus in m.outcomes:
         if label in subset:

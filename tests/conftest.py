@@ -1,9 +1,12 @@
-"""Shared fixtures: the instrument corpus and the acceptance summary."""
+"""Shared fixtures: the instrument corpus, a decomposition counter and the acceptance summary."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
+
+from instrumentum import matkernel
 
 from instrumentum import (
     DiscreteInstrument,
@@ -83,6 +86,36 @@ def build_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+class CallLog(list):
+    """``(name, argument)`` for every counted call, in call order."""
+
+    def number(self, name, shape=None):
+        """How many ``name`` calls there were, on arguments of ``shape`` if given."""
+        return sum(1 for n, a in self if n == name and (shape is None or np.shape(a) == shape))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Log numpy's ``eigh``/``eigvalsh``/``svd`` and every ``require_hermitian`` check."""
+    log = CallLog()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            log.append((name, a))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    original = matkernel.require_hermitian
+    check = counted("require_hermitian", original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("instrumentum") and getattr(module, "require_hermitian", None) is original:
+            monkeypatch.setattr(module, "require_hermitian", check)
+    return log
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")

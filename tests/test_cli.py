@@ -15,6 +15,7 @@ from instrumentum import (
     load,
     lueders,
     save,
+    trivial_from_channel,
     validate,
     verify_dilation,
     witness_decompose,
@@ -416,6 +417,40 @@ class TestTupleLabels:
         assert code == 1
         assert report is None
         assert f"label {label!r}{where}" in err
+
+
+class TestSingleOutcomeLabel:
+    """A single-outcome instrument is labeled ``0`` and answers ``--outcome 0``/``--subset 0``."""
+
+    @pytest.fixture(params=["channel", "factorize"])
+    def single_file(self, request, run, luders_file, tmp_path):
+        path = tmp_path / "single.json"
+        if request.param == "channel":
+            m = trivial_from_channel(KrausSet(2, 2, depolarizing_kraus().stack))
+            save(Document(kind="instrument", value=m), path)
+        else:
+            code, _, err = run("factorize", luders_file, "-o", str(path))
+            assert code == 0, err
+        assert load(path).value.labels == (0,)
+        return str(path)
+
+    def test_posterior_outcome_zero(self, run, single_file, state_file):
+        code, report, err = run("posterior", single_file, "--state", state_file, "--outcome", "0")
+        assert code == 0, err
+        assert report["outcome"] == 0
+        assert report["probability"] == pytest.approx(1.0)
+
+    def test_choi_outcome_zero(self, run, single_file):
+        code, report, err = run("choi", single_file, "--outcome", "0")
+        assert code == 0, err
+        assert report["dim_in"] == report["dim_out"] == 2
+
+    def test_factorize_subset_zero(self, run, single_file):
+        code, report, err = run("factorize", single_file, "--subset", "0")
+        assert code == 0, err
+        assert report["passed"] is True
+        assert report["subset"] == [0]
+
 
 def defect_documents(tmp_path):
     """Paths of inputs whose normalization defect is 1e-7, keyed by command.

@@ -135,7 +135,7 @@ class TestTrivial:
     def test_from_channel(self):
         t = KrausSet(2, 2, (np.eye(2, dtype=complex),))
         m = trivial_from_channel(t)
-        assert m.labels == ("0",)
+        assert m.labels == (0,)
         with pytest.raises(InstrumentumError):
             trivial_from_channel(KrausSet(2, 2, (2.0 * np.eye(2, dtype=complex),)))
 

@@ -4,7 +4,10 @@ Remixing an outcome's operators by a unitary, or padding them with redundant
 combinations ``B = V A`` for an isometry ``V``, leaves every outcome map, and
 so every report derived from the maps, unchanged.  Reordering the outcomes,
 each label kept with its map, reorders the per-outcome figures the same way
-and leaves the whole-instrument ones unchanged.
+and leaves the whole-instrument ones unchanged.  Changing the input and
+output bases, ``A -> V A U^dag``, leaves every rank and verdict unchanged.
+The minimal Kraus count is the Choi rank an outcome was built with, and a
+nuclear instrument has the operator count and the action it is defined by.
 """
 
 import numpy as np
@@ -13,14 +16,20 @@ from hypothesis import given, settings, strategies as st
 from instrumentum import (
     DiscreteInstrument,
     KrausSet,
+    Povm,
     action_distance,
+    apply_heisenberg,
+    associate_povm,
     compat_channel,
     instrument_extremal,
+    minimal_kraus,
     minimal_stinespring,
+    nuclear,
+    povm_extremal,
     validate,
 )
 
-from helpers import rand_instrument, rand_isometry, rand_unitary
+from helpers import rand_instrument, rand_isometry, rand_state, rand_unitary
 
 DIMS = st.integers(min_value=1, max_value=4)
 
@@ -108,3 +117,77 @@ def test_reports_follow_outcome_reordering(case, data):
         before.required_rank,
         before.is_extreme,
     )
+
+
+def basis_changed(m, rng):
+    """Every operator ``A`` of ``m`` replaced by ``V A U^dag`` for random unitaries ``U``, ``V``."""
+    u, v = rand_unitary(rng, m.dim_in), rand_unitary(rng, m.dim_out)
+    outcomes = tuple(
+        (label, KrausSet(m.dim_in, m.dim_out, v @ kraus.stack @ u.conj().T))
+        for label, kraus in m.outcomes
+    )
+    return DiscreteInstrument(m.dim_in, m.dim_out, outcomes), u
+
+
+def povm_report(p):
+    r = povm_extremal(p)
+    return r.span_rank, r.required_rank, r.is_extreme, r.block_dims
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_reports_ignore_basis_changes(case):
+    m, seed = case
+    changed, u = basis_changed(m, np.random.default_rng([seed, 2]))
+    assert report(changed) == report(m)
+    p = associate_povm(m)
+    rotated = Povm(p.dim, tuple((label, u.conj().T @ e @ u) for label, e in p.effects))
+    assert povm_report(rotated) == povm_report(p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_minimal_kraus_count_is_the_choi_rank(case):
+    m, seed = case
+    padded_m = padded(m, np.random.default_rng([seed, 3]))
+    for (_, kraus), (_, extra) in zip(m.outcomes, padded_m.outcomes):
+        # outcomes are built from generic operators, so the Choi rank is their
+        # number up to the dimension of the operator space
+        rank = min(len(kraus), m.dim_in * m.dim_out)
+        assert len(minimal_kraus(kraus)) == len(minimal_kraus(extra)) == rank
+
+
+@st.composite
+def nuclear_cases(draw):
+    dim_in, dim_out = draw(DIMS), draw(DIMS)
+    fibers = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    if sum(fibers) < dim_in:
+        fibers[0] += dim_in - sum(fibers)
+    state_ranks = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=dim_out), min_size=len(fibers), max_size=len(fibers)
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # effects of rank min(n_i, dim_in): the POVM of a one-dimensional-output instrument
+    p = associate_povm(rand_instrument(rng, dim_in, 1, tuple(fibers)))
+    states = [rand_state(rng, dim_out, r) for r in state_ranks]
+    effect_ranks = [min(n, dim_in) for n in fibers]
+    return p, states, effect_ranks, state_ranks
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(nuclear_cases())
+def test_nuclear_counts_and_action(case):
+    p, states, effect_ranks, state_ranks = case
+    m = nuclear(p, states)
+    dim_out = states[0].shape[0]
+    units = np.eye(dim_out * dim_out, dtype=complex).reshape(-1, dim_out, dim_out)
+    for (_, kraus), (_, effect), sigma, e_rank, s_rank in zip(
+        m.outcomes, p.effects, states, effect_ranks, state_ranks
+    ):
+        assert len(kraus) == e_rank * s_rank
+        for b in units:
+            expected = np.trace(sigma @ b) * effect
+            assert np.max(np.abs(apply_heisenberg(kraus, b) - expected)) <= 1e-12
