@@ -36,7 +36,7 @@ from .instruments import (
     refine_rank1,
     validate,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, numeric_rank
+from .matkernel import DEFAULT_TOL, Tolerances, _rank
 from .posterior import conditional_output, outcome_distribution, posterior_state
 
 __all__ = ["main"]
@@ -449,7 +449,7 @@ def _cmd_choi(args, tol):
     else:
         kraus = _pooled(m)
     matrix = choi(kraus)
-    rank = numeric_rank(matrix.matrix, tol)[0]
+    rank = _rank(matrix.matrix, tol)
     _emit(
         {
             "command": "choi",

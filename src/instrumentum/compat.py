@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, action_distance, apply_heisenberg, apply_schrodinger, unit_images
+from .cpmaps import (
+    KrausSet,
+    _difference_core,
+    _largest_block,
+    action_distance,
+    apply_heisenberg,
+    apply_schrodinger,
+)
 from .dilation import _dilation, _stinespring
 from .errors import InstrumentumError
 from .instruments import (
@@ -44,9 +51,9 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _factor,
+    _rank,
     dagger,
     isometry_complete,
-    numeric_rank,
     require_hermitian,
 )
 
@@ -327,11 +334,12 @@ def pvm_compat(
     ops = _decomposable_kraus(dec, povm_dil) @ povm_dil.isometry
     conjugated = KrausSet(m.dim_in, m.dim_out, ops)
     max_err = 0.0
-    rows = zip(unit_images(conjugated), *(unit_images(kraus) for _, kraus in m.outcomes))
-    for image, *direct in rows:  # image[t] = T(|k_s><k_t|), direct[i][t] = M(i, |k_s><k_t|)
-        for (_, effect), d in zip(p.effects, direct):
-            for defect in (effect @ image - d, image @ effect - d):
-                max_err = max(max_err, float(np.max(np.linalg.norm(defect, axis=(1, 2)))))
+    for (_, effect), (_, kraus) in zip(p.effects, m.outcomes):
+        # B -> M(i) T(B) - M(i, B) has left operators C_k M(i)^dag and right operators C_k;
+        # T(B) M(i) - M(i, B) is its adjoint at B^dag, so its block norms are the same
+        left = (ops @ dagger(effect), kraus.stack)
+        core = _difference_core(left, (ops, kraus.stack))
+        max_err = max(max_err, _largest_block(*core, m.dim_in))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return conjugated, PvmCompatReport(max_err <= threshold, max_err)
 
@@ -349,7 +357,7 @@ def rank1_nuclear_extract(
     require_valid(m, tol)
     p = _povm_of(m)
     for label, matrix in p.effects:
-        rank, _ = numeric_rank(matrix, tol)
+        rank = _rank(matrix, tol)
         if rank > 1:
             raise InstrumentumError(f"effect {label!r} has rank {rank}, expected at most one")
     dim_in, dim_out = m.dim_in, m.dim_out

@@ -31,9 +31,10 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _factor,
+    _fix_phases,
+    _rank,
     as_matrix,
     dagger,
-    numeric_rank,
     psd_check,
     require_hermitian,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "minimal_kraus",
     "apply_heisenberg",
     "apply_schrodinger",
-    "unit_images",
     "action_distance",
     "kraus_equivalent",
 ]
@@ -142,14 +142,30 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
 
 
 def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
-    """Minimal Kraus set of the map defined by ``k``.
+    """Minimal Kraus set of the map defined by ``k``, from the Kraus operators alone.
 
-    The operators are, bit for bit, those ``kraus_from_choi`` returns for
-    ``choi(k)``, without its checks: ``choi(k)`` is a sum of ``w w^dag``, so
-    positive semidefinite, and Hermitian to rounding, by construction.
+    ``choi(k) = W W^dag`` for the ``(dim_out * dim_in) x n`` matrix ``W`` of
+    the columns ``conj(vec_row(A_k))``, so the thin SVD ``W = U S V^dag``
+    factors the Choi matrix as ``(U S)(U S)^dag`` without forming it.  The
+    result keeps the columns of ``U S`` with ``sigma_j^2 > sv_rel_cutoff *
+    sigma_0^2`` (the eigenvalue cut of ``kraus_from_choi``), with
+    ``herm_eig``'s phase rule on the columns of ``U``.  It is the same map
+    with as many operators as the rank of ``choi(k)``; where the Choi
+    spectrum is non-degenerate the operators agree with ``kraus_from_choi``'s
+    to rounding, elsewhere up to a unitary remixing.  An empty or all-zero
+    family gives the empty set.
     """
-    c = choi(k).matrix
-    return _kraus_of_factor(_factor((c + dagger(c)) / 2.0, tol).w, k.dim_in, k.dim_out)
+    if not len(k):
+        return KrausSet(k.dim_in, k.dim_out, ())
+    u, s, _ = np.linalg.svd(_choi_columns(k.stack), full_matrices=False)
+    r = int(np.count_nonzero(s * s > tol.sv_rel_cutoff * float(s[0]) ** 2))
+    return _kraus_of_factor(_fix_phases(u[:, :r], tol) * s[:r], k.dim_in, k.dim_out)
+
+
+def _choi_columns(stack: np.ndarray) -> np.ndarray:
+    """``W`` with column ``k`` equal to ``conj(vec_row(stack[k]))``, so that ``choi = W W^dag``."""
+    n, rows, cols = stack.shape
+    return stack.reshape(n, rows * cols).conj().T
 
 
 def _kraus_of_factor(w: np.ndarray, dim_in: int, dim_out: int) -> KrausSet:
@@ -178,20 +194,50 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
-def unit_images(k: KrausSet):
-    """Yield ``E(|k_s><k_t|)`` for all ``t`` as one ``(dim_out, dim_in, dim_in)`` array, per ``s``.
+def _difference_core(left: tuple, right: tuple) -> tuple:
+    """Thin factors of a difference of two-sided Choi matrices, ``q_l @ core @ dagger(q_r)``.
 
-    Item ``s`` is block row ``s`` of ``choi(k)``; producing one block row at
-    a time keeps memory at ``dim_out * dim_in**2`` entries.
+    ``left = (a, b)`` and ``right = (c, d)`` are Kraus stacks with
+    ``len(a) == len(c)`` and ``len(b) == len(d)``; the difference is
+    ``W(a) W(c)^dag - W(b) W(d)^dag`` in the notation of ``_choi_columns``,
+    the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k b_k^dag B d_k``.
+    With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``
+    the core is ``r_l J r_r^dag`` with ``J = diag(1, .., 1, -1, .., -1)``, at
+    most ``N x N`` for ``N = len(a) + len(b)``.  Pass the same tuple twice
+    for a one-sided (ordinary) difference; it is factored once.
     """
-    # column j is conj(vec_row(A_j)), so choi(k) = w @ w^dag; row-major w keeps
-    # the block rows below contiguous
-    w = np.conj(k.stack.reshape(len(k), k.dim_out * k.dim_in).T, order="C")
-    w_dag = dagger(w)
-    d_in = k.dim_in
-    for s in range(k.dim_out):
-        row = w[s * d_in : (s + 1) * d_in] @ w_dag
-        yield row.reshape(d_in, k.dim_out, d_in).transpose(1, 0, 2)
+
+    def thin_qr(stacks):
+        return np.linalg.qr(_choi_columns(np.concatenate(stacks)))
+
+    q_l, r_l = thin_qr(left)
+    q_r, r_r = (q_l, r_l) if right is left else thin_qr(right)
+    j_r_dag = dagger(r_r)  # a fresh array, so r_r is left intact
+    j_r_dag[len(left[0]) :] *= -1.0
+    return q_l, r_l @ j_r_dag, q_r
+
+
+def _largest_block(q_l: np.ndarray, core: np.ndarray, q_r: np.ndarray, dim_in: int) -> float:
+    """Largest Frobenius norm of a ``dim_in``-sided block of ``q_l @ core @ dagger(q_r)``.
+
+    With ``q_s`` the rows of block row ``s`` and ``G_s = q_s^dag q_s``,
+    ``||block(s, t)||_F^2 = tr(core^dag G_s core G_t)``: a trace of a product
+    of two positive matrices, the first scaled by the core, so the result is
+    small exactly when the core is and keeps its absolute accuracy when the
+    maps nearly agree.  Costs ``O(dim_out * dim_in * N^2)``.
+    """
+
+    def block_grams(q):
+        blocks = q.reshape(q.shape[0] // dim_in, dim_in, q.shape[1])  # [s] = q_s
+        return dagger(blocks) @ blocks
+
+    g_l = block_grams(q_l)
+    g_r = g_l if q_r is q_l else block_grams(q_r)
+    h = dagger(core) @ g_l @ core
+    # tr(H_s G_t) = <H_s, G_t> for Hermitian G_t: one product over the flattened blocks
+    side = core.shape[1] ** 2
+    squares = (h.reshape(len(h), side) @ dagger(g_r.reshape(len(g_r), side))).real
+    return float(np.sqrt(max(float(squares.max()), 0.0)))
 
 
 def action_distance(k1: KrausSet, k2: KrausSet) -> float:
@@ -199,13 +245,16 @@ def action_distance(k1: KrausSet, k2: KrausSet) -> float:
 
     Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
     ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
+    By Choi's theorem that difference is ``W1 W1^dag - W2 W2^dag = Q M Q^dag``
+    for the thin QR ``[W1 W2] = Q [R1 R2]`` and the ``N x N`` core
+    ``M = R1 R1^dag - R2 R2^dag`` (``N = len(k1) + len(k2)``), so every block
+    norm is ``||Q_s M Q_t^dag||_F^2 = tr(M^dag G_s M G_t)`` with
+    ``G_s = Q_s^dag Q_s``; the Choi matrices are never formed.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
-    worst = 0.0
-    for row1, row2 in zip(unit_images(k1), unit_images(k2)):
-        worst = max(worst, float(np.max(np.linalg.norm(row1 - row2, axis=(1, 2)))))
-    return worst
+    pair = (k1.stack, k2.stack)
+    return _largest_block(*_difference_core(pair, pair), k1.dim_in)
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
@@ -221,16 +270,17 @@ def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
     # column j is vec_row(A_j)
     m1, m2 = (k.stack.reshape(len(k), k.dim_out * k.dim_in).T for k in (k1, k2))
     for name, m, count in (("first", m1, len(k1)), ("second", m2, len(k2))):
-        if count and numeric_rank(m, tol)[0] < count:
+        if count and _rank(m, tol) < count:
             raise InstrumentumError(f"{name} Kraus set is not minimal (linearly dependent)")
     if len(k1) != len(k2):
         return None
-    c1 = choi(k1).matrix
-    c2 = choi(k2).matrix
-    if float(np.linalg.norm(c1 - c2)) > tol.eps_eq * max(1.0, float(np.linalg.norm(c1))):
-        return None
     if not k1.ops:
         return np.zeros((0, 0), dtype=np.complex128)
+    # ||choi(k1) - choi(k2)|| is the norm of the core; ||choi(k1)|| = ||W1^dag W1||
+    pair = (k1.stack, k2.stack)
+    difference = float(np.linalg.norm(_difference_core(pair, pair)[1]))
+    if difference > tol.eps_eq * max(1.0, float(np.linalg.norm(dagger(m1) @ m1))):
+        return None
     u, *_ = np.linalg.lstsq(m1, m2, rcond=None)
     u = u.T  # row l holds the expansion of k2.ops[l] in k1.ops
     residual = float(np.linalg.norm(m1 @ u.T - m2))

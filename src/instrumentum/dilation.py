@@ -36,10 +36,10 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _descending_eigh,
+    _rank,
     as_matrix,
     dagger,
     isometry_complete,
-    numeric_rank,
     require_hermitian,
 )
 
@@ -274,7 +274,7 @@ def verify_dilation(
         dilated = KrausSet(m.dim_in, m.dim_out, z.transpose(1, 0, 2))
         max_err = max(max_err, action_distance(kraus, dilated))
         fiber_matrix = dilated.stack.reshape(len(dilated), m.dim_out * m.dim_in)
-        span_ranks.append(numeric_rank(fiber_matrix, tol)[0])
+        span_ranks.append(_rank(fiber_matrix, tol))
     passed = (
         iso_defect <= tol.eps_eq * float(np.sqrt(m.dim_in))
         and max_err <= tol.eps_eq * max(1.0, float(m.dim_out))

@@ -211,13 +211,13 @@ def witness_decompose(
             if n_i == 0:
                 outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ())))
                 continue
-            # exactly Hermitian: block is symmetrized and the identity is real
+            # exactly Hermitian: block is symmetrized and the identity is real; the factor
+            # S = w^dag keeps the eigenvalues above the rank cut, so the eigenvalue 1 - 1
+            # of a unit-norm witness is dropped whatever sign rounding gives it
             f = _factor(np.eye(n_i) + sign * block, tol)
             if not f.psd:
                 raise InstrumentumError("witness block pushes an eigenvalue below zero")
-            keep = f.values > 0.0
-            factor = np.sqrt(f.values[keep])[:, None] * dagger(f.vectors[:, keep])
-            mixed = np.tensordot(factor, ks.stack, axes=(1, 0))
+            mixed = np.tensordot(dagger(f.w), ks.stack, axes=(1, 0))
             outcomes.append((label, KrausSet(m.dim_in, m.dim_out, mixed)))
         return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))
 
@@ -241,9 +241,10 @@ def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:
     diag_defect = float(np.max(np.abs(np.diag(c) - 1.0)))
     if diag_defect > tol.eps_eq:
         raise InstrumentumError(f"diagonal is not one: defect {diag_defect:.3e}")
-    # svd_rank's rule on the singular values |lambda| of the Hermitian c
-    magnitudes = np.abs(f.values)
-    rank = int(np.count_nonzero(magnitudes > _sv_cut(np.max(magnitudes), c.shape, tol)))
+    # svd_rank's cut, on the singular values |lambda| of the Hermitian c, applied to the
+    # positive eigenvalues only: a negative one within eps_psd has no Gram vector
+    cut = _sv_cut(np.max(np.abs(f.values)), c.shape, tol)
+    rank = int(np.count_nonzero(f.values > cut))
     gram = (np.sqrt(f.values[:rank])[:, None] * dagger(f.vectors[:, :rank])).T  # row i = m_i
     span = np.zeros((n, rank * rank), dtype=np.complex128)
     for i in range(n):

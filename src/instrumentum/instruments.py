@@ -226,17 +226,23 @@ def _effect_factors(p: Povm, tol: Tolerances) -> list:
     of the minimal factorization ``M(i) = sum_l |d_l(i)><d_l(i)|``.
     """
     factors = []
-    total = np.zeros((p.dim, p.dim), dtype=np.complex128)
     for label, matrix in p.effects:
         f = _factor(require_hermitian(matrix, tol), tol)
         if not f.psd:
             raise InstrumentumError(f"effect {label!r} is not positive semidefinite")
         factors.append(f.w)
+    _require_effect_sum(p, tol)
+    return factors
+
+
+def _require_effect_sum(p: Povm, tol: Tolerances) -> None:
+    """Raise unless the effects of ``p`` sum to the identity within ``eps_eq * sqrt(dim)``."""
+    total = np.zeros((p.dim, p.dim), dtype=np.complex128)
+    for _, matrix in p.effects:
         total += matrix
     defect = float(np.linalg.norm(total - np.eye(p.dim)))
     if defect > tol.eps_eq * float(np.sqrt(p.dim)):
         raise InstrumentumError(f"effects do not sum to the identity: defect {defect:.3e}")
-    return factors
 
 
 def associate_povm(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Povm:
@@ -278,12 +284,14 @@ def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
 def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     """The instrument ``B -> P_i B P_i`` of a projection valued measure.
 
-    Each effect must be Hermitian and idempotent within ``eps_eq``.
+    Each effect must be Hermitian within ``eps_herm`` and idempotent within
+    ``eps_eq``, and the effects must sum to the identity; a Hermitian
+    idempotent is positive, so no decomposition is needed.
     """
-    _effect_factors(p, tol)
+    projs = [require_hermitian(matrix, tol, name=f"effect {label!r}") for label, matrix in p.effects]
+    _require_effect_sum(p, tol)
     outcomes = []
-    for label, matrix in p.effects:
-        proj = require_hermitian(matrix, tol, name=f"effect {label!r}")
+    for label, proj in zip(p.labels, projs):
         idem = float(np.linalg.norm(proj @ proj - proj))
         if idem > tol.eps_eq * max(1.0, float(np.linalg.norm(proj))):
             raise InstrumentumError(f"effect {label!r} is not a projection: defect {idem:.3e}")

@@ -117,15 +117,22 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def _descending_eigh(sym: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """``herm_eig`` of a matrix already symmetrized, without the Hermiticity check."""
     values, vectors = np.linalg.eigh(sym)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    return values[::-1].copy(), _fix_phases(vectors[:, ::-1].copy(), tol)
+
+
+def _fix_phases(vectors: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``herm_eig``'s phase rule, applied in place to unit columns.
+
+    Each column is rotated so that its first entry of modulus above
+    ``sv_rel_cutoff`` is real and positive; a column without one is left alone.
+    """
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         significant = np.flatnonzero(np.abs(col) > tol.sv_rel_cutoff)
         if significant.size:
             pivot = col[significant[0]]
             vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return values, vectors
+    return vectors
 
 
 class _Factor(NamedTuple):
@@ -160,6 +167,14 @@ def _psd_verdict(lo: float, hi: float, tol: Tolerances) -> bool:
 def _sv_cut(s_max: float, shape, tol: Tolerances) -> float:
     """The rank cutoff of ``svd_rank``: singular values at or below it count as zero."""
     return tol.sv_rel_cutoff * float(s_max) * max(shape)
+
+
+def _rank(a: np.ndarray, tol: Tolerances) -> int:
+    """``svd_rank``'s rank alone, from the singular values (no singular vectors)."""
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > _sv_cut(s[0], a.shape, tol)))
 
 
 def svd_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:

@@ -89,26 +89,27 @@ def corpus():
 
 
 class CallLog(list):
-    """``(name, argument)`` for every counted call, in call order."""
+    """``(name, argument, result)`` for every counted call, in call order."""
 
     def number(self, name, shape=None):
         """How many ``name`` calls there were, on arguments of ``shape`` if given."""
-        return sum(1 for n, a in self if n == name and (shape is None or np.shape(a) == shape))
+        return sum(1 for n, a, _ in self if n == name and (shape is None or np.shape(a) == shape))
 
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Log numpy's ``eigh``/``eigvalsh``/``svd`` and every ``require_hermitian`` check."""
+    """Log numpy's ``eigh``/``eigvalsh``/``svd``/``qr`` and every ``require_hermitian`` check."""
     log = CallLog()
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
-            log.append((name, a))
-            return fn(a, *args, **kwargs)
+            out = fn(a, *args, **kwargs)
+            log.append((name, a, out))
+            return out
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     original = matkernel.require_hermitian
     check = counted("require_hermitian", original)

@@ -317,6 +317,17 @@ class TestModels:
         assert code == 1
 
 
+class TestCorrExtreme:
+    def test_negative_eigenvalue_within_eps_psd(self, run, tmp_path):
+        path = tmp_path / "corr.json"
+        c = np.array([[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]], dtype=complex)
+        save(Document(kind="matrix", value=c), path)
+        code, report, _ = run("corr-extreme", str(path))
+        assert code == 0
+        assert report["gram_rank"] == 1
+        assert report["is_extreme"]
+
+
 class TestChoiAndCp:
     def test_choi_single_outcome(self, run, luders_file, tmp_path):
         code, report, _ = run("choi", luders_file, "--outcome", "0")

@@ -18,6 +18,7 @@ from instrumentum import (
     kraus_from_choi,
     minimal_kraus,
 )
+from instrumentum.cpmaps import _difference_core, _largest_block
 from instrumentum.matkernel import numeric_rank
 
 from helpers import (
@@ -307,18 +308,27 @@ def corpus_kraus_sets(corpus):
 
 
 class TestMinimalKraus:
-    def test_bit_identical_to_kraus_from_choi(self, corpus):
+    def test_same_map_as_kraus_from_choi(self, corpus):
         for name, kraus in corpus_kraus_sets(corpus):
             got = minimal_kraus(kraus)
             want = kraus_from_choi(choi(kraus))
             assert len(got) == len(want), name
-            for a, b in zip(got.ops, want.ops):
-                assert np.array_equal(a, b), name
+            assert action_distance(got, want) <= 1e-14, name
+
+    def test_operators_match_kraus_from_choi_on_a_simple_spectrum(self):
+        # distinct Choi eigenvalues fix each operator up to the shared phase rule
+        rng = np.random.default_rng(97)
+        for dim_in, dim_out, count in ((3, 2, 3), (2, 4, 5), (4, 4, 2)):
+            kraus = rand_instrument(rng, dim_in, dim_out, (count,)).outcome(0)
+            got = minimal_kraus(kraus)
+            want = kraus_from_choi(choi(kraus))
+            assert np.abs(got.stack - want.stack).max() <= 1e-12
 
     def test_drops_dependent_operators(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         assert len(minimal_kraus(KrausSet(2, 2, (a, 2 * a, -a)))) == 1
         assert len(minimal_kraus(KrausSet(2, 3, ()))) == 0
+        assert len(minimal_kraus(KrausSet(2, 3, (np.zeros((3, 2)),) * 2))) == 0
 
 
 class TestActionDistance:
@@ -355,3 +365,49 @@ class TestActionDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different spaces"):
             action_distance(KrausSet(2, 3, ()), KrausSet(3, 2, ()))
+
+    def test_equal_maps_in_different_gauges(self):
+        rng = np.random.default_rng(100)
+        six = rand_instrument(rng, 3, 4, (6,)).outcome(0)
+        v = rand_unitary(rng, 8)[:, :6]  # B_l = sum_k v[l, k] A_k: the same map, 8 operators
+        eight = KrausSet(3, 4, np.tensordot(v, six.stack, axes=1))
+        assert kraus_action_distance(six, eight) <= 1e-14
+        assert action_distance(six, eight) <= 1e-14
+        assert action_distance(eight, six) <= 1e-14
+
+    def test_more_operators_than_the_choi_side(self):
+        rng = np.random.default_rng(101)
+        m = rand_instrument(rng, 2, 2, (3, 4))  # 7 operators, Choi matrices 4 x 4
+        k1, k2 = m.outcome(0), m.outcome(1)
+        want = kraus_action_distance(k1, k2)
+        assert want > 0.1
+        assert abs(action_distance(k1, k2) - want) <= 1e-14 * want
+
+    def test_two_sided_core_matches_loop(self):
+        # B -> sum a_k^dag B c_k - sum b_k^dag B d_k, the form pvm_compat checks; its value
+        # at B^dag is the adjoint of the swapped form's, so both have the same largest block
+        rng = np.random.default_rng(103)
+
+        def ops(n):
+            return rng.standard_normal((n, 4, 3)) + 1j * rng.standard_normal((n, 4, 3))
+
+        a, b, c, d = ops(3), ops(2), ops(3), ops(2)
+        worst = {}
+        for key, (pl, mi, pr, mr) in {"ac": (a, b, c, d), "ca": (c, d, a, b)}.items():
+            worst[key] = max(
+                np.linalg.norm(
+                    sum(x.conj().T @ u @ y for x, y in zip(pl, pr))
+                    - sum(x.conj().T @ u @ y for x, y in zip(mi, mr))
+                )
+                for u in matrix_units(4)
+            )
+        got = _largest_block(*_difference_core((a, b), (c, d)), 3)
+        assert worst["ac"] == pytest.approx(worst["ca"], rel=1e-14)
+        assert got == pytest.approx(worst["ac"], rel=1e-13)
+
+    def test_empty_family_on_either_side(self):
+        k = rand_instrument(np.random.default_rng(102), 3, 2, (2,)).outcome(0)
+        zero = KrausSet(3, 2, ())
+        want = kraus_action_distance(k, zero)
+        for got in (action_distance(k, zero), action_distance(zero, k)):
+            assert abs(got - want) <= 1e-14 * want

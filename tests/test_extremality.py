@@ -13,6 +13,7 @@ from instrumentum import (
     correlation_witness_split,
     instrument_extremal,
     lueders,
+    minimal_kraus,
     povm_extremal,
     trivial_from_povm,
     validate,
@@ -107,6 +108,17 @@ class TestWitness:
             avg = (apply_heisenberg(kp, one) + apply_heisenberg(km, one)) / 2
             assert np.linalg.norm(avg - apply_heisenberg(m.outcome(lab), one)) < 1e-12
 
+    def test_halves_are_minimal(self, corpus):
+        # a unit-norm witness makes I - D(i) or I + D(i) singular; the halves drop that
+        # direction instead of keeping an operator of rounding size
+        for name, m in corpus.items():
+            report = instrument_extremal(m)
+            if report.is_extreme:
+                continue
+            for half in witness_decompose(m, report.witness):
+                for _, kraus in half.outcomes:
+                    assert len(minimal_kraus(kraus)) == len(kraus), name
+
     def test_decompose_rejects_zero_witness(self):
         m = mixed_trivial()
         with pytest.raises(InstrumentumError, match="numerically zero"):
@@ -198,6 +210,15 @@ class TestCorrelationExtremal:
     def test_rejects_non_psd(self):
         with pytest.raises(InstrumentumError, match="positive semidefinite"):
             correlation_extremal(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_negative_eigenvalue_within_eps_psd_is_not_counted(self):
+        # eigenvalues 2 + 5e-10 and -5e-10; |-5e-10| exceeds the rank cut 4e-10, but a
+        # negative eigenvalue has no Gram vector, so the rank is one
+        c = np.array([[1.0, 1.0 + 5e-10], [1.0 + 5e-10, 1.0]])
+        report = correlation_extremal(c)
+        assert report.gram_rank == 1
+        assert report.is_extreme
+        assert np.all(np.isfinite(report.gram_vectors))
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(InstrumentumError, match="diagonal"):
