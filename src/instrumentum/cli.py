@@ -237,19 +237,16 @@ def _cmd_posterior(args, tol):
         "command": "posterior",
         "distribution": _labelled(outcome_distribution(m, rho, tol), "probability"),
     }
-    try:
-        if args.outcome is not None:
-            result = posterior_state(m, rho, _parse_cli_label(args.outcome), tol)
-            out["outcome"] = label_to_json(result.label)
-            out["probability"] = result.probability
-            out["state"] = matrix_to_json(result.state)
-        elif args.subset is not None:
-            result = conditional_output(m, rho, _parse_subset(args.subset), tol)
-            out["subset"] = [label_to_json(label) for label in result.label]
-            out["probability"] = result.probability
-            out["state"] = matrix_to_json(result.state)
-    except KeyError as exc:
-        raise FormatError(str(exc.args[0]))
+    if args.outcome is not None:
+        result = posterior_state(m, rho, _parse_cli_label(args.outcome), tol)
+        out["outcome"] = label_to_json(result.label)
+        out["probability"] = result.probability
+        out["state"] = matrix_to_json(result.state)
+    elif args.subset is not None:
+        result = conditional_output(m, rho, _parse_subset(args.subset), tol)
+        out["subset"] = [label_to_json(label) for label in result.label]
+        out["probability"] = result.probability
+        out["state"] = matrix_to_json(result.state)
     _emit(out)
     return 0
 
@@ -315,10 +312,7 @@ def _cmd_compat_channel(args, tol):
 def _cmd_factorize(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     subset = None if args.subset is None else _parse_subset(args.subset)
-    try:
-        channel, report = lueders_factorization(doc.value, subset, tol)
-    except KeyError as exc:
-        raise FormatError(str(exc.args[0]))
+    channel, report = lueders_factorization(doc.value, subset, tol)
     _emit(
         {
             "command": "factorize",
@@ -397,10 +391,7 @@ def _cmd_standard_model(args, tol):
     labels = None
     if args.labels is not None:
         labels = tuple(_parse_cli_label(piece) for piece in _split_labels(args.labels))
-    try:
-        povm, kernel, m = standard_model(a_op, b_op, args.coupling, xi, pointer, labels, tol)
-    except ValueError as exc:
-        raise FormatError(str(exc))
+    povm, kernel, m = standard_model(a_op, b_op, args.coupling, xi, pointer, labels, tol)
     _emit(
         {
             "command": "standard-model",
@@ -441,11 +432,7 @@ def _cmd_choi(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     m = doc.value
     if args.outcome is not None:
-        label = _parse_cli_label(args.outcome)
-        try:
-            kraus = m.outcome(label)
-        except KeyError as exc:
-            raise FormatError(str(exc.args[0]))
+        kraus = m.outcome(_parse_cli_label(args.outcome))
     else:
         kraus = _pooled(m)
     matrix = choi(kraus)

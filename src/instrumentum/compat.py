@@ -1,7 +1,8 @@
 """Instruments compatible with a given POVM, and their fiber-channel structure.
 
-Every instrument whose effects are ``M(i)`` arises from the POVM's dilation
-``M(i) = Y_N^dag P_i Y_N`` in two interchangeable ways:
+Every instrument whose effects are ``M(i)`` arises from the POVM's minimal
+Naimark fibers ``psi_i`` (``n(i) x dim_in``, ``M(i) = psi_i^dag psi_i``) in
+two interchangeable ways:
 
 * forward, from a coefficient tensor ``c[l, s, k]`` per outcome (rows
   orthonormal over the flattened ``(s, k)`` index), which mixes the
@@ -9,10 +10,14 @@ Every instrument whose effects are ``M(i)`` arises from the POVM's dilation
   ``A_k(i) = sum_s |k_s><d_k^s(i)|`` with ``d_k^s(i) = sum_l c[l, s, k] d_l(i)``;
 * backward, by solving for the isometries ``C_i`` that carry the POVM's
   fibers into the instrument's fibers tensored with the output space, which
-  exhibits each outcome map as ``M(i, B) = Gram_i(T_i(B))`` for a channel
-  ``T_i`` on the fiber space of outcome ``i``.
+  exhibits each outcome map as ``M(i, B) = psi_i^dag T_i(B) psi_i`` for a
+  channel ``T_i`` on the fiber space of outcome ``i``.
 
-The backward decomposition also yields the square-root factorization
+For an instrument's own POVM both fibers are minimal Kraus sets read off the
+Kraus stack of outcome ``i``: ``psi_i`` is that of ``c -> c * M(i)``, whose
+Kraus operators are the rows of the ``A_k(i)``, and the instrument fiber is
+that of ``A(i)`` itself; no dilation object is built.  The backward
+decomposition also yields the square-root factorization
 ``sqrt(M(X)) Phi^X(B) sqrt(M(X)) = M(X, B)`` of any outcome subset through a
 single channel ``Phi^X``, the conjugated plain channel for projection valued
 measures, and the nuclear form of any instrument compatible with a rank-one
@@ -32,8 +37,8 @@ from .cpmaps import (
     action_distance,
     apply_heisenberg,
     apply_schrodinger,
+    minimal_kraus,
 )
-from .dilation import _dilation, _stinespring
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
@@ -43,19 +48,10 @@ from .instruments import (
     _effect_factors,
     _pooled,
     _povm_of,
-    _trivial_of_factors,
     nuclear,
     require_valid,
 )
-from .matkernel import (
-    DEFAULT_TOL,
-    Tolerances,
-    _factor,
-    _rank,
-    dagger,
-    isometry_complete,
-    require_hermitian,
-)
+from .matkernel import DEFAULT_TOL, Tolerances, _rank, dagger
 
 __all__ = [
     "CompatCoefficients",
@@ -110,25 +106,43 @@ class CompatCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class CompatChannelDecomposition:
-    """Fiber channels exhibiting an instrument over its POVM's dilation.
+    """Fiber channels exhibiting an instrument over its POVM's minimal Naimark fibers.
 
     ``isometries[i]`` is ``C_i : C^{n(i)} -> K (x) C^{n'(i)}`` (output-major
-    rows); ``channels[i]`` is the Kraus set of ``T_i`` from the fiber space
-    of outcome ``i`` into the output space, or None when the effect is zero;
-    the property ``generalized_vectors[i][k, s, :]`` is
-    ``D_k^s(i) = C_i^dag (k_s (x) b_k)``, derived from the isometries.
-    ``max_residual`` bounds the defect of every defining identity checked.
+    rows), where ``n(i)`` is the size of the minimal Kraus set of the Kraus
+    rows of outcome ``i`` (the rank of ``M(i)``) and ``n'(i)`` that of its
+    Kraus stack (its Choi rank).  Everything else is derived from the
+    isometries: ``naimark_dims`` and ``fiber_dims`` are their ``n(i)`` and
+    ``n'(i)``; ``channels[i]`` is the Kraus set of ``T_i(B) = C_i^dag (B (x)
+    I) C_i`` from the fiber space of outcome ``i`` into the output space, or
+    None when the effect is zero; ``generalized_vectors[i][k, s, :]`` is
+    ``D_k^s(i) = C_i^dag (k_s (x) b_k)``.  ``max_residual`` bounds the defect
+    of every defining identity checked.
     """
 
     dim_in: int
     dim_out: int
     labels: tuple
-    naimark_dims: tuple
-    fiber_dims: tuple
     isometries: tuple = field(repr=False, default=())
-    channels: tuple = field(repr=False, default=())
     max_residual: float = 0.0
     passed: bool = True
+
+    @property
+    def naimark_dims(self) -> tuple:
+        return tuple(c.shape[1] for c in self.isometries)
+
+    @property
+    def fiber_dims(self) -> tuple:
+        return tuple(c.shape[0] // self.dim_out for c in self.isometries)
+
+    @property
+    def channels(self) -> tuple:
+        return tuple(
+            KrausSet(n, self.dim_out, c.reshape(self.dim_out, -1, n).transpose(1, 0, 2))
+            if n
+            else None
+            for c, n in zip(self.isometries, self.naimark_dims)
+        )
 
     @property
     def generalized_vectors(self) -> tuple:
@@ -198,71 +212,72 @@ def compat_from_coeffs(
 def compat_channel(
     m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL
 ) -> CompatChannelDecomposition:
-    """Solve for the fiber isometries and channels of ``m`` over its POVM's dilation.
+    """Solve for the fiber isometries and channels of ``m`` over its POVM's Naimark fibers.
 
     For each outcome the isometry ``C_i`` is the least-squares solution of
-    ``C_i psi_n(i) = sum_s k_s (x) psi_n^s(i)`` over the input basis, and
-    ``T_i(B) = C_i^dag (B (x) I) C_i``; the decomposition reproduces
-    ``M(i, B)`` through the Gram map of the POVM fibers.
+    ``C_i psi_i = sum_s k_s (x) phi_i^s`` over the input basis, where row
+    ``k`` of ``phi_i^s`` is row ``s`` of the ``k``-th minimal Kraus operator
+    of outcome ``i``, and ``T_i(B) = C_i^dag (B (x) I) C_i``; the
+    decomposition reproduces ``M(i, B) = psi_i^dag T_i(B) psi_i``.
     """
     require_valid(m, tol)
-    return _decompose(m, _povm_of(m), tol)[0]
+    return _decompose(m, tol)[0]
 
 
-def _decompose(m: DiscreteInstrument, p: Povm, tol: Tolerances) -> tuple:
-    """``compat_channel`` of a normalized ``m`` with POVM ``p``, and the dilation of ``p``."""
-    # the effects of a normalized instrument are positive by construction: factored unchecked
-    factors = [_factor((e + dagger(e)) / 2.0, tol).w for _, e in p.effects]
-    povm_dil = _dilation(_trivial_of_factors(p, factors))
-    inst_dil = _stinespring(m, tol)
+def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
+    """``compat_channel`` of a normalized ``m``, and the Naimark fibers ``psi_i`` of its POVM.
+
+    ``psi_i`` (``n_i x dim_in``) is the minimal Kraus set of ``c -> c * M(i)``,
+    whose Kraus operators are the rows of the ``A_k(i)``, so ``M(i) =
+    psi_i^dag psi_i`` with orthogonal rows; the instrument fiber is the
+    minimal Kraus set of ``A(i)``.  Both come from one SVD of the Kraus stack
+    each; the effects themselves are never formed.
+    """
     dim_in, dim_out = m.dim_in, m.dim_out
+    psis = []
     isometries = []
-    channels = []
     max_residual = 0.0
-    for i, (label, kraus) in enumerate(m.outcomes):
-        n_i = povm_dil.block_dims[i]
-        np_i = inst_dil.block_dims[i]
+    for _, kraus in m.outcomes:
+        rows = KrausSet(dim_in, 1, kraus.stack.reshape(-1, 1, dim_in))
+        psi = minimal_kraus(rows, tol).stack[:, 0, :]  # (n_i, dim_in)
+        fiber = minimal_kraus(kraus, tol)
+        n_i = len(psi)
+        psis.append(psi)
+        # columns over the input basis of the instrument fiber images
+        phi = fiber.stack.transpose(1, 0, 2).reshape(dim_out * len(fiber), dim_in)
         if n_i == 0:
-            isometries.append(np.zeros((dim_out * np_i, 0), dtype=np.complex128))
-            channels.append(None)
+            isometries.append(np.zeros((len(phi), 0), dtype=np.complex128))
             continue
-        # columns over the input basis of the two fiber images
-        psi = povm_dil.structure_vectors[i][:, 0, :].T  # (n_i, dim_in)
-        phi = inst_dil.structure_vectors[i].reshape(dim_in, dim_out * np_i).T
         sol, *_ = np.linalg.lstsq(psi.T, phi.T, rcond=None)
-        c_i = sol.T  # (dim_out * np_i, n_i)
+        c_i = sol.T  # (dim_out * n'_i, n_i)
         solve_residual = float(np.linalg.norm(c_i @ psi - phi))
         iso_defect = float(np.linalg.norm(dagger(c_i) @ c_i - np.eye(n_i)))
-        t_i = KrausSet(n_i, dim_out, c_i.reshape(dim_out, np_i, n_i).transpose(1, 0, 2))
-        lifted = KrausSet(dim_in, dim_out, t_i.stack @ psi)  # psi^dag T_i(.) psi
+        t_i = c_i.reshape(dim_out, len(fiber), n_i).transpose(1, 0, 2)
+        lifted = KrausSet(dim_in, dim_out, t_i @ psi)  # psi^dag T_i(.) psi
         recon = action_distance(lifted, kraus)
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
         isometries.append(c_i)
-        channels.append(t_i)
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
     dec = CompatChannelDecomposition(
         dim_in=dim_in,
         dim_out=dim_out,
         labels=m.labels,
-        naimark_dims=povm_dil.block_dims,
-        fiber_dims=inst_dil.block_dims,
         isometries=tuple(isometries),
-        channels=tuple(channels),
         max_residual=max_residual,
         passed=max_residual <= threshold,
     )
-    return dec, povm_dil
+    return dec, psis
 
 
-def _decomposable_kraus(dec: CompatChannelDecomposition, povm_dil) -> np.ndarray:
-    """Kraus stack of the block channel ``T = (+)_i T_i`` on the full fiber space."""
-    total = povm_dil.total_fibers
-    lifted = []
-    for i, t_i in enumerate(dec.channels):
+def _block_product(dec: CompatChannelDecomposition, right: np.ndarray) -> np.ndarray:
+    """Kraus stack of ``(+)_i T_i`` composed with ``right``, whose rows run over the fibers."""
+    blocks = []
+    offset = 0
+    for t_i, n_i in zip(dec.channels, dec.naimark_dims):
         if t_i is not None:
-            block = povm_dil.block_slice(i)
-            lifted.append(np.pad(t_i.stack, ((0, 0), (0, 0), (block.start, total - block.stop))))
-    return np.concatenate(lifted)
+            blocks.append(t_i.stack @ right[offset : offset + n_i])
+        offset += n_i
+    return np.concatenate(blocks)
 
 
 def lueders_factorization(
@@ -271,33 +286,26 @@ def lueders_factorization(
     """Factor ``M(X, B) = sqrt(M(X)) Phi^X(B) sqrt(M(X))`` through a channel.
 
     ``subset`` selects the outcome labels making up ``X`` (default: all).
-    The channel is assembled from the fiber channels of ``compat_channel``
-    conjugated by the subset-masked dilation isometry, extended isometrically
-    off the range of ``M(X)``.
+    With the thin SVD ``u s vh`` of the Naimark fibers of the outcomes in
+    ``X`` (zero rows for the others), so that ``M(X) = vh^dag s^2 vh``, the
+    root is ``vh^dag s vh`` over the singular values kept by the
+    ``sv_rel_cutoff`` rule and ``Phi^X`` is the block channel of
+    ``compat_channel`` conjugated by the isometry ``u vh``, which extends it
+    isometrically off the range of ``M(X)``.
     """
     require_valid(m, tol)
     subset = _checked_subset(m, m.labels if subset is None else subset)
-    p = _povm_of(m)
-    dec, povm_dil = _decompose(m, p, tol)
+    dec, psis = _decompose(m, tol)
     dim = m.dim_in
-    total = povm_dil.total_fibers
+    # the fibers of every outcome span H, so there are at least dim rows
+    masked = np.concatenate(
+        [psi if label in subset else np.zeros_like(psi) for label, psi in zip(m.labels, psis)]
+    )
+    u, s, vh = np.linalg.svd(masked, full_matrices=False)
+    r = int(np.count_nonzero(s * s > tol.sv_rel_cutoff * float(s[0]) ** 2))
+    root = dagger(vh[:r]) @ (s[:r, None] * vh[:r])
 
-    mask = np.zeros(total)
-    subset_effect = np.zeros((dim, dim), dtype=np.complex128)
-    for i, (label, matrix) in enumerate(p.effects):
-        if label in subset:
-            mask[povm_dil.block_slice(i)] = 1.0
-            subset_effect += matrix
-    f = _factor(require_hermitian(subset_effect, tol), tol)
-    r = f.w.shape[1]
-    root = f.w @ dagger(f.vectors[:, :r])
-
-    masked_iso = mask[:, None] * povm_dil.isometry  # dim_out of the dilation is one
-    range_images = masked_iso @ f.vectors[:, :r] / np.sqrt(f.values[:r])[None, :]
-    completed = isometry_complete(range_images, tol)
-    carrier = completed[:, :dim] @ dagger(f.vectors)
-
-    phi = KrausSet(dim, m.dim_out, _decomposable_kraus(dec, povm_dil) @ carrier)
+    phi = KrausSet(dim, m.dim_out, _block_product(dec, u @ vh))
     direct = _pooled(m, subset)
     factored = KrausSet(dim, m.dim_out, phi.stack @ root)  # root Phi(.) root
     max_err = action_distance(factored, direct)
@@ -316,8 +324,8 @@ def pvm_compat(
 ) -> tuple[KrausSet, PvmCompatReport]:
     """The plain-channel form of an instrument whose POVM is projection valued.
 
-    Over a PVM the dilation isometry is unitary, so conjugating the block
-    channel by it yields a channel ``T`` on the input space itself with
+    Over a PVM the stacked Naimark fibers form a unitary, so conjugating the
+    block channel by it yields a channel ``T`` on the input space itself with
     ``M(i, B) = M(i) T(B) = T(B) M(i)``.
     """
     require_valid(m, tol)
@@ -328,10 +336,11 @@ def pvm_compat(
             raise InstrumentumError(
                 f"effect {label!r} is not a projection: defect {idem:.3e}"
             )
-    dec, povm_dil = _decompose(m, p, tol)
-    if povm_dil.total_fibers != m.dim_in:
+    dec, psis = _decompose(m, tol)
+    fibers = np.concatenate(psis)
+    if len(fibers) != m.dim_in:
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
-    ops = _decomposable_kraus(dec, povm_dil) @ povm_dil.isometry
+    ops = _block_product(dec, fibers)
     conjugated = KrausSet(m.dim_in, m.dim_out, ops)
     max_err = 0.0
     for (_, effect), (_, kraus) in zip(p.effects, m.outcomes):

@@ -304,10 +304,10 @@ def measurement_model(
     completed = isometry_complete(dil.isometry, tol)
     side = d * total
     unitary = np.zeros((side, side), dtype=np.complex128)
-    given_slots = [n * total + xi_index for n in range(d)]
-    unitary[:, given_slots] = completed[:, :d]
-    rest = [a for a in range(side) if a not in set(given_slots)]
-    unitary[:, rest] = completed[:, d:]
+    given = np.zeros(side, dtype=bool)
+    given[xi_index::total] = True  # the slots h_n (x) xi, in order of n
+    unitary[:, given] = completed[:, :d]
+    unitary[:, ~given] = completed[:, d:]
     xi = np.zeros(total, dtype=np.complex128)
     xi[xi_index] = 1.0
     model = MeasurementModel(

@@ -306,11 +306,7 @@ def trivial_from_povm(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrum
     whose operators are the rows ``<d_l(i)|`` of a spectral square-root of the
     effect; a zero effect yields an empty Kraus set.
     """
-    return _trivial_of_factors(p, _effect_factors(p, tol))
-
-
-def _trivial_of_factors(p: Povm, factors: list) -> DiscreteInstrument:
-    """``trivial_from_povm`` built from the minimal factors ``[d_l(i)]_l`` of the effects."""
+    factors = _effect_factors(p, tol)
     outcomes = tuple((label, _kraus_of_factor(w, p.dim, 1)) for label, w in zip(p.labels, factors))
     return DiscreteInstrument(p.dim, 1, outcomes)
 

@@ -98,7 +98,7 @@ class CallLog(list):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Log numpy's ``eigh``/``eigvalsh``/``svd``/``qr`` and every ``require_hermitian`` check."""
+    """Log numpy's ``eigh``/``eigvalsh``/``svd``/``qr``, ``require_hermitian`` and ``isometry_complete``."""
     log = CallLog()
 
     def counted(name, fn):
@@ -111,11 +111,12 @@ def decompositions(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd", "qr"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    original = matkernel.require_hermitian
-    check = counted("require_hermitian", original)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("instrumentum") and getattr(module, "require_hermitian", None) is original:
-            monkeypatch.setattr(module, "require_hermitian", check)
+    for fn_name in ("require_hermitian", "isometry_complete"):
+        original = getattr(matkernel, fn_name)
+        check = counted(fn_name, original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("instrumentum") and getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, check)
     return log
 
 

@@ -53,6 +53,21 @@ def rand_instrument(rng, dim_in, dim_out, fibers, labels=None):
     return DiscreteInstrument(dim_in, dim_out, tuple(outcomes))
 
 
+def near_cut_instrument(seed, lam):
+    """A 3 x 3 two-outcome instrument whose first effect has eigenvalues 1, ``lam`` and 0.
+
+    ``A0 = V diag(1, sqrt(lam), 0) U`` and ``A1 = diag(0, sqrt(1 - lam), 1) U``
+    with ``U``, then ``V``, drawn from ``default_rng(seed)``; for ``lam`` above
+    the default ``sv_rel_cutoff`` every effect keeps its small eigenvalue.
+    """
+    rng = np.random.default_rng(seed)
+    u = rand_unitary(rng, 3)
+    v = rand_unitary(rng, 3)
+    a0 = v @ np.diag([1.0, np.sqrt(lam), 0.0]) @ u
+    a1 = np.diag([0.0, np.sqrt(1.0 - lam), 1.0]) @ u
+    return DiscreteInstrument(3, 3, ((0, KrausSet(3, 3, [a0])), (1, KrausSet(3, 3, [a1]))))
+
+
 def rand_povm(rng, d, n, labels=None):
     """A full-rank-free random POVM via the symmetrized normalization trick."""
     raw = []

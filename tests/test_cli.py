@@ -22,7 +22,7 @@ from instrumentum import (
 )
 from instrumentum.cli import main
 
-from helpers import basis_pvm, depolarizing_kraus
+from helpers import PAULI, basis_pvm, depolarizing_kraus, near_cut_instrument
 
 
 @pytest.fixture
@@ -239,6 +239,16 @@ class TestComposeAndCompat:
         factor = load(out).value
         assert len(factor.outcomes) == 1
         assert validate(factor).passed
+
+
+    @pytest.mark.parametrize("argv", [("compat-channel",), ("factorize", "--subset", "0")])
+    def test_near_cut_effect_passes(self, run, tmp_path, argv):
+        # the first effect has eigenvalues 1, 1e-9 and 0
+        path = tmp_path / "near-cut.json"
+        save(Document(kind="instrument", value=near_cut_instrument(0, 1e-9)), path)
+        code, report, err = run(argv[0], str(path), *argv[1:])
+        assert code == 0, err
+        assert report["passed"] is True
 
 
 class TestNuclearExtract:
@@ -461,6 +471,48 @@ class TestSingleOutcomeLabel:
         assert code == 0, err
         assert report["passed"] is True
         assert report["subset"] == [0]
+
+
+@pytest.fixture
+def probe_files(tmp_path):
+    """``--a-op``/``--b-op``/``--xi`` arguments of a 2-dimensional ``standard-model`` probe."""
+    paths = {name: tmp_path / f"{name}.json" for name in ("a", "b", "xi")}
+    save(Document(kind="matrix", value=np.diag([0.0, 1.0]).astype(complex)), paths["a"])
+    save(Document(kind="matrix", value=PAULI["Y"]), paths["b"])
+    save(Document(kind="matrix", value=np.array([[1.0], [0.0]], dtype=complex)), paths["xi"])
+    return ["--a-op", str(paths["a"]), "--b-op", str(paths["b"]), "--xi", str(paths["xi"])]
+
+
+class TestDomainLookupErrors:
+    """A label or pointer the input does not have exits 1 with the library's message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("posterior", "{m}", "--state", "{rho}", "--outcome", "nope"), "no outcome labeled 'nope'"),
+            (("factorize", "{m}", "--subset", "nope"), "no outcome labeled 'nope'"),
+            (("choi", "{m}", "--outcome", "7"), "no outcome labeled 7"),
+            (
+                ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0"),
+                "pointer blocks must partition the ancilla basis indices",
+            ),
+            (
+                ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0;1", "--labels", "a,a"),
+                "duplicate outcome label 'a'",
+            ),
+        ],
+    )
+    def test_exits_one_with_message(self, run, luders_file, state_file, probe_files, argv, message):
+        args = []
+        for arg in argv:
+            if arg == "{probe}":
+                args.extend(probe_files)
+            else:
+                args.append(arg.format(m=luders_file, rho=state_file))
+        code, report, err = run(*args)
+        assert code == 1
+        assert report is None
+        assert err == f"error: {message}\n"
 
 
 def defect_documents(tmp_path):

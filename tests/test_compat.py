@@ -22,7 +22,14 @@ from instrumentum import (
     validate,
 )
 
-from helpers import basis_pvm, matrix_units, rand_coeffs_tensor, rand_povm, rand_state
+from helpers import (
+    basis_pvm,
+    matrix_units,
+    near_cut_instrument,
+    rand_coeffs_tensor,
+    rand_povm,
+    rand_state,
+)
 
 
 def smeared_povm():
@@ -166,6 +173,27 @@ class TestLuedersFactorization:
         m = lueders(basis_pvm(2, ((0,), (1,))))
         with pytest.raises(KeyError):
             lueders_factorization(m, subset=("nope",))
+
+
+class TestNearCut:
+    """Effects with an eigenvalue between 1e-9 and 1e-7 keep it, and every check passes.
+
+    The small eigenvalue sits far above ``sv_rel_cutoff``, so the Naimark
+    fiber must keep its direction to rounding for the identities to hold.
+    """
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-8, 1e-9])
+    def test_compat_channel_passes(self, lam):
+        decs = [compat_channel(near_cut_instrument(seed, lam)) for seed in range(20)]
+        assert [seed for seed, dec in enumerate(decs) if not dec.passed] == []
+        assert all(dec.naimark_dims == (2, 2) and dec.fiber_dims == (1, 1) for dec in decs)
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-8, 1e-9])
+    def test_lueders_factorization_passes(self, lam):
+        reports = [
+            lueders_factorization(near_cut_instrument(seed, lam), (0,))[1] for seed in range(20)
+        ]
+        assert [seed for seed, report in enumerate(reports) if not report.passed] == []
 
 
 class TestPvmCompat:

@@ -82,10 +82,25 @@ def test_compat_channel_decomposes_each_effect_and_outcome_once(decompositions):
     m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (2, 1, 2))
     decompositions.clear()
     compat_channel(m)
-    assert decompositions.number("eigh") == decompositions.number("eigh", (3, 3)) == 3  # effects
-    assert decompositions.number("eigh", (6, 6)) == 0  # no outcome Choi matrix
-    assert decompositions.number("svd") == 3  # one minimal Kraus set per outcome
+    assert decompositions.number("eigh") == 0  # no effect is formed and decomposed
+    # per outcome, one SVD of its Kraus rows (the Naimark fiber, 3 x rows) and one of
+    # its Kraus stack (6 x operators)
+    shapes = [np.shape(a) for name, a, _ in decompositions if name == "svd"]
+    assert shapes == [(3, 4), (6, 2), (3, 2), (6, 1), (3, 4), (6, 2)]
     assert decompositions.number("eigvalsh") == 0
+
+
+def test_lueders_factorization_adds_one_svd_to_compat_channel(decompositions):
+    m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (2, 1, 2))
+    decompositions.clear()
+    compat_channel(m)
+    compat_svds = decompositions.number("svd")
+    decompositions.clear()
+    lueders_factorization(m, (0, 2))
+    assert decompositions.number("svd") == compat_svds + 1  # of the subset-masked fibers
+    assert decompositions.number("eigh") == decompositions.number("eigvalsh") == 0
+    assert decompositions.number("require_hermitian") == 0
+    assert decompositions.number("isometry_complete") == 0
 
 
 def test_effects_of_an_instrument_are_not_rechecked():
