@@ -33,9 +33,9 @@ import numpy as np
 from .cpmaps import (
     KrausSet,
     _difference_core,
+    _effect,
     _largest_block,
     action_distance,
-    apply_heisenberg,
     apply_schrodinger,
     minimal_kraus,
 )
@@ -47,11 +47,11 @@ from .instruments import (
     _checked_subset,
     _effect_factors,
     _pooled,
-    _povm_of,
+    associate_povm,
     nuclear,
     require_valid,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, _rank, dagger
+from .matkernel import DEFAULT_TOL, Tolerances, _kept, _rank, dagger
 
 __all__ = [
     "CompatCoefficients",
@@ -302,18 +302,14 @@ def lueders_factorization(
         [psi if label in subset else np.zeros_like(psi) for label, psi in zip(m.labels, psis)]
     )
     u, s, vh = np.linalg.svd(masked, full_matrices=False)
-    r = int(np.count_nonzero(s * s > tol.sv_rel_cutoff * float(s[0]) ** 2))
+    r = _kept(s * s, tol)
     root = dagger(vh[:r]) @ (s[:r, None] * vh[:r])
 
     phi = KrausSet(dim, m.dim_out, _block_product(dec, u @ vh))
     direct = _pooled(m, subset)
     factored = KrausSet(dim, m.dim_out, phi.stack @ root)  # root Phi(.) root
     max_err = action_distance(factored, direct)
-    unit_defect = float(
-        np.linalg.norm(
-            apply_heisenberg(phi, np.eye(m.dim_out, dtype=np.complex128)) - np.eye(dim)
-        )
-    )
+    unit_defect = float(np.linalg.norm(_effect(phi) - np.eye(dim)))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim)))
     passed = max_err <= threshold and unit_defect <= threshold
     return phi, FactorizationReport(passed, subset, max_err, unit_defect)
@@ -328,8 +324,7 @@ def pvm_compat(
     block channel by it yields a channel ``T`` on the input space itself with
     ``M(i, B) = M(i) T(B) = T(B) M(i)``.
     """
-    require_valid(m, tol)
-    p = _povm_of(m)
+    p = associate_povm(m, tol)
     for label, matrix in p.effects:
         idem = float(np.linalg.norm(matrix @ matrix - matrix))
         if idem > tol.eps_eq * max(1.0, float(np.linalg.norm(matrix))):
@@ -363,8 +358,7 @@ def rank1_nuclear_extract(
     through the outcome map; a zero effect gets the maximally mixed output
     state by convention.  Raises when an effect has rank above one.
     """
-    require_valid(m, tol)
-    p = _povm_of(m)
+    p = associate_povm(m, tol)
     for label, matrix in p.effects:
         rank = _rank(matrix, tol)
         if rank > 1:

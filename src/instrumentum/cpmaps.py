@@ -18,6 +18,11 @@ flat index is ``(s, m) -> s * dim_in + m``.  With this convention the Choi
 matrix of a valid Kraus set is ``sum_k w_k w_k^dag`` for
 ``w_k = conj(vec_row(A_k))``, so positivity of the Choi matrix is exactly
 complete positivity of the map.
+
+The effect ``E(I) = sum_k A_k^dag A_k`` is ``R^dag R`` for the Kraus rows
+``R = stack.reshape(-1, dim_in)``, whose rows are the vectors
+``A_k^dag k_s``; ``compat``'s Naimark fiber of an outcome is the minimal
+factor of the same rows.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .matkernel import (
     Tolerances,
     _factor,
     _fix_phases,
+    _kept,
     _rank,
     as_matrix,
     dagger,
@@ -112,12 +118,8 @@ class ChoiMatrix:
 
 def choi(k: KrausSet) -> ChoiMatrix:
     """Choi matrix of the Heisenberg map defined by ``k``."""
-    side = k.dim_out * k.dim_in
-    m = np.zeros((side, side), dtype=np.complex128)
-    for op in k.ops:
-        w = op.conj().reshape(side)
-        m += np.outer(w, w.conj())
-    return ChoiMatrix(k.dim_in, k.dim_out, m)
+    w = _choi_columns(k.stack)
+    return ChoiMatrix(k.dim_in, k.dim_out, w @ dagger(w))
 
 
 def cp_check(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -158,7 +160,7 @@ def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     if not len(k):
         return KrausSet(k.dim_in, k.dim_out, ())
     u, s, _ = np.linalg.svd(_choi_columns(k.stack), full_matrices=False)
-    r = int(np.count_nonzero(s * s > tol.sv_rel_cutoff * float(s[0]) ** 2))
+    r = _kept(s * s, tol)
     return _kraus_of_factor(_fix_phases(u[:, :r], tol) * s[:r], k.dim_in, k.dim_out)
 
 
@@ -179,6 +181,12 @@ def apply_heisenberg(k: KrausSet, b) -> np.ndarray:
     if b.shape != (k.dim_out, k.dim_out):
         raise ValueError(f"operator has shape {b.shape}, expected {(k.dim_out, k.dim_out)}")
     return _running_sum(dagger(k.stack) @ b @ k.stack)
+
+
+def _effect(k: KrausSet) -> np.ndarray:
+    """The effect ``sum_k A_k^dag A_k`` of ``k``, as ``R^dag R`` for its Kraus rows ``R``."""
+    rows = k.stack.reshape(-1, k.dim_in)
+    return dagger(rows) @ rows
 
 
 def apply_schrodinger(k: KrausSet, rho) -> np.ndarray:

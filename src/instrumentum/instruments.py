@@ -11,12 +11,12 @@ maps are legal and retained, so label sets round-trip through files unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .cpmaps import KrausSet, _kraus_of_factor, apply_heisenberg, minimal_kraus
+from .cpmaps import KrausSet, _effect, _kraus_of_factor, minimal_kraus
 from .errors import InstrumentumError
 from .matkernel import DEFAULT_TOL, Tolerances, _factor, as_matrix, require_hermitian
 
@@ -190,6 +190,8 @@ class InstrumentValidation:
     normalization_defect: float
     threshold: float
     outcome_kraus_counts: tuple = ()
+    # the effects M(i, I) that were summed, in outcome order, for require_valid to return
+    _effects: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> InstrumentValidation:
@@ -198,25 +200,28 @@ def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Instrument
     The defect is the Frobenius norm of ``sum_i M(i, I) - I``; the check
     passes when it does not exceed ``eps_eq * sqrt(dim_in)``.
     """
-    eye_out = np.eye(m.dim_out, dtype=np.complex128)
-    total = np.zeros((m.dim_in, m.dim_in), dtype=np.complex128)
-    counts = []
-    for label, kraus in m.outcomes:
-        total += apply_heisenberg(kraus, eye_out)
-        counts.append((label, len(kraus)))
+    effects = tuple(_effect(kraus) for _, kraus in m.outcomes)
+    total = sum(effects, np.zeros((m.dim_in, m.dim_in), dtype=np.complex128))
     defect = float(np.linalg.norm(total - np.eye(m.dim_in)))
     threshold = tol.eps_eq * float(np.sqrt(m.dim_in))
-    return InstrumentValidation(defect <= threshold, defect, threshold, tuple(counts))
+    counts = tuple((label, len(kraus)) for label, kraus in m.outcomes)
+    report = InstrumentValidation(defect <= threshold, defect, threshold, counts)
+    object.__setattr__(report, "_effects", effects)
+    return report
 
 
-def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> None:
-    """Raise when ``m`` fails normalization."""
+def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """Raise when ``m`` fails normalization; else return the effects ``M(i, I)`` it checked.
+
+    The effects come in outcome order, so callers need not form them again.
+    """
     report = validate(m, tol)
     if not report.passed:
         raise InstrumentumError(
             f"instrument is not normalized: defect {report.normalization_defect:.3e} "
             f"exceeds {report.threshold:.3e}"
         )
+    return report._effects
 
 
 def _effect_factors(p: Povm, tol: Tolerances) -> list:
@@ -247,15 +252,7 @@ def _require_effect_sum(p: Povm, tol: Tolerances) -> None:
 
 def associate_povm(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Povm:
     """The measure ``i -> M(i, I)`` of outcome effects."""
-    require_valid(m, tol)
-    return _povm_of(m)
-
-
-def _povm_of(m: DiscreteInstrument) -> Povm:
-    """``associate_povm`` of an instrument already known to be normalized."""
-    eye_out = np.eye(m.dim_out, dtype=np.complex128)
-    effects = tuple((label, apply_heisenberg(kraus, eye_out)) for label, kraus in m.outcomes)
-    return Povm(m.dim_in, effects)
+    return Povm(m.dim_in, tuple(zip(m.labels, require_valid(m, tol))))
 
 
 def associate_channel(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
@@ -387,8 +384,7 @@ def margins(b: BiInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Povm]
     The first margin sums effects over the second label, the second margin
     over the first.
     """
-    require_valid(b, tol)
-    p = _povm_of(b)
+    p = associate_povm(b, tol)
     first = {label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.first_labels}
     second = {
         label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.second_labels

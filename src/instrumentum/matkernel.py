@@ -153,10 +153,17 @@ def _factor(sym: np.ndarray, tol: Tolerances) -> _Factor:
     eigenvalues.  The caller checks Hermiticity, or knows it.
     """
     values, vectors = _descending_eigh(sym, tol)
-    # values descend, so the kept ones lead
-    r = int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
+    r = _kept(values, tol)  # values descend, so the kept ones lead
     w = vectors[:, :r] * np.sqrt(values[:r])
     return _Factor(values, vectors, w, _psd_verdict(float(values[-1]), float(values[0]), tol))
+
+
+def _kept(values: np.ndarray, tol: Tolerances) -> int:
+    """The rank cut: how many descending ``values`` exceed ``sv_rel_cutoff * values[0]``.
+
+    ``values`` are eigenvalues, or the squares ``s * s`` of singular values.
+    """
+    return int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
 
 
 def _psd_verdict(lo: float, hi: float, tol: Tolerances) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import apply_heisenberg, apply_schrodinger
+from .cpmaps import apply_schrodinger
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Label, _checked_subset, require_valid
 from .matkernel import DEFAULT_TOL, Tolerances, _is_psd, as_matrix, dagger, require_hermitian
@@ -45,14 +45,9 @@ def outcome_distribution(
     m: DiscreteInstrument, rho, tol: Tolerances = DEFAULT_TOL
 ) -> tuple:
     """Probabilities ``tr[rho M(i)]`` of all outcomes, in label order."""
-    require_valid(m, tol)
+    effects = require_valid(m, tol)
     rho = _check_state(rho, m.dim_in, tol)
-    eye_out = np.eye(m.dim_out, dtype=np.complex128)
-    weights = []
-    for label, kraus in m.outcomes:
-        effect = apply_heisenberg(kraus, eye_out)
-        weights.append((label, float(np.trace(rho @ effect).real)))
-    return tuple(weights)
+    return tuple((label, float(np.trace(rho @ e).real)) for label, e in zip(m.labels, effects))
 
 
 def posterior_state(
@@ -62,14 +57,8 @@ def posterior_state(
 
     Raises when the outcome has (numerically) zero probability.
     """
-    require_valid(m, tol)
-    rho = _check_state(rho, m.dim_in, tol)
-    kraus = m.outcome(label)
-    raw = apply_schrodinger(kraus, rho)
-    weight = float(np.trace(raw).real)
-    if weight <= tol.eps_eq:
-        raise InstrumentumError(f"outcome {label!r} has zero probability on this state")
-    state = (raw + dagger(raw)) / (2.0 * weight)
+    zero = f"outcome {label!r} has zero probability on this state"
+    _, weight, state = _conditioned(m, rho, (label,), zero, tol)
     return PosteriorResult(label, weight, state)
 
 
@@ -77,6 +66,12 @@ def conditional_output(
     m: DiscreteInstrument, rho, subset, tol: Tolerances = DEFAULT_TOL
 ) -> PosteriorResult:
     """The output state conditioned on the outcome falling in ``subset``."""
+    zero = "outcome subset has zero probability on this state"
+    return PosteriorResult(*_conditioned(m, rho, subset, zero, tol))
+
+
+def _conditioned(m: DiscreteInstrument, rho, subset, zero: str, tol: Tolerances) -> tuple:
+    """Checked ``subset``, probability and output state given an outcome in it; raises ``zero``."""
     require_valid(m, tol)
     rho = _check_state(rho, m.dim_in, tol)
     subset = _checked_subset(m, subset)
@@ -87,9 +82,8 @@ def conditional_output(
             raw += apply_schrodinger(kraus, rho)
     weight = float(np.trace(raw).real)
     if weight <= tol.eps_eq:
-        raise InstrumentumError("outcome subset has zero probability on this state")
-    state = (raw + dagger(raw)) / (2.0 * weight)
-    return PosteriorResult(subset, weight, state)
+        raise InstrumentumError(zero)
+    return subset, weight, (raw + dagger(raw)) / (2.0 * weight)
 
 
 def conditional_expectation(

@@ -1,4 +1,4 @@
-"""Shared fixtures: the instrument corpus, a decomposition counter and the acceptance summary."""
+"""Shared fixtures: the instrument corpus, call counters and the acceptance summary."""
 
 import re
 import sys
@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from instrumentum import matkernel
+from instrumentum import cpmaps, matkernel
 
 from instrumentum import (
     DiscreteInstrument,
@@ -96,27 +96,44 @@ class CallLog(list):
         return sum(1 for n, a, _ in self if n == name and (shape is None or np.shape(a) == shape))
 
 
+def _counted(log, name, fn):
+    def wrapper(a, *args, **kwargs):
+        out = fn(a, *args, **kwargs)
+        log.append((name, a, out))
+        return out
+
+    return wrapper
+
+
+def _count_package_calls(monkeypatch, log, owner, fn_names):
+    """Log the calls of ``owner``'s functions through every ``instrumentum`` module namespace.
+
+    The modules import each other's functions by name, so patching only the
+    defining module would miss most calls.
+    """
+    for fn_name in fn_names:
+        original = getattr(owner, fn_name)
+        check = _counted(log, fn_name, original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("instrumentum") and getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, check)
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """Log numpy's ``eigh``/``eigvalsh``/``svd``/``qr``, ``require_hermitian`` and ``isometry_complete``."""
     log = CallLog()
-
-    def counted(name, fn):
-        def wrapper(a, *args, **kwargs):
-            out = fn(a, *args, **kwargs)
-            log.append((name, a, out))
-            return out
-
-        return wrapper
-
     for name in ("eigh", "eigvalsh", "svd", "qr"):
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    for fn_name in ("require_hermitian", "isometry_complete"):
-        original = getattr(matkernel, fn_name)
-        check = counted(fn_name, original)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("instrumentum") and getattr(module, fn_name, None) is original:
-                monkeypatch.setattr(module, fn_name, check)
+        monkeypatch.setattr(np.linalg, name, _counted(log, name, getattr(np.linalg, name)))
+    _count_package_calls(monkeypatch, log, matkernel, ("require_hermitian", "isometry_complete"))
+    return log
+
+
+@pytest.fixture
+def effect_calls(monkeypatch):
+    """Log ``cpmaps.apply_heisenberg`` and ``cpmaps._effect``, each with its Kraus set."""
+    log = CallLog()
+    _count_package_calls(monkeypatch, log, cpmaps, ("apply_heisenberg", "_effect"))
     return log
 
 

@@ -6,8 +6,9 @@ so every report derived from the maps, unchanged.  Reordering the outcomes,
 each label kept with its map, reorders the per-outcome figures the same way
 and leaves the whole-instrument ones unchanged.  Changing the input and
 output bases, ``A -> V A U^dag``, leaves every rank and verdict unchanged.
-The minimal Kraus count is the Choi rank an outcome was built with, and a
-nuclear instrument has the operator count and the action it is defined by.
+The minimal Kraus count is the Choi rank an outcome was built with, a
+nuclear instrument has the operator count and the action it is defined by,
+and sequential composition is associative up to relabelling.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from instrumentum import (
     apply_heisenberg,
     associate_povm,
     compat_channel,
+    compose_sequential,
     instrument_extremal,
     minimal_kraus,
     minimal_stinespring,
@@ -35,8 +37,8 @@ DIMS = st.integers(min_value=1, max_value=4)
 
 
 @st.composite
-def instruments(draw):
-    dim_in, dim_out = draw(DIMS), draw(DIMS)
+def instruments(draw, dims_in=DIMS, dims_out=DIMS):
+    dim_in, dim_out = draw(dims_in), draw(dims_out)
     fibers = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
     if dim_out * sum(fibers) < dim_in:
         fibers[0] += -(-dim_in // dim_out) - sum(fibers)
@@ -191,3 +193,22 @@ def test_nuclear_counts_and_action(case):
         for b in units:
             expected = np.trace(sigma @ b) * effect
             assert np.max(np.abs(apply_heisenberg(kraus, b) - expected)) <= 1e-12
+
+
+@st.composite
+def composable_triples(draw):
+    """Three instruments ``d0 -> d1 -> d2 -> d3`` that can be composed in sequence."""
+    dims = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4))
+    return [draw(instruments(st.just(a), st.just(b)))[0] for a, b in zip(dims, dims[1:])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(composable_triples())
+def test_sequential_composition_is_associative(triple):
+    m1, m2, m3 = triple
+    left = compose_sequential(compose_sequential(m1, m2), m3)
+    right = compose_sequential(m1, compose_sequential(m2, m3))
+    assert left.labels == tuple(((i, j), k) for i, (j, k) in right.labels)
+    for (_, a), (_, b) in zip(left.outcomes, right.outcomes):
+        assert len(a) == len(b)
+        assert np.max(np.abs(a.stack - b.stack), initial=0.0) <= 1e-12
