@@ -46,12 +46,12 @@ from .instruments import (
     _check_labels,
     _checked_subset,
     _effect_factors,
+    _nuclear,
     _pooled,
     associate_povm,
-    nuclear,
     require_valid,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, _kept, _rank, dagger
+from .matkernel import DEFAULT_TOL, Tolerances, _factor, _kept, _rank, dagger
 
 __all__ = [
     "CompatCoefficients",
@@ -238,8 +238,7 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
     isometries = []
     max_residual = 0.0
     for _, kraus in m.outcomes:
-        rows = KrausSet(dim_in, 1, kraus.stack.reshape(-1, 1, dim_in))
-        psi = minimal_kraus(rows, tol).stack[:, 0, :]  # (n_i, dim_in)
+        psi = _naimark_fiber(kraus, tol)
         fiber = minimal_kraus(kraus, tol)
         n_i = len(psi)
         psis.append(psi)
@@ -267,6 +266,12 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
         passed=max_residual <= threshold,
     )
     return dec, psis
+
+
+def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
+    """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``."""
+    rows = KrausSet(kraus.dim_in, 1, kraus.stack.reshape(-1, 1, kraus.dim_in))
+    return minimal_kraus(rows, tol).stack[:, 0, :]
 
 
 def _block_product(dec: CompatChannelDecomposition, right: np.ndarray) -> np.ndarray:
@@ -383,7 +388,9 @@ def rank1_nuclear_extract(
             weight = float(np.trace(rho @ effect).real)
             defect = float(np.linalg.norm(apply_schrodinger(kraus, rho) - weight * sigma))
             max_probe_error = max(max_probe_error, defect)
-    rebuilt = nuclear(p, states, tol)
+    # from the instrument's own fibers: nuclear() would re-check p's effects as outside input
+    fibers = [_naimark_fiber(kraus, tol) for _, kraus in m.outcomes]
+    rebuilt = _nuclear(dim_in, dim_out, m.labels, fibers, [_factor(s, tol).w for s in states])
     rebuild_error = max(
         action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)
     )

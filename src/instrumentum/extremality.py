@@ -1,17 +1,19 @@
 """Extreme points: instruments, POVMs, channels, and correlation matrices.
 
-An instrument is an extreme point of the convex set of instruments with its
-outcome space exactly when the operators ``A_k(i)^dag A_l(i)``, taken over
-all outcomes ``i`` and all pairs from a minimal Kraus set of each outcome,
-are linearly independent.  A failure of independence is certified by a
-block-diagonal Hermitian witness ``D`` with
-``sum_{i,k,l} D(i)[k,l] A_k(i)^dag A_l(i) = 0``; factoring ``I +- D(i)``
-splits the instrument into two distinct instruments averaging back to it.
+One criterion, applied by ``_rank_and_witness``, decides every verdict: a
+coefficient matrix whose columns fall into square blocks either has
+independent columns, and its subject is extreme, or its kernel holds a
+blockwise Hermitian vector, which scaled to unit operator norm is a witness
+splitting the subject into two distinct halves that average back to it.
 
-A unit-diagonal PSD matrix (a correlation matrix) is extreme in its convex
-body exactly when the projectors onto its Gram vectors span the full matrix
-algebra of the Gram space; the witness there is a matrix ``B`` with
-``<m_i| B m_i> = 0`` for every Gram vector.
+* An instrument passes the columns ``vec(A_k(i)^dag A_l(i))`` over the pairs
+  of a minimal Kraus set of each outcome ``i``, one block per outcome; its
+  witness ``D`` has ``sum_{i,k,l} D(i)[k,l] A_k(i)^dag A_l(i) = 0``, and
+  factoring ``I +- D(i)`` gives the halves.  A POVM passes the columns of its
+  one-dimensional-output instrument, a unital channel those of its one-outcome one.
+* A correlation matrix (unit-diagonal PSD) with Gram vectors ``m_i`` passes
+  the rows ``vec(|m_i><m_i|)``, one block of the Gram rank; its witness ``B``
+  has ``<m_i| B m_i> = 0`` for every ``i``.
 """
 
 from __future__ import annotations
@@ -98,6 +100,16 @@ def _marginal_flag(singular_values: np.ndarray, rank: int, shape, tol: Tolerance
     return smallest_kept <= 10.0 * _sv_cut(singular_values[0], shape, tol)
 
 
+def _op_norm(blocks) -> float:
+    """Largest operator norm among Hermitian blocks (an empty block counts zero)."""
+    return max((float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in blocks)
+
+
+def _kernel_defect(a: np.ndarray, blocks) -> float:
+    """``||a v||`` for the vector ``v`` made of the flattened ``blocks`` in order."""
+    return float(np.linalg.norm(a @ np.concatenate([b.reshape(-1) for b in blocks])))
+
+
 def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
     """Blockwise Hermitian part of a kernel element, picked by larger norm."""
     sym = [(b + dagger(b)) / 2.0 for b in blocks]
@@ -107,12 +119,32 @@ def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
     chosen, norm = (sym, norm_sym) if norm_sym >= norm_anti else (anti, norm_anti)
     if norm <= tol.sv_rel_cutoff:
         return None
-    op_norm = max(
-        (float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in chosen
-    )
+    op_norm = _op_norm(chosen)
     if op_norm <= 0.0:
         return None
     return [b / op_norm for b in chosen]
+
+
+def _rank_and_witness(a: np.ndarray, block_dims, n: int, tol: Tolerances) -> tuple:
+    """The extremality criterion on ``a``: its rank, ``marginal`` flag, and witness.
+
+    The columns of ``a`` fall into square blocks of the sizes ``block_dims``.
+    The witness is None when the columns are independent; otherwise it is the
+    first kernel vector whose blockwise Hermitian part, scaled to unit
+    operator norm, leaves a residual ``||a v|| <= eps_eq * max(1, n)``, as a
+    tuple of blocks.  Raises when no kernel vector qualifies.
+    """
+    rank, singular_values, null_basis = svd_rank(a, tol)
+    marginal = _marginal_flag(singular_values, rank, a.shape, tol)
+    if rank == a.shape[1]:
+        return rank, marginal, None
+    cuts = np.cumsum([k * k for k in block_dims])[:-1]
+    for column in null_basis.T:
+        pieces = [v.reshape(k, k) for v, k in zip(np.split(column, cuts), block_dims)]
+        witness = _hermitize_block_diagonal(pieces, tol)
+        if witness is not None and _kernel_defect(a, witness) <= tol.eps_eq * max(1.0, float(n)):
+            return rank, marginal, tuple(witness)
+    raise InstrumentumError("failed to extract a Hermitian witness from the kernel")
 
 
 def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
@@ -125,28 +157,10 @@ def _extremal(m: DiscreteInstrument, blocks: list, tol: Tolerances) -> Extremali
     """``instrument_extremal`` of a normalized ``m`` whose minimal Kraus sets are ``blocks``."""
     block_dims = tuple(len(ks) for ks in blocks)
     gram = _gram_columns(blocks, m.dim_in)
-    rank, singular_values, null_basis = svd_rank(gram, tol)
-    required = sum(n * n for n in block_dims)
-    marginal = _marginal_flag(singular_values, rank, gram.shape, tol)
-    if rank == required:
-        return ExtremalityReport(True, rank, required, marginal, m.labels, block_dims)
-    witness = None
-    for column in range(null_basis.shape[1]):
-        pieces = []
-        offset = 0
-        for n_i in block_dims:
-            pieces.append(null_basis[offset : offset + n_i * n_i, column].reshape(n_i, n_i))
-            offset += n_i * n_i
-        witness_blocks = _hermitize_block_diagonal(pieces, tol)
-        if witness_blocks is None:
-            continue
-        flat = np.concatenate([b.reshape(-1) for b in witness_blocks])
-        if float(np.linalg.norm(gram @ flat)) <= tol.eps_eq * max(1.0, float(m.dim_in)):
-            witness = tuple(witness_blocks)
-            break
-    if witness is None:
-        raise InstrumentumError("failed to extract a Hermitian witness from the kernel")
-    return ExtremalityReport(False, rank, required, marginal, m.labels, block_dims, witness)
+    rank, marginal, witness = _rank_and_witness(gram, block_dims, m.dim_in, tol)
+    return ExtremalityReport(  # required_rank: the column count sum_i n(i)^2
+        witness is None, rank, gram.shape[1], marginal, m.labels, block_dims, witness
+    )
 
 
 def povm_extremal(p: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
@@ -189,12 +203,10 @@ def witness_decompose(
     total_norm = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in herm))
     if total_norm <= tol.eps_eq:
         raise InstrumentumError("witness is numerically zero")
-    op_norm = max((float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in herm)
+    op_norm = _op_norm(herm)
     if op_norm > 1.0 + tol.eps_psd:
         raise InstrumentumError(f"witness operator norm {op_norm:.6f} exceeds one")
-    gram = _gram_columns(blocks, m.dim_in)
-    flat = np.concatenate([b.reshape(-1) for b in herm]) if herm else np.zeros(0)
-    kernel_defect = float(np.linalg.norm(gram @ flat))
+    kernel_defect = _kernel_defect(_gram_columns(blocks, m.dim_in), herm)
     if kernel_defect > tol.eps_eq * max(1.0, float(m.dim_in)):
         raise InstrumentumError(
             f"witness does not annihilate the Kraus products: defect {kernel_defect:.3e}"
@@ -242,27 +254,10 @@ def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:
     cut = _sv_cut(np.max(np.abs(f.values)), c.shape, tol)
     rank = int(np.count_nonzero(f.values > cut))
     gram = (np.sqrt(f.values[:rank])[:, None] * dagger(f.vectors[:, :rank])).T  # row i = m_i
-    span = np.zeros((n, rank * rank), dtype=np.complex128)
-    for i in range(n):
-        span[i] = np.outer(gram[i].conj(), gram[i]).reshape(-1)
-    span_rank, singular_values, null_basis = svd_rank(span, tol)
-    marginal = _marginal_flag(singular_values, span_rank, span.shape, tol)
-    if span_rank == rank * rank:
-        return CorrelationReport(True, rank, span_rank, marginal, gram)
-    witness = None
-    for column in range(null_basis.shape[1]):
-        b = null_basis[:, column].reshape(rank, rank)
-        herm = _hermitize_block_diagonal([b], tol)
-        if herm is None:
-            continue
-        candidate = herm[0]
-        defect = float(np.max(np.abs(np.einsum("ia,ab,ib->i", gram.conj(), candidate, gram))))
-        if defect <= tol.eps_eq * max(1.0, float(n)):
-            witness = candidate
-            break
-    if witness is None:
-        raise InstrumentumError("failed to extract a Hermitian witness from the kernel")
-    return CorrelationReport(False, rank, span_rank, marginal, gram, witness)
+    span = (gram.conj()[:, :, None] * gram[:, None, :]).reshape(n, rank * rank)
+    span_rank, marginal, witness = _rank_and_witness(span, (rank,), n, tol)
+    witness = None if witness is None else witness[0]
+    return CorrelationReport(witness is None, rank, span_rank, marginal, gram, witness)
 
 
 def correlation_witness_split(report: CorrelationReport) -> tuple[np.ndarray, np.ndarray]:

@@ -331,8 +331,8 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     if not states:
         raise ValueError("at least one outcome is required")
     dim_out = states[0].shape[0]
-    outcomes = []
-    for label, d, sigma in zip(p.labels, effect_factors, states):
+    state_factors = []
+    for label, sigma in zip(p.labels, states):
         if sigma.shape != (dim_out, dim_out):
             raise ValueError(f"state for outcome {label!r} has shape {sigma.shape}")
         f = _factor(require_hermitian(sigma, tol), tol)
@@ -341,11 +341,23 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
         trace = float(np.trace(sigma).real)
         if abs(trace - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(dim_out))):
             raise InstrumentumError(f"state for outcome {label!r} has trace {trace!r}")
+        state_factors.append(f.w)
+    rows = [d.conj().T for d in effect_factors]
+    return _nuclear(p.dim, dim_out, p.labels, rows, state_factors)
+
+
+def _nuclear(dim_in: int, dim_out: int, labels, rows, state_factors) -> DiscreteInstrument:
+    """``nuclear``'s instrument, unchecked, from factors of its effects and states.
+
+    ``rows[i]`` holds the vectors ``d_l(i)^dag`` of ``M(i) = rows[i]^dag rows[i]``
+    and ``state_factors[i]`` the columns ``sqrt(p_m) phi_m`` of ``sigma_i``.
+    """
+    outcomes = []
+    for label, psi, w in zip(labels, rows, state_factors):
         # [l, m] = sqrt(p_m) |phi_m><d_l(i)|
-        ops = f.w.T[None, :, :, None] * d.conj().T[:, None, None, :]
-        ops = ops.reshape(-1, dim_out, p.dim)
-        outcomes.append((label, KrausSet(p.dim, dim_out, ops)))
-    return DiscreteInstrument(p.dim, dim_out, tuple(outcomes))
+        ops = w.T[None, :, :, None] * psi[:, None, None, :]
+        outcomes.append((label, KrausSet(dim_in, dim_out, ops.reshape(-1, dim_out, dim_in))))
+    return DiscreteInstrument(dim_in, dim_out, tuple(outcomes))
 
 
 def compose_sequential(

@@ -94,7 +94,7 @@ def require_hermitian(a, tol: Tolerances = DEFAULT_TOL, *, name: str = "matrix")
     """Validate Hermiticity within ``eps_herm`` and return the symmetrized matrix."""
     a = as_matrix(a, name=name)
     if a.shape[0] != a.shape[1]:
-        raise InstrumentumError(f"{name} must be square, got shape {a.shape}")
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
     defect = herm_defect(a)
     if defect > tol.eps_herm * max(1.0, float(np.linalg.norm(a))):
         raise InstrumentumError(f"{name} is not Hermitian: defect {defect:.3e}")

@@ -189,6 +189,14 @@ class TestPosterior:
         assert code == 1
         assert "9" in err
 
+    def test_non_square_state_exits_one(self, run, luders_file, tmp_path):
+        path = tmp_path / "rect.json"
+        save(Document(kind="matrix", value=np.full((2, 3), 0.5, dtype=complex)), path)
+        code, report, err = run("posterior", luders_file, "--state", str(path))
+        assert code == 1
+        assert report is None
+        assert "must be square" in err
+
 
 class TestComposeAndCompat:
     def test_compose_writes_loadable_instrument(self, run, luders_file, tmp_path):
@@ -336,6 +344,14 @@ class TestCorrExtreme:
         assert code == 0
         assert report["gram_rank"] == 1
         assert report["is_extreme"]
+
+    def test_non_square_matrix_exits_one(self, run, tmp_path):
+        path = tmp_path / "rect.json"
+        save(Document(kind="matrix", value=np.ones((2, 3), dtype=complex)), path)
+        code, report, err = run("corr-extreme", str(path))
+        assert code == 1
+        assert report is None
+        assert "correlation matrix must be square" in err
 
 
 class TestChoiAndCp:

@@ -8,6 +8,7 @@ from instrumentum import (
     InstrumentumError,
     KrausSet,
     Povm,
+    Tolerances,
     apply_heisenberg,
     apply_schrodinger,
     associate_povm,
@@ -28,6 +29,7 @@ from helpers import (
     near_cut_instrument,
     rand_coeffs_tensor,
     rand_povm,
+    rand_instrument,
     rand_state,
 )
 
@@ -259,6 +261,18 @@ class TestNuclearExtract:
         _, states, report = rank1_nuclear_extract(m)
         assert report.passed
         assert np.allclose(states[2], eye / 2)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tight_eps_psd_keeps_the_instruments_own_effects(self, seed):
+        # rank-one effects on C^3 have eigenvalues near -1e-16, which no positivity check
+        # passes at eps_psd=1e-300; the rebuild must not re-check the instrument's own POVM
+        p = associate_povm(rand_instrument(np.random.default_rng(seed), 3, 1, (1, 1, 1, 1)))
+        m = nuclear(p, [np.eye(2, dtype=complex) / 2] * 4)
+        _, states, report = rank1_nuclear_extract(m, Tolerances(eps_psd=1e-300))
+        assert report.passed
+        assert report.rebuild_error <= 1e-12
+        for sigma in states:
+            assert np.allclose(sigma, np.eye(2) / 2, atol=1e-12)
 
     def test_rejects_higher_rank_effects(self):
         with pytest.raises(InstrumentumError, match="rank 2"):

@@ -8,7 +8,10 @@ and leaves the whole-instrument ones unchanged.  Changing the input and
 output bases, ``A -> V A U^dag``, leaves every rank and verdict unchanged.
 The minimal Kraus count is the Choi rank an outcome was built with, a
 nuclear instrument has the operator count and the action it is defined by,
-and sequential composition is associative up to relabelling.
+and sequential composition is associative up to relabelling.  A witness
+splits a non-extreme instrument or correlation matrix into two valid halves
+averaging back to it, and a correlation verdict ignores a relabelling of the
+rows or a diagonal phase change ``D C D^dag``.
 """
 
 import numpy as np
@@ -23,12 +26,15 @@ from instrumentum import (
     associate_povm,
     compat_channel,
     compose_sequential,
+    correlation_extremal,
+    correlation_witness_split,
     instrument_extremal,
     minimal_kraus,
     minimal_stinespring,
     nuclear,
     povm_extremal,
     validate,
+    witness_decompose,
 )
 
 from helpers import rand_instrument, rand_isometry, rand_state, rand_unitary
@@ -212,3 +218,83 @@ def test_sequential_composition_is_associative(triple):
     for (_, a), (_, b) in zip(left.outcomes, right.outcomes):
         assert len(a) == len(b)
         assert np.max(np.abs(a.stack - b.stack), initial=0.0) <= 1e-12
+
+
+@st.composite
+def non_extreme_instruments(draw):
+    """Generic instruments with more products ``A_k(i)^dag A_l(i)`` than ``dim_in^2``.
+
+    An outcome built from ``n`` generic operators has ``min(n, dim_in * dim_out)``
+    minimal ones, so the products outnumber the dimension of the operator space
+    of the input, and the criterion must find a witness.
+    """
+    dim_in, dim_out = draw(DIMS), draw(DIMS)
+    fibers = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
+    while sum(min(n, dim_in * dim_out) ** 2 for n in fibers) <= dim_in**2:
+        fibers.append(dim_in)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return rand_instrument(np.random.default_rng(seed), dim_in, dim_out, tuple(fibers))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(non_extreme_instruments())
+def test_witness_halves_are_distinct_instruments_averaging_back(m):
+    report = instrument_extremal(m)
+    assert not report.is_extreme
+    plus, minus = witness_decompose(m, report.witness)
+    assert validate(plus).passed and validate(minus).passed
+    apart = max(action_distance(k1, k2) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes))
+    assert apart > 1e-6
+    for (_, kraus), (_, k_plus), (_, k_minus) in zip(m.outcomes, plus.outcomes, minus.outcomes):
+        pooled = np.concatenate([k_plus.stack, k_minus.stack]) / np.sqrt(2.0)
+        assert action_distance(KrausSet(m.dim_in, m.dim_out, pooled), kraus) <= 1e-9
+
+
+@st.composite
+def correlation_matrices(draw, extreme):
+    """``C = G G^dag`` for ``n`` generic unit Gram vectors of length ``r`` (the rows of ``G``).
+
+    The projectors ``|m_i><m_i|`` of generic complex vectors span ``min(n, r^2)``
+    dimensions, so ``C`` is extreme exactly when ``r^2 <= n``; real vectors span
+    only ``r (r + 1) / 2``, so they are drawn only for non-extreme cases.
+    """
+    n = draw(st.integers(min_value=2, max_value=6))
+    r = draw(st.sampled_from([r for r in range(1, n + 1) if (r * r <= n) == extreme]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    if not extreme and draw(st.booleans()):
+        g = g.real.astype(complex)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g @ g.conj().T, rng
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(correlation_matrices(extreme=False))
+def test_correlation_halves_are_correlation_matrices_averaging_back(case):
+    c, _ = case
+    report = correlation_extremal(c)
+    assert not report.is_extreme
+    plus, minus = correlation_witness_split(report)
+    for half in (plus, minus):
+        assert np.max(np.abs(np.diag(half) - 1.0)) <= 1e-9
+        assert np.linalg.norm(half - half.conj().T) <= 1e-9
+        assert np.linalg.eigvalsh((half + half.conj().T) / 2)[0] >= -1e-9
+    assert np.linalg.norm(plus - minus) > 1e-6
+    assert np.linalg.norm((plus + minus) / 2 - c) <= 1e-9
+
+
+def correlation_verdict(c):
+    r = correlation_extremal(c)
+    return r.is_extreme, r.gram_rank, r.span_rank
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.one_of(correlation_matrices(extreme=True), correlation_matrices(extreme=False)))
+def test_correlation_verdicts_ignore_relabelling_and_phases(case):
+    c, rng = case
+    n = c.shape[0]
+    order = rng.permutation(n)
+    phases = np.exp(2j * np.pi * rng.random(n))
+    expected = correlation_verdict(c)
+    assert correlation_verdict(c[np.ix_(order, order)]) == expected  # P C P^T
+    assert correlation_verdict(phases[:, None] * c * phases.conj()[None, :]) == expected

@@ -151,6 +151,10 @@ class TestRequireHermitian:
         a = 1e6 * np.eye(3) + 1e-4 * np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         require_hermitian(a)
 
+    def test_non_square_is_a_shape_error(self):
+        with pytest.raises(ValueError, match="must be square"):
+            require_hermitian(np.ones((2, 3)))
+
 
 class TestIsometryComplete:
     def test_extends_exactly(self):
