@@ -194,6 +194,11 @@ def apply_schrodinger(k: KrausSet, rho) -> np.ndarray:
     rho = as_matrix(rho, name="state")
     if rho.shape != (k.dim_in, k.dim_in):
         raise ValueError(f"state has shape {rho.shape}, expected {(k.dim_in, k.dim_in)}")
+    return _schrodinger(k, rho)
+
+
+def _schrodinger(k: KrausSet, rho: np.ndarray) -> np.ndarray:
+    """``apply_schrodinger`` of an already checked ``dim_in``-sided complex array ``rho``."""
     return _running_sum(k.stack @ rho @ dagger(k.stack))
 
 

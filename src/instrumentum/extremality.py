@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, _effect, action_distance, minimal_kraus
+from .cpmaps import KrausSet, action_distance, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
 from .matkernel import (
@@ -171,10 +171,10 @@ def povm_extremal(p: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
 
 def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality of a unital (Heisenberg) channel among such channels."""
-    unital_defect = float(np.linalg.norm(_effect(t) - np.eye(t.dim_in)))
+    m = DiscreteInstrument(t.dim_in, t.dim_out, ((0, t),))
+    unital_defect = m._normalization[1]  # ||E(I) - I||_F of the single outcome
     if unital_defect > tol.eps_eq * float(np.sqrt(t.dim_in)):
         raise InstrumentumError(f"map is not a channel: unit defect {unital_defect:.3e}")
-    m = DiscreteInstrument(t.dim_in, t.dim_out, ((0, t),))
     return _extremal(m, [minimal_kraus(t, tol)], tol)
 
 

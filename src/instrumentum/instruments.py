@@ -3,15 +3,18 @@
 An instrument assigns to each outcome label a CP map given by a Kraus set;
 the maps share input/output spaces and their Heisenberg actions on the
 identity sum to the identity.  Outcome labels follow one grammar, checked by
-every labelled constructor in the package: a label is a string, an integer
-that is not a boolean, or a tuple of labels (tuples arise from sequential
-composition and from rank-one refinement).  Zero effects and zero outcome
-maps are legal and retained, so label sets round-trip through files unchanged.
+every labelled constructor in the package and by every lookup by label: a
+label is a string, an integer that is not a boolean, or a tuple of labels
+(tuples arise from sequential composition and from rank-one refinement), so
+``True`` or ``1.0`` names no outcome although it equals ``1``.  Zero effects
+and zero outcome maps are legal and retained, so label sets round-trip through
+files unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -107,9 +110,10 @@ class Povm:
         return tuple(label for label, _ in self.effects)
 
     def effect(self, label: Label) -> np.ndarray:
-        for lab, matrix in self.effects:
-            if lab == label:
-                return matrix
+        if _label_fault(label) is None:  # else True or 1.0 would compare equal to 1
+            for lab, matrix in self.effects:
+                if lab == label:
+                    return matrix
         raise KeyError(f"no effect labeled {label!r}")
 
     def __len__(self) -> int:
@@ -151,13 +155,27 @@ class DiscreteInstrument:
         return tuple(label for label, _ in self.outcomes)
 
     def outcome(self, label: Label) -> KrausSet:
-        for lab, kraus in self.outcomes:
-            if lab == label:
-                return kraus
+        if _label_fault(label) is None:  # else True or 1.0 would compare equal to 1
+            for lab, kraus in self.outcomes:
+                if lab == label:
+                    return kraus
         raise KeyError(f"no outcome labeled {label!r}")
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+    @cached_property
+    def _normalization(self) -> tuple:
+        """The read-only effects ``M(i, I)`` in outcome order and ``||sum_i M(i, I) - I||_F``.
+
+        Formed on first need and kept, as the instrument is immutable; the
+        verdict depends on the caller's ``Tolerances`` and is not kept.
+        """
+        effects = tuple(_effect(kraus) for _, kraus in self.outcomes)
+        for e in effects:
+            e.setflags(write=False)
+        total = sum(effects, np.zeros((self.dim_in, self.dim_in), dtype=np.complex128))
+        return effects, float(np.linalg.norm(total - np.eye(self.dim_in)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +208,6 @@ class InstrumentValidation:
     normalization_defect: float
     threshold: float
     outcome_kraus_counts: tuple = ()
-    # the effects M(i, I) that were summed, in outcome order, for require_valid to return
-    _effects: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> InstrumentValidation:
@@ -200,20 +216,17 @@ def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Instrument
     The defect is the Frobenius norm of ``sum_i M(i, I) - I``; the check
     passes when it does not exceed ``eps_eq * sqrt(dim_in)``.
     """
-    effects = tuple(_effect(kraus) for _, kraus in m.outcomes)
-    total = sum(effects, np.zeros((m.dim_in, m.dim_in), dtype=np.complex128))
-    defect = float(np.linalg.norm(total - np.eye(m.dim_in)))
+    defect = m._normalization[1]
     threshold = tol.eps_eq * float(np.sqrt(m.dim_in))
     counts = tuple((label, len(kraus)) for label, kraus in m.outcomes)
-    report = InstrumentValidation(defect <= threshold, defect, threshold, counts)
-    object.__setattr__(report, "_effects", effects)
-    return report
+    return InstrumentValidation(defect <= threshold, defect, threshold, counts)
 
 
 def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """Raise when ``m`` fails normalization; else return the effects ``M(i, I)`` it checked.
+    """Raise when ``m`` fails normalization; else return its effects ``M(i, I)``.
 
-    The effects come in outcome order, so callers need not form them again.
+    The effects are the instrument's own read-only arrays, in outcome order,
+    so callers need not form them again.
     """
     report = validate(m, tol)
     if not report.passed:
@@ -221,7 +234,7 @@ def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple
             f"instrument is not normalized: defect {report.normalization_defect:.3e} "
             f"exceeds {report.threshold:.3e}"
         )
-    return report._effects
+    return m._normalization[0]
 
 
 def _effect_factors(p: Povm, tol: Tolerances) -> list:
@@ -273,7 +286,7 @@ def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
     if not subset:
         raise ValueError("subset must contain at least one outcome label")
     for label in subset:
-        if label not in m.labels:
+        if _label_fault(label) is not None or label not in m.labels:
             raise KeyError(f"no outcome labeled {label!r}")
     return subset
 

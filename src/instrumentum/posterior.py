@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import apply_schrodinger
+from .cpmaps import _schrodinger
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Label, _checked_subset, require_valid
 from .matkernel import DEFAULT_TOL, Tolerances, _is_psd, as_matrix, dagger, require_hermitian
@@ -79,7 +79,7 @@ def _conditioned(m: DiscreteInstrument, rho, subset, zero: str, tol: Tolerances)
     raw = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
     for label, kraus in m.outcomes:
         if label in subset:
-            raw += apply_schrodinger(kraus, rho)
+            raw += _schrodinger(kraus, rho)
     weight = float(np.trace(raw).real)
     if weight <= tol.eps_eq:
         raise InstrumentumError(zero)
@@ -101,7 +101,7 @@ def conditional_expectation(
         raise ValueError(f"observable has shape {b.shape}, expected {(m.dim_out, m.dim_out)}")
     out = []
     for label, kraus in m.outcomes:
-        raw = apply_schrodinger(kraus, rho)
+        raw = _schrodinger(kraus, rho)
         weight = float(np.trace(raw).real)
         if weight <= tol.eps_eq:
             continue

@@ -1,15 +1,16 @@
-"""Each public call forms each outcome's effect once, from the Kraus rows.
+"""Each instrument forms each outcome's effect once, from the Kraus rows.
 
 The effect ``M(i) = sum_k A_k(i)^dag A_k(i)`` is ``cpmaps._effect`` of the
-outcome's Kraus set; the validation that opens a public call hands the
-effects it summed on to the rest of the call, and no call pushes an identity
-through ``apply_heisenberg`` to form one.
+outcome's Kraus set; an instrument forms its effects on first need and keeps
+them, so later calls on it form none, and no call pushes an identity through
+``apply_heisenberg`` to form one.
 """
 
 import numpy as np
 import pytest
 
 from instrumentum import (
+    DiscreteInstrument,
     KrausSet,
     apply_heisenberg,
     associate_povm,
@@ -27,12 +28,17 @@ from instrumentum.cpmaps import _effect
 from helpers import rand_instrument
 
 
-# name -> (corpus -> instrument, public call on it, effects formed besides the outcomes')
+def fresh(entry):
+    """A new instrument on ``entry``'s Kraus sets, whose effects no earlier test has formed."""
+    return DiscreteInstrument(entry.dim_in, entry.dim_out, entry.outcomes)
+
+
+# name -> (corpus -> fresh instrument, public call on it, effects formed besides the outcomes')
 CALLS = {
-    "validate": (lambda c: c["random-3to2"], validate, 0),
-    "associate_povm": (lambda c: c["random-3to2"], associate_povm, 0),
+    "validate": (lambda c: fresh(c["random-3to2"]), validate, 0),
+    "associate_povm": (lambda c: fresh(c["random-3to2"]), associate_povm, 0),
     "outcome_distribution": (
-        lambda c: c["random-3to2"],
+        lambda c: fresh(c["random-3to2"]),
         lambda m: outcome_distribution(m, np.eye(m.dim_in) / m.dim_in),
         0,
     ),
@@ -41,25 +47,33 @@ CALLS = {
         margins,
         0,
     ),
-    "pvm_compat": (lambda c: c["luders-qutrit-block"], pvm_compat, 0),
-    "rank1_nuclear_extract": (lambda c: c["nuclear-qubit"], rank1_nuclear_extract, 0),
-    "channel_extremal": (lambda c: c["depolarizing"], lambda m: channel_extremal(m.outcome(0)), 0),
+    "pvm_compat": (lambda c: fresh(c["luders-qutrit-block"]), pvm_compat, 0),
+    "rank1_nuclear_extract": (lambda c: fresh(c["nuclear-qubit"]), rank1_nuclear_extract, 0),
+    "channel_extremal": (
+        lambda c: fresh(c["depolarizing"]),
+        lambda m: channel_extremal(m.outcome(0)),
+        0,
+    ),
     # and the unit defect of the factoring channel
-    "lueders_factorization": (lambda c: c["random-3to2"], lueders_factorization, 1),
+    "lueders_factorization": (lambda c: fresh(c["random-3to2"]), lueders_factorization, 1),
 }
+# a bare channel carries no effects of its own: each call wraps it in a new instrument
+UNCACHED = {"channel_extremal"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_forms_each_effect_once(name, corpus, effect_calls):
     build, call, extra = CALLS[name]
     m = build(corpus)
-    effect_calls.clear()
-    call(m)
-    assert effect_calls.number("apply_heisenberg") == 0
-    for label, kraus in m.outcomes:
-        formed = sum(1 for n, k, _ in effect_calls if n == "_effect" and k is kraus)
-        assert formed == 1, f"effect {label!r} formed {formed} times"
-    assert effect_calls.number("_effect") == len(m) + extra
+    # the first call forms each outcome's effect once, a second call on m none
+    for per_outcome in (1, 1 if name in UNCACHED else 0):
+        effect_calls.clear()
+        call(m)
+        assert effect_calls.number("apply_heisenberg") == 0
+        for label, kraus in m.outcomes:
+            formed = sum(1 for n, k, _ in effect_calls if n == "_effect" and k is kraus)
+            assert formed == per_outcome, f"effect {label!r} formed {formed} times"
+        assert effect_calls.number("_effect") == per_outcome * len(m) + extra
 
 
 @pytest.mark.parametrize("fibers", [(2, 1, 2), (0, 3), (2,)])

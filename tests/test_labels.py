@@ -4,6 +4,7 @@ A label is a string, an integer that is not a boolean, or a tuple of labels.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from instrumentum import (
     MeasurementModel,
     Povm,
     StinespringDilation,
+    conditional_output,
     load,
+    lueders,
+    lueders_factorization,
+    posterior_state,
     save,
 )
 
-from helpers import rand_coeffs_tensor, rand_instrument, rand_unitary
+from helpers import basis_pvm, rand_coeffs_tensor, rand_instrument, rand_unitary
 
 LEAVES = st.one_of(st.text(max_size=3), st.integers())
 LABELS = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
@@ -142,3 +147,39 @@ def test_save_refuses_non_grammar_labels_in_kinds_without_a_constructor(tmp_path
         with pytest.raises(FormatError, match="label"):
             save(doc, path)
         assert not path.exists()
+
+
+# values that compare equal to the label 1 without being a label
+LOOKALIKES = [True, 1.0, np.int64(1)]
+
+
+def lookups(label):
+    """Every lookup of ``label`` among the labels 0 and 1, with the error it must raise."""
+    p = basis_pvm(2, ((0,), (1,)))
+    m = lueders(p)
+    rho = np.eye(2, dtype=np.complex128) / 2
+    absent = f"no outcome labeled {label!r}"
+    yield lambda: p.effect(label), f"no effect labeled {label!r}"
+    yield lambda: m.outcome(label), absent
+    yield lambda: posterior_state(m, rho, label), absent
+    yield lambda: conditional_output(m, rho, (label,)), absent
+    yield lambda: conditional_output(m, rho, (1, label)), absent
+    yield lambda: lueders_factorization(m, (label,)), absent
+
+
+@pytest.mark.parametrize("label", LOOKALIKES, ids=repr)
+def test_lookups_refuse_values_that_only_equal_a_label(label):
+    for lookup, message in lookups(label):
+        with pytest.raises(KeyError, match=re.escape(message)):
+            lookup()
+
+
+def test_lookups_still_find_the_label_itself():
+    for lookup, _ in lookups(1):
+        lookup()
+
+
+def test_subset_names_its_first_non_label():
+    m = lueders(basis_pvm(2, ((0,), (1,))))
+    with pytest.raises(KeyError, match="no outcome labeled True"):
+        conditional_output(m, np.eye(2) / 2, (True, 1.0))

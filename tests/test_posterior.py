@@ -6,6 +6,7 @@ import pytest
 from instrumentum import (
     InstrumentumError,
     apply_heisenberg,
+    apply_schrodinger,
     associate_channel,
     conditional_expectation,
     conditional_output,
@@ -13,6 +14,8 @@ from instrumentum import (
     outcome_distribution,
     posterior_state,
 )
+
+from instrumentum.matkernel import dagger, require_hermitian
 
 from helpers import basis_pvm, rand_state
 
@@ -118,3 +121,46 @@ class TestConditionalExpectation:
         m = z_luders()
         pairs = conditional_expectation(m, np.diag([1.0, 0.0]).astype(complex), np.eye(2))
         assert tuple(lab for lab, _ in pairs) == (0,)
+
+
+QUERIES = {
+    "outcome_distribution": lambda m, rho: outcome_distribution(m, rho),
+    "posterior_state": lambda m, rho: posterior_state(m, rho, m.labels[0]),
+    "conditional_output": lambda m, rho: conditional_output(m, rho, m.labels[:2]),
+    "conditional_expectation": lambda m, rho: conditional_expectation(m, rho, np.eye(m.dim_out)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_checks_the_state_once(name, corpus, decompositions):
+    m = corpus["random-3to2"]  # the state is the only 3 x 3 operand
+    rho = rand_state(np.random.default_rng(5), 3)
+    decompositions.clear()
+    QUERIES[name](m, rho)
+    assert decompositions.number("eigvalsh") == decompositions.number("eigvalsh", (3, 3)) == 1
+    assert decompositions.number("require_hermitian") == 1
+    assert [a for n, a, _ in decompositions if n == "require_hermitian"][0] is rho
+
+
+def per_outcome_sum(m, rho, label):
+    """The posterior as a running sum of ``apply_schrodinger`` over the outcomes, checked one by one."""
+    rho = require_hermitian(rho)
+    raw = np.zeros((m.dim_out, m.dim_out), dtype=np.complex128)
+    for lab, kraus in m.outcomes:
+        if lab == label:
+            raw += apply_schrodinger(kraus, rho)
+    weight = float(np.trace(raw).real)
+    return weight, (raw + dagger(raw)) / (2.0 * weight)
+
+
+def test_posterior_is_the_per_outcome_sum_to_the_bit(corpus):
+    rng = np.random.default_rng(7)
+    for name, m in corpus.items():
+        rho = rand_state(rng, m.dim_in)
+        for label, p in outcome_distribution(m, rho):
+            if p <= 1e-9:
+                continue
+            weight, state = per_outcome_sum(m, rho, label)
+            result = posterior_state(m, rho, label)
+            assert result.probability == weight, (name, label)
+            assert result.state.tobytes() == state.tobytes(), (name, label)

@@ -1,10 +1,15 @@
-"""Each public call validates each instrument argument once and rejects a de-normalized one."""
+"""Each public call validates each instrument argument once and rejects a de-normalized one.
+
+An instrument keeps its effects and normalization defect once formed; the
+verdict is recomputed under each call's ``Tolerances``.
+"""
 
 import numpy as np
 import pytest
 
 import instrumentum.instruments as instruments_module
 from instrumentum import (
+    DEFAULT_TOL,
     BiInstrument,
     DiscreteInstrument,
     InstrumentumError,
@@ -28,9 +33,12 @@ from instrumentum import (
     rank1_nuclear_extract,
     refine_rank1,
     trivial_from_channel,
+    validate,
     verify_dilation,
     witness_decompose,
 )
+from instrumentum.cpmaps import _effect
+from instrumentum.instruments import require_valid
 
 from helpers import basis_pvm
 
@@ -145,3 +153,45 @@ def test_compose_rejects_either_denormalized_argument(position):
 def test_trivial_from_channel_rejects_non_channel():
     with pytest.raises(InstrumentumError, match="not normalized"):
         trivial_from_channel(KrausSet(2, 2, (1.01 * np.eye(2, dtype=complex),)))
+
+
+def slightly_denormalized():
+    """A one-outcome instrument with normalization defect about 1e-7."""
+    a = np.diag([np.sqrt(1.0 + 1e-7), 1.0]).astype(complex)
+    return DiscreteInstrument(2, 2, ((0, KrausSet(2, 2, (a,))),))
+
+
+LOOSE = DEFAULT_TOL.scaled(1000)
+
+
+@pytest.mark.parametrize(
+    "order", [(DEFAULT_TOL, LOOSE), (LOOSE, DEFAULT_TOL)], ids=["tight-first", "loose-first"]
+)
+def test_kept_defect_carries_no_verdict(order):
+    m = slightly_denormalized()
+    (k,) = (kraus for _, kraus in m.outcomes)
+    # the defect as formed before the instrument keeps it
+    before = float(np.linalg.norm(_effect(k) + np.zeros((2, 2)) - np.eye(2)))
+    assert 1e-8 < before < 1e-6
+    for tol in order * 2:
+        report = validate(m, tol)
+        assert report.passed == (tol is LOOSE)
+        assert report.normalization_defect.hex() == before.hex()
+        if tol is DEFAULT_TOL:
+            with pytest.raises(InstrumentumError, match="not normalized"):
+                require_valid(m, tol)
+
+
+def test_kept_effects_are_read_only_and_never_handed_out_writable():
+    m = slightly_denormalized()
+    (kept,) = require_valid(m, LOOSE)
+    snapshot = kept.copy()
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0, 0] = 0.0
+    ((_, povm_effect),) = associate_povm(m, LOOSE).effects
+    assert not np.shares_memory(povm_effect, kept)
+    ((_, p),) = outcome_distribution(m, RHO, LOOSE)
+    assert type(p) is float
+    (again,) = require_valid(m, LOOSE)
+    assert again is kept and again.tobytes() == snapshot.tobytes()
