@@ -51,7 +51,7 @@ from .instruments import (
     associate_povm,
     require_valid,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, _factor, _kept, _rank, dagger
+from .matkernel import DEFAULT_TOL, Tolerances, _factor, _kept, _rank, _require_finite, dagger
 
 __all__ = [
     "CompatCoefficients",
@@ -87,6 +87,7 @@ class CompatCoefficients:
         entries = []
         for label, tensor in self.outcomes:
             tensor = np.array(tensor, dtype=np.complex128)
+            _require_finite(tensor, f"coefficient tensor for {label!r}")
             if tensor.ndim != 3:
                 raise ValueError(f"coefficients for {label!r} must be a rank-3 tensor")
             if tensor.shape[1] != self.dim_k:

@@ -37,6 +37,7 @@ from .matkernel import (
     Tolerances,
     _descending_eigh,
     _rank,
+    _require_finite,
     as_matrix,
     dagger,
     isometry_complete,
@@ -156,6 +157,7 @@ class MeasurementModel:
         if ancilla < 1:
             raise ValueError("ancilla must have positive dimension")
         xi = np.array(self.xi, dtype=np.complex128).reshape(-1)
+        _require_finite(xi, "xi")
         if xi.shape != (ancilla,):
             raise ValueError(f"xi has length {xi.size}, expected {ancilla}")
         if abs(np.linalg.norm(xi) - 1.0) > 1e-6:
@@ -193,6 +195,8 @@ class MarkovKernel:
         matrix = np.array(self.matrix, dtype=np.float64)
         eigenvalues = np.array(self.eigenvalues, dtype=np.float64).reshape(-1)
         labels = tuple(self.labels)
+        _require_finite(matrix, "kernel matrix")
+        _require_finite(eigenvalues, "eigenvalue vector")
         if matrix.ndim != 2:
             raise ValueError("kernel matrix must be 2-dimensional")
         if matrix.shape != (len(labels), eigenvalues.size):

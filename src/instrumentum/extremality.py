@@ -29,10 +29,10 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _factor,
-    _sv_cut,
+    _kernel,
+    _span_rank,
     dagger,
     require_hermitian,
-    svd_rank,
 )
 
 __all__ = [
@@ -76,6 +76,10 @@ class CorrelationReport:
     ``gram_vectors`` holds the Gram vector of row ``i`` in row ``i``
     (shape ``(n, gram_rank)``); ``witness`` (when not extreme) is Hermitian
     with unit operator norm and ``<m_i| witness m_i> = 0`` for all ``i``.
+    ``span_rank`` is the rank of the family ``{|m_i><m_i|}``, and the matrix
+    is extreme exactly when it equals ``gram_rank ** 2``.  ``marginal`` flags
+    verdicts where the smallest singular value kept for ``span_rank`` sits
+    within a factor ten of the rank cutoff.
     """
 
     is_extreme: bool
@@ -91,13 +95,6 @@ def _gram_columns(blocks: list, dim_in: int) -> np.ndarray:
     # one (n, n, dim_in, dim_in) array per outcome with [k, l] = A_k^dag A_l
     products = [dagger(ks.stack)[:, None] @ ks.stack[None] for ks in blocks]
     return np.concatenate([p.reshape(-1, dim_in * dim_in) for p in products]).T
-
-
-def _marginal_flag(singular_values: np.ndarray, rank: int, shape, tol: Tolerances) -> bool:
-    if rank == 0 or singular_values.size == 0 or singular_values[0] <= 0.0:
-        return False
-    smallest_kept = float(singular_values[rank - 1])
-    return smallest_kept <= 10.0 * _sv_cut(singular_values[0], shape, tol)
 
 
 def _op_norm(blocks) -> float:
@@ -134,8 +131,7 @@ def _rank_and_witness(a: np.ndarray, block_dims, n: int, tol: Tolerances) -> tup
     operator norm, leaves a residual ``||a v|| <= eps_eq * max(1, n)``, as a
     tuple of blocks.  Raises when no kernel vector qualifies.
     """
-    rank, singular_values, null_basis = svd_rank(a, tol)
-    marginal = _marginal_flag(singular_values, rank, a.shape, tol)
+    rank, marginal, null_basis = _kernel(a, tol)
     if rank == a.shape[1]:
         return rank, marginal, None
     cuts = np.cumsum([k * k for k in block_dims])[:-1]
@@ -243,16 +239,18 @@ def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:
     """Extremality of a correlation matrix (unit-diagonal PSD) in its convex body."""
     c = require_hermitian(c, tol, name="correlation matrix")
     n = c.shape[0]
+    if n == 0:
+        raise ValueError(f"correlation matrix must be nonempty, got shape {c.shape}")
     f = _factor(c, tol)
     if not f.psd:
         raise InstrumentumError("correlation matrix is not positive semidefinite")
     diag_defect = float(np.max(np.abs(np.diag(c) - 1.0)))
     if diag_defect > tol.eps_eq:
         raise InstrumentumError(f"diagonal is not one: defect {diag_defect:.3e}")
-    # svd_rank's cut, on the singular values |lambda| of the Hermitian c, applied to the
-    # positive eigenvalues only: a negative one within eps_psd has no Gram vector
-    cut = _sv_cut(np.max(np.abs(f.values)), c.shape, tol)
-    rank = int(np.count_nonzero(f.values > cut))
+    # the span-rank rule on the eigenvalues: c passed the PSD and unit-diagonal checks, so
+    # lambda_max >~ 1 > |lambda_min| is its largest singular value, and a negative
+    # eigenvalue never exceeds the positive cut, so it gets no Gram vector
+    rank, _ = _span_rank(f.values, c.shape, tol)
     gram = (np.sqrt(f.values[:rank])[:, None] * dagger(f.vectors[:, :rank])).T  # row i = m_i
     span = (gram.conj()[:, :, None] * gram[:, None, :]).reshape(n, rank * rank)
     span_rank, marginal, witness = _rank_and_witness(span, (rank,), n, tol)

@@ -344,6 +344,8 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     if not states:
         raise ValueError("at least one outcome is required")
     dim_out = states[0].shape[0]
+    if dim_out == 0:
+        raise ValueError(f"output state must be nonempty, got shape {states[0].shape}")
     state_factors = []
     for label, sigma in zip(p.labels, states):
         if sigma.shape != (dim_out, dim_out):

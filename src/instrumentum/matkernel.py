@@ -41,7 +41,16 @@ class Tolerances:
     eps_eq:
         Relative operator-equality tolerance.
     sv_rel_cutoff:
-        Relative singular-value cutoff for rank decisions.
+        Relative cutoff ``c`` of the two rank rules.  The eigenvalue rule
+        keeps ``lambda > c * lambda_max``, or ``s^2 > c * s_0^2`` on a factor;
+        it cuts minimal Kraus sets, Naimark fibers, effect and state factors,
+        witness halves and the Lueders root.  The span-rank rule keeps
+        singular values ``s > c * s_0 * max(rows, cols)``; it decides
+        ``numeric_rank``, the span ranks of ``verify_dilation``, the
+        minimality test of ``kraus_equivalent``, the effect rank of
+        ``rank1_nuclear_extract``, extremality's ``span_rank`` and
+        ``marginal``, the Gram rank of ``correlation_extremal`` and the
+        ``rank`` of CLI ``choi``.
     """
 
     eps_herm: float = 1e-9
@@ -68,10 +77,15 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     out = np.array(a, dtype=np.complex128, order="C")
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
-    if out.size and not np.all(np.isfinite(out.view(np.float64))):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+    _require_finite(out.view(np.float64), name)
     out.setflags(write=False)
     return out
+
+
+def _require_finite(a: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` when the array ``a`` holds a NaN or Inf entry."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} contains NaN or Inf entries")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -171,42 +185,43 @@ def _psd_verdict(lo: float, hi: float, tol: Tolerances) -> bool:
     return lo >= -tol.eps_psd * max(1.0, hi)
 
 
-def _sv_cut(s_max: float, shape, tol: Tolerances) -> float:
-    """The rank cutoff of ``svd_rank``: singular values at or below it count as zero."""
-    return tol.sv_rel_cutoff * float(s_max) * max(shape)
+def _span_rank(s: np.ndarray, shape, tol: Tolerances) -> tuple[int, bool]:
+    """The span-rank rule on the descending singular values ``s`` of a ``shape`` matrix.
+
+    A value counts when it exceeds ``sv_rel_cutoff * s[0] * max(rows, cols)``;
+    the flag ``marginal`` is true when the smallest one kept lies within a
+    factor ten of that cutoff.  ``s`` is not empty.
+    """
+    cut = tol.sv_rel_cutoff * float(s[0]) * max(shape)
+    rank = int(np.count_nonzero(s > cut))
+    return rank, rank > 0 and float(s[rank - 1]) <= 10.0 * cut
 
 
 def _rank(a: np.ndarray, tol: Tolerances) -> int:
-    """``svd_rank``'s rank alone, from the singular values (no singular vectors)."""
+    """The span rank of ``a`` alone, from the singular values (no singular vectors)."""
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > _sv_cut(s[0], a.shape, tol)))
+    return _span_rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
 
 
-def svd_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, np.ndarray]:
-    """Rank, singular values, and an orthonormal kernel basis in one pass.
-
-    A singular value is retained when it exceeds
-    ``sv_rel_cutoff * sigma_max * max(rows, cols)``.
-    """
-    a = as_matrix(a)
+def _kernel(a: np.ndarray, tol: Tolerances) -> tuple[int, bool, np.ndarray]:
+    """Span rank, ``marginal`` flag and orthonormal kernel basis of ``a``, from one SVD."""
     rows, cols = a.shape
     if a.size == 0:
-        return 0, np.zeros(0), np.eye(cols, dtype=np.complex128)
+        return 0, False, np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)  # thin vh is square if rows >= cols
-    rank = int(np.count_nonzero(s > _sv_cut(s[0], a.shape, tol)))
-    null_basis = vh[rank:, :].conj().T.copy()
-    return rank, s, null_basis
+    rank, marginal = _span_rank(s, a.shape, tol)
+    return rank, marginal, vh[rank:, :].conj().T.copy()
 
 
 def numeric_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Numerical rank and orthonormal kernel basis of a rectangular matrix.
 
-    The kernel basis has shape ``(cols, cols - rank)``; its columns are the
+    The rank follows the span-rank rule of ``Tolerances.sv_rel_cutoff``.  The
+    kernel basis has shape ``(cols, cols - rank)``; its columns are the
     trailing right-singular vectors.
     """
-    rank, _, null_basis = svd_rank(a, tol)
+    rank, _, null_basis = _kernel(as_matrix(a), tol)
     return rank, null_basis
 
 
@@ -221,6 +236,8 @@ def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def _is_psd(sym: np.ndarray, tol: Tolerances) -> bool:
     """``psd_check`` of a matrix already symmetrized, without the Hermiticity check."""
+    if sym.size == 0:
+        return True  # the empty matrix is PSD
     values = np.linalg.eigvalsh(sym)  # ascending
     return _psd_verdict(float(values[0]), float(values[-1]), tol)
 

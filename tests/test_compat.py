@@ -52,6 +52,12 @@ class TestCompatCoefficients:
         c = CompatCoefficients(2, (("a", np.zeros((1, 2, 1))), ("b", np.zeros((1, 2, 2)))))
         assert c.labels == ("a", "b")
 
+    def test_rejects_non_finite(self):
+        # a NaN tensor would pass compat_from_coeffs's orthonormality cutoff
+        tensor = np.full((1, 2, 1), np.nan)
+        with pytest.raises(ValueError, match="coefficient tensor for 'a' contains NaN or Inf"):
+            CompatCoefficients(2, (("a", tensor),))
+
 
 class TestCompatFromCoeffs:
     def test_rank_one_pvm_gives_nuclear_form(self):

@@ -8,6 +8,7 @@ from instrumentum import (
     InstrumentumError,
     KrausSet,
     MarkovKernel,
+    MeasurementModel,
     Povm,
     StinespringDilation,
     lueders,
@@ -144,6 +145,11 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             measurement_model(m, xi_index=7)
 
+    def test_rejects_non_finite_xi(self):
+        # NaN fails every comparison, so the fixed normalization cutoff alone would pass it
+        with pytest.raises(ValueError, match="xi contains NaN or Inf entries"):
+            MeasurementModel(1, (0,), (1,), [np.nan], [[1.0]])
+
 
 class TestModelIntertwiner:
     def test_own_model_gives_identity(self):
@@ -245,3 +251,9 @@ class TestMarkovKernel:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             MarkovKernel(np.array([[1.0, 0.0]]), np.array([1.0]), labels=("a",))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="kernel matrix contains NaN or Inf entries"):
+            MarkovKernel([[np.nan]], [np.nan], (0,))
+        with pytest.raises(ValueError, match="eigenvalue vector contains NaN or Inf entries"):
+            MarkovKernel([[1.0]], [np.inf], (0,))

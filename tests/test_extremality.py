@@ -181,6 +181,29 @@ class TestMarginalFlag:
         assert not report.marginal
 
 
+def near_collinear_correlation(theta):
+    """Gram vectors ``(1, 0)``, ``(cos theta, sin theta)`` and ``(0, 1)``.
+
+    Their three projectors are independent, but for small ``theta`` the first
+    two almost coincide, which puts the smallest singular value of the
+    projector family near ``theta``.
+    """
+    g = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)], [0.0, 1.0]], dtype=complex)
+    return g @ g.conj().T
+
+
+class TestCorrelationMarginalFlag:
+    def test_near_cutoff_is_flagged(self):
+        report = correlation_extremal(near_collinear_correlation(5e-9))
+        assert (report.is_extreme, report.gram_rank, report.span_rank) == (False, 2, 3)
+        assert report.marginal
+
+    def test_clear_verdict_is_not(self):
+        report = correlation_extremal(near_collinear_correlation(1e-8))
+        assert (report.is_extreme, report.gram_rank, report.span_rank) == (False, 2, 3)
+        assert not report.marginal
+
+
 class TestCorrelationExtremal:
     def test_identity_two_by_two(self):
         report = correlation_extremal(np.eye(2))
@@ -206,6 +229,10 @@ class TestCorrelationExtremal:
         for i in range(3):
             v = report.gram_vectors[i]
             assert abs(v.conj() @ w @ v) < 1e-12
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match=r"must be nonempty, got shape \(0, 0\)"):
+            correlation_extremal(np.zeros((0, 0)))
 
     def test_rejects_non_psd(self):
         with pytest.raises(InstrumentumError, match="positive semidefinite"):

@@ -169,6 +169,11 @@ class TestNuclear:
         with pytest.raises(InstrumentumError, match="trace"):
             nuclear(p, bad)
 
+    def test_rejects_empty_state(self):
+        p = Povm(1, ((0, [[1.0]]),))
+        with pytest.raises(ValueError, match=r"must be nonempty, got shape \(0, 0\)"):
+            nuclear(p, [np.zeros((0, 0))])
+
 
 class TestCompose:
     def test_luders_squared(self):

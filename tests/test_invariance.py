@@ -11,7 +11,11 @@ nuclear instrument has the operator count and the action it is defined by,
 and sequential composition is associative up to relabelling.  A witness
 splits a non-extreme instrument or correlation matrix into two valid halves
 averaging back to it, and a correlation verdict ignores a relabelling of the
-rows or a diagonal phase change ``D C D^dag``.
+rows or a diagonal phase change ``D C D^dag``.  Consequences of the criterion
+from the literature pin the verdicts independently: the rank bounds of Choi
+and of Li and Tam, projectivity of commuting extreme POVMs (D'Ariano, Lo
+Presti, Perinotti), the verdicts of nuclear instruments, invariance under an
+output isometry or input unitary, and extremality of unimodular ``v v^dag``.
 """
 
 import numpy as np
@@ -298,3 +302,111 @@ def test_correlation_verdicts_ignore_relabelling_and_phases(case):
     expected = correlation_verdict(c)
     assert correlation_verdict(c[np.ix_(order, order)]) == expected  # P C P^T
     assert correlation_verdict(phases[:, None] * c * phases.conj()[None, :]) == expected
+
+
+# Oracles from the literature that pin the extremality verdicts.
+
+
+def extremal_verdict(r):
+    return r.is_extreme, r.span_rank, r.block_dims
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(nuclear_cases(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_nuclear_with_pure_states_has_the_povm_verdict(case, seed):
+    # A_k^dag A_l = |d_k><psi|psi><d_l| = |d_k><d_l| does not depend on psi
+    p, states, _, _ = case
+    rng = np.random.default_rng(seed)
+    pure = [rand_state(rng, s.shape[0], 1) for s in states]
+    assert extremal_verdict(instrument_extremal(nuclear(p, pure))) == extremal_verdict(
+        povm_extremal(p)
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(nuclear_cases())
+def test_nuclear_with_a_mixed_state_on_a_nonzero_effect_is_not_extreme(case):
+    # products of sqrt(p_m) |phi_m><d_l| for two eigenvectors phi_m of sigma_i are
+    # both multiples of |d_k><d_l|, so they are dependent
+    p, states, effect_ranks, state_ranks = case
+    mixed = any(e > 0 and s > 1 for e, s in zip(effect_ranks, state_ranks))
+    if mixed:
+        assert not instrument_extremal(nuclear(p, states)).is_extreme
+
+
+@st.composite
+def diagonal_povms(draw):
+    """A POVM of diagonal effects; each basis vector goes whole to one outcome or is split."""
+    dim = draw(DIMS)
+    count = draw(st.integers(min_value=1, max_value=4))
+    diagonals = np.zeros((count, dim))
+    projective = True
+    for j in range(dim):
+        first = draw(st.integers(min_value=0, max_value=count - 1))
+        second = draw(st.integers(min_value=0, max_value=count - 1))
+        weight = draw(st.sampled_from([1.0, 0.1, 0.25, 0.5, 0.8]))
+        if first == second:
+            weight = 1.0
+        diagonals[first, j] += weight
+        diagonals[second, j] += 1.0 - weight
+        projective &= weight == 1.0
+    effects = tuple((i, np.diag(row).astype(complex)) for i, row in enumerate(diagonals))
+    return Povm(dim, effects), projective
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(diagonal_povms())
+def test_commuting_povm_is_extreme_iff_projective(case):
+    # D'Ariano, Lo Presti, Perinotti (2005)
+    p, projective = case
+    assert povm_extremal(p).is_extreme == projective
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_extreme_instruments_obey_the_choi_bound(case):
+    # Choi (1975), Theorem 5: independent products A_k(i)^dag A_l(i) number at most dim_in^2
+    m, _ = case
+    r = instrument_extremal(m)
+    assert r.required_rank == sum(n * n for n in r.block_dims)
+    if r.is_extreme:
+        assert r.required_rank <= m.dim_in**2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.one_of(correlation_matrices(extreme=True), correlation_matrices(extreme=False)))
+def test_extreme_correlation_matrices_obey_the_li_tam_bound(case):
+    c, _ = case
+    r = correlation_extremal(c)
+    if r.is_extreme:
+        assert r.gram_rank**2 <= c.shape[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments(), st.integers(min_value=1, max_value=2))
+def test_verdicts_ignore_output_isometries_and_input_unitaries(case, extra):
+    m, seed = case
+    rng = np.random.default_rng([seed, 4])
+    v = rand_isometry(rng, m.dim_out + extra, m.dim_out)
+    u = rand_unitary(rng, m.dim_in)
+    expected = extremal_verdict(instrument_extremal(m))
+    wide = m.dim_out + extra
+    widened = DiscreteInstrument(
+        m.dim_in, wide, tuple((x, KrausSet(m.dim_in, wide, v @ k.stack)) for x, k in m.outcomes)
+    )
+    rotated = DiscreteInstrument(
+        m.dim_in,
+        m.dim_out,
+        tuple((x, KrausSet(m.dim_in, m.dim_out, k.stack @ u)) for x, k in m.outcomes),
+    )
+    assert extremal_verdict(instrument_extremal(widened)) == expected
+    assert extremal_verdict(instrument_extremal(rotated)) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.lists(st.floats(min_value=0.0, max_value=2 * np.pi), min_size=1, max_size=6))
+def test_unimodular_rank_one_correlation_is_extreme(angles):
+    v = np.exp(1j * np.array(angles))
+    r = correlation_extremal(np.outer(v, v.conj()))
+    assert (r.is_extreme, r.gram_rank, r.span_rank) == (True, 1, 1)
+
