@@ -48,6 +48,7 @@ from .instruments import (
     _effect_factors,
     _nuclear,
     _pooled,
+    _require_projection,
     associate_povm,
     require_valid,
 )
@@ -332,11 +333,7 @@ def pvm_compat(
     """
     p = associate_povm(m, tol)
     for label, matrix in p.effects:
-        idem = float(np.linalg.norm(matrix @ matrix - matrix))
-        if idem > tol.eps_eq * max(1.0, float(np.linalg.norm(matrix))):
-            raise InstrumentumError(
-                f"effect {label!r} is not a projection: defect {idem:.3e}"
-            )
+        _require_projection(label, matrix, tol)
     dec, psis = _decompose(m, tol)
     fibers = np.concatenate(psis)
     if len(fibers) != m.dim_in:

@@ -90,6 +90,7 @@ class KrausSet:
             for op in [as_matrix(op, name="Kraus operator") for op in ops]:
                 if op.shape != shape:
                     raise ValueError(f"Kraus operator has shape {op.shape}, expected {shape}")
+            raise ValueError(f"no array of Kraus operators of shape {shape} can be formed")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "ops", tuple(stack))

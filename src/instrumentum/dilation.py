@@ -192,6 +192,10 @@ class MarkovKernel:
     labels: tuple = ()
 
     def __post_init__(self) -> None:
+        named = ((self.matrix, "kernel matrix"), (self.eigenvalues, "eigenvalue vector"))
+        for values, name in named:
+            if np.iscomplexobj(values):  # a float conversion would drop the imaginary part
+                raise ValueError(f"{name} must be real")
         matrix = np.array(self.matrix, dtype=np.float64)
         eigenvalues = np.array(self.eigenvalues, dtype=np.float64).reshape(-1)
         labels = tuple(self.labels)

@@ -1,13 +1,14 @@
 """JSON document formats for every object the command line reads or writes.
 
 A document is an object ``{"kind": ..., "version": "1", "payload": ...}``.
-Complex numbers are two-element arrays ``[re, im]``; matrices are row-major
-nested arrays of complex entries.  A label is a string, an integer that is
-not a boolean, or an array of labels, which decodes to a tuple; this is the
-grammar every labelled constructor enforces, so every label a constructor
-accepts round-trips, and every label ``load`` rejects a constructor rejects
-too.  Floats rely on the shortest-round-trip decimal representation, so
-documents reload bit-exactly.
+Complex numbers are two-element arrays ``[re, im]``; a vector, matrix or
+rank-3 tensor is a row-major nested array of complex entries, written by
+``matrix_to_json`` and read back by ``_parse_array``.  A label is a string,
+an integer that is not a boolean, or an array of labels, which decodes to a
+tuple; this is the grammar every labelled constructor enforces, so every
+label a constructor accepts round-trips, and every label ``load`` rejects a
+constructor rejects too.  Floats rely on the shortest-round-trip decimal
+representation, so documents reload bit-exactly.
 
 Kinds and payloads:
 
@@ -46,8 +47,6 @@ from .errors import FormatError
 from .instruments import DiscreteInstrument, Povm, _label_fault
 
 __all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json", "complex_to_json"]
-
-KINDS = ("matrix", "povm", "instrument", "dilation", "model", "coefficients", "states", "report")
 
 VERSION = "1"
 
@@ -98,7 +97,10 @@ def _expect(node, types, path: str, what: str):
 
 def _parse_number(node, path: str) -> float:
     value = _expect(node, (int, float), path, "a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise FormatError(f"{path}: number is out of range") from None
     if not np.isfinite(value):
         raise FormatError(f"{path}: number is not finite")
     return value
@@ -111,36 +113,33 @@ def _parse_int(node, path: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _parse_complex(node, path: str) -> complex:
-    pair = _expect(node, list, path, "a [re, im] pair")
-    if len(pair) != 2:
-        raise FormatError(f"{path}: expected exactly two entries [re, im]")
-    return complex(_parse_number(pair[0], f"{path}[0]"), _parse_number(pair[1], f"{path}[1]"))
+def _parse_array(node, path: str, ndim: int, empty: tuple | None = None, stack: bool = True):
+    """The rank-``ndim`` complex array that ``matrix_to_json`` writes as ``node``.
 
-
-def _parse_vector(node, path: str) -> np.ndarray:
-    entries = _expect(node, list, path, "an array of complex entries")
-    if not entries:
-        raise FormatError(f"{path}: must not be empty")
-    return np.array([_parse_complex(z, f"{path}[{i}]") for i, z in enumerate(entries)])
-
-
-def _parse_matrix(node, path: str) -> np.ndarray:
-    rows = _expect(node, list, path, "an array of rows")
-    if not rows:
-        raise FormatError(f"{path}: must have at least one row")
+    Every level is a non-empty array whose entries agree in shape, and every
+    leaf is an ``[re, im]`` pair.  When ``empty`` is a shape, the outermost
+    array may be empty and then decodes to zeros of that shape.  With
+    ``stack=False`` the outermost array may be empty or hold entries of
+    different shapes, and decodes to the tuple of its entries, for a
+    constructor that checks them against its declared dimensions.
+    """
+    if ndim == 0:
+        pair = _expect(node, list, path, "a [re, im] pair")
+        if len(pair) != 2:
+            raise FormatError(f"{path}: expected exactly two entries [re, im]")
+        return complex(_parse_number(pair[0], f"{path}[0]"), _parse_number(pair[1], f"{path}[1]"))
+    entries = _expect(node, list, path, f"a rank-{ndim} nested array")
+    if not entries and stack:
+        if empty is None:
+            raise FormatError(f"{path}: must not be empty")
+        return _wrap_construction(path, lambda: np.zeros(empty, dtype=np.complex128))
     parsed = []
-    width = None
-    for i, row in enumerate(rows):
-        entries = _expect(row, list, f"{path}[{i}]", "an array of complex entries")
-        if width is None:
-            width = len(entries)
-            if width == 0:
-                raise FormatError(f"{path}[{i}]: rows must not be empty")
-        elif len(entries) != width:
-            raise FormatError(f"{path}[{i}]: ragged row, expected {width} entries")
-        parsed.append([_parse_complex(z, f"{path}[{i}][{j}]") for j, z in enumerate(entries)])
-    return np.array(parsed, dtype=np.complex128)
+    for i, entry in enumerate(entries):
+        parsed.append(_parse_array(entry, f"{path}[{i}]", ndim - 1))
+        if ndim > 1 and stack and parsed[i].shape != parsed[0].shape:
+            shape, first = parsed[i].shape, parsed[0].shape
+            raise FormatError(f"{path}[{i}]: shape {shape} disagrees with entry 0's {first}")
+    return np.array(parsed, dtype=np.complex128) if stack else tuple(parsed)
 
 
 def _parse_label(node, path: str):
@@ -188,7 +187,7 @@ def _wrap_construction(path: str, builder):
 
 
 def _decode_matrix(payload, path):
-    matrix = _parse_matrix(payload.get("matrix"), f"{path}.matrix")
+    matrix = _parse_array(payload.get("matrix"), f"{path}.matrix", 2)
     meta = {}
     for key in ("dim_in", "dim_out"):
         if key in payload:
@@ -208,7 +207,9 @@ def _encode_matrix(value, meta):
 
 def _decode_povm(payload, path):
     dim = _parse_int(payload.get("dim"), f"{path}.dim", minimum=1)
-    effects = _parse_labelled(payload, path, "effects", "matrix", _parse_matrix)
+    effects = _parse_labelled(
+        payload, path, "effects", "matrix", lambda n, p: _parse_array(n, p, 2)
+    )
     return _wrap_construction(path, lambda: Povm(dim, effects)), {}
 
 
@@ -217,15 +218,12 @@ def _encode_povm(value, meta):
     return {"dim": value.dim, "effects": _labelled(rows, "matrix")}
 
 
-def _parse_kraus(node, path):
-    ops = _expect(node, list, path, "an array of matrices")
-    return tuple(_parse_matrix(op, f"{path}[{k}]") for k, op in enumerate(ops))
-
-
 def _decode_instrument(payload, path):
     dim_in = _parse_int(payload.get("dim_in"), f"{path}.dim_in", minimum=1)
     dim_out = _parse_int(payload.get("dim_out"), f"{path}.dim_out", minimum=1)
-    outcomes = _parse_labelled(payload, path, "outcomes", "kraus", _parse_kraus)
+    outcomes = _parse_labelled(
+        payload, path, "outcomes", "kraus", lambda n, p: _parse_array(n, p, 3, stack=False)
+    )
     return _wrap_construction(path, lambda: DiscreteInstrument(dim_in, dim_out, outcomes)), {}
 
 
@@ -234,16 +232,19 @@ def _encode_instrument(value, meta):
     return {"dim_in": value.dim_in, "dim_out": value.dim_out, "outcomes": _labelled(rows, "kraus")}
 
 
-def _parse_block_dim(node, path):
-    return _parse_int(node, path, minimum=0)
+def _parse_blocks(payload, path):
+    """The labels and the block dimensions of a dilation's or a model's outcomes."""
+    outcomes = _parse_labelled(
+        payload, path, "outcomes", "block_dim", lambda n, p: _parse_int(n, p, minimum=0)
+    )
+    return tuple(zip(*outcomes))
 
 
 def _decode_dilation(payload, path):
     dim_in = _parse_int(payload.get("dim_in"), f"{path}.dim_in", minimum=1)
     dim_out = _parse_int(payload.get("dim_out"), f"{path}.dim_out", minimum=1)
-    outcomes = _parse_labelled(payload, path, "outcomes", "block_dim", _parse_block_dim)
-    isometry = _parse_matrix(payload.get("isometry"), f"{path}.isometry")
-    labels, block_dims = zip(*outcomes)
+    labels, block_dims = _parse_blocks(payload, path)
+    isometry = _parse_array(payload.get("isometry"), f"{path}.isometry", 2)
     return (
         _wrap_construction(
             path, lambda: StinespringDilation(dim_in, dim_out, labels, block_dims, isometry)
@@ -263,10 +264,9 @@ def _encode_dilation(value, meta):
 
 def _decode_model(payload, path):
     system_dim = _parse_int(payload.get("system_dim"), f"{path}.system_dim", minimum=1)
-    outcomes = _parse_labelled(payload, path, "outcomes", "block_dim", _parse_block_dim)
-    xi = _parse_vector(payload.get("xi"), f"{path}.xi")
-    unitary = _parse_matrix(payload.get("unitary"), f"{path}.unitary")
-    labels, block_dims = zip(*outcomes)
+    labels, block_dims = _parse_blocks(payload, path)
+    xi = _parse_array(payload.get("xi"), f"{path}.xi", 1)
+    unitary = _parse_array(payload.get("unitary"), f"{path}.unitary", 2)
     return (
         _wrap_construction(
             path, lambda: MeasurementModel(system_dim, labels, block_dims, xi, unitary)
@@ -284,19 +284,10 @@ def _encode_model(value, meta):
     }
 
 
-def _parse_tensor3(node, path, dim_k):
-    planes = _expect(node, list, path, "a rank-3 nested array")
-    parsed = [_parse_matrix(plane, f"{path}[{i}]") for i, plane in enumerate(planes)]
-    for i, plane in enumerate(parsed):
-        if plane.shape != parsed[0].shape:
-            raise FormatError(f"{path}[{i}]: planes disagree in shape")
-    return np.stack(parsed) if parsed else np.zeros((0, dim_k, 0), dtype=np.complex128)
-
-
 def _decode_coefficients(payload, path):
     dim_k = _parse_int(payload.get("dim_k"), f"{path}.dim_k", minimum=1)
     outcomes = _parse_labelled(
-        payload, path, "outcomes", "tensor", lambda node, p: _parse_tensor3(node, p, dim_k)
+        payload, path, "outcomes", "tensor", lambda n, p: _parse_array(n, p, 3, (0, dim_k, 0))
     )
     return _wrap_construction(path, lambda: CompatCoefficients(dim_k, outcomes)), {}
 
@@ -310,7 +301,7 @@ def _decode_states(payload, path):
     dim = _parse_int(payload.get("dim"), f"{path}.dim", minimum=1)
 
     def parse_state(node, state_path):
-        matrix = _parse_matrix(node, state_path)
+        matrix = _parse_array(node, state_path, 2)
         if matrix.shape != (dim, dim):
             raise FormatError(f"{state_path}: expected shape {(dim, dim)}")
         return matrix
@@ -345,6 +336,8 @@ _DECODERS = {
     "report": _decode_report,
 }
 
+KINDS = tuple(_DECODERS)
+
 _ENCODERS = {
     "matrix": _encode_matrix,
     "povm": _encode_povm,
@@ -364,7 +357,7 @@ def load(path) -> Document:
             raw = json.load(handle)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too many digits, deep nesting
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: top level must be an object")

@@ -291,6 +291,13 @@ def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
     return subset
 
 
+def _require_projection(label: Label, matrix: np.ndarray, tol: Tolerances) -> None:
+    """Raise unless ``||P P - P|| <= eps_eq * max(1, ||P||)`` for the effect ``P`` of ``label``."""
+    defect = float(np.linalg.norm(matrix @ matrix - matrix))
+    if defect > tol.eps_eq * max(1.0, float(np.linalg.norm(matrix))):
+        raise InstrumentumError(f"effect {label!r} is not a projection: defect {defect:.3e}")
+
+
 def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     """The instrument ``B -> P_i B P_i`` of a projection valued measure.
 
@@ -302,9 +309,7 @@ def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     _require_effect_sum(p, tol)
     outcomes = []
     for label, proj in zip(p.labels, projs):
-        idem = float(np.linalg.norm(proj @ proj - proj))
-        if idem > tol.eps_eq * max(1.0, float(np.linalg.norm(proj))):
-            raise InstrumentumError(f"effect {label!r} is not a projection: defect {idem:.3e}")
+        _require_projection(label, proj, tol)
         outcomes.append((label, KrausSet(p.dim, p.dim, (proj,))))
     return DiscreteInstrument(p.dim, p.dim, tuple(outcomes))
 

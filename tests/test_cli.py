@@ -401,6 +401,23 @@ class TestChoiAndCp:
         assert code == 1
 
 
+    def test_out_of_range_entry_exits_one(self, run, tmp_path):
+        path = tmp_path / "big.json"
+        save(Document(kind="matrix", value=np.eye(4, dtype=complex)), path)
+        path.write_text(path.read_text().replace("1.0", str(10**400), 1))
+        code, report, err = run("cp-check", str(path))
+        assert (code, report) == (1, None)
+        assert "payload.matrix[0][0][0]: number is out of range" in err
+
+    def test_truncated_document_exits_one(self, run, tmp_path):
+        path = tmp_path / "cut.json"
+        save(Document(kind="matrix", value=np.eye(4, dtype=complex)), path)
+        path.write_text(path.read_text()[:100])
+        code, report, err = run("cp-check", str(path))
+        assert (code, report) == (1, None)
+        assert "cut.json: not valid JSON" in err
+
+
 class TestTupleLabels:
     @pytest.fixture
     def composed_file(self, run, luders_file, tmp_path):

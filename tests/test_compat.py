@@ -220,8 +220,12 @@ class TestPvmCompat:
             assert np.allclose(tb @ effect, apply_heisenberg(m.outcome(lab), b), atol=1e-12)
 
     def test_rejects_non_projective(self):
-        with pytest.raises(InstrumentumError, match="projection"):
+        # the POVM of trivial_from_povm(p) is p, so lueders(p) judges the same effects
+        message = r"^effect 'a' is not a projection: defect 3\.536e-01$"
+        with pytest.raises(InstrumentumError, match=message):
             pvm_compat(trivial_from_povm(smeared_povm()))
+        with pytest.raises(InstrumentumError, match=message):
+            lueders(smeared_povm())
 
 
 class TestNuclearExtract:

@@ -139,6 +139,11 @@ class TestKrausSet:
         with pytest.raises(ValueError, match="Kraus operator must be 2-dimensional"):
             KrausSet(2, 2, (np.eye(2), np.ones(2)))
 
+    def test_empty_set_too_large_for_an_array(self):
+        message = f"no array of Kraus operators of shape {(2, 2**70)} can be formed"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KrausSet(2**70, 2, ())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_message(self, bad):
         op = np.eye(2, dtype=np.complex128)

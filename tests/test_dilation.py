@@ -252,6 +252,18 @@ class TestMarkovKernel:
         with pytest.raises(ValueError, match="shape"):
             MarkovKernel(np.array([[1.0, 0.0]]), np.array([1.0]), labels=("a",))
 
+    def test_rejects_complex_array(self):
+        with pytest.raises(ValueError, match="kernel matrix must be real"):
+            MarkovKernel(np.array([[1 + 1j]]), [1.0], (0,))
+        with pytest.raises(ValueError, match="eigenvalue vector must be real"):
+            MarkovKernel([[1.0]], np.array([1.0 + 0j]), (0,))
+
+    def test_rejects_complex_in_list(self):
+        with pytest.raises(ValueError, match="kernel matrix must be real"):
+            MarkovKernel([[1 + 1j]], [1.0], (0,))
+        with pytest.raises(ValueError, match="eigenvalue vector must be real"):
+            MarkovKernel([[1.0]], [1j], (0,))
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="kernel matrix contains NaN or Inf entries"):
             MarkovKernel([[np.nan]], [np.nan], (0,))

@@ -180,6 +180,64 @@ class TestMalformed:
         with pytest.raises(FormatError, match="finite"):
             load(path)
 
+    def test_number_out_of_range(self, tmp_path):
+        body = json.dumps({"kind": "matrix", "version": "1", "payload": {"matrix": [[[0, 0.0]]]}})
+        path = self.write(tmp_path, body.replace("[0, 0.0]", f"[{10**400}, 0.0]"))
+        message = r"^payload\.matrix\[0\]\[0\]\[0\]: number is out of range"
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+    # a byte that is not UTF-8, more digits than int() converts, deeper nesting than json parses
+    @pytest.mark.parametrize("value", [b'"\xff"', b"9" * 5000, b"[" * 10**5 + b"]" * 10**5])
+    def test_undecodable_text(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"kind": "matrix", "x": ' + value + b"}")
+        with pytest.raises(FormatError, match="not valid JSON"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "matrix, where",
+        [
+            ([], r"matrix: must not be empty"),
+            ([[]], r"matrix\[0\]: must not be empty"),
+            ([[[1.0, 0.0]], []], r"matrix\[1\]: must not be empty"),
+            ([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], r"matrix\[1\]: shape \(2,\) disagrees"),
+            ([[1.0, 0.0]], r"matrix\[0\]\[0\]: expected a \[re, im\] pair"),
+            ([[[1.0, True]]], r"matrix\[0\]\[0\]\[1\]: expected a number"),
+            ({"re": 1.0}, r"matrix: expected a rank-2 nested array"),
+        ],
+    )
+    def test_nested_array_rule(self, tmp_path, matrix, where):
+        body = {"kind": "matrix", "version": "1", "payload": {"matrix": matrix}}
+        with pytest.raises(FormatError, match=rf"^payload\.{where}"):
+            load(self.write(tmp_path, body))
+
+    def coefficients(self, dim_k, tensors):
+        outcomes = [{"label": i, "tensor": t} for i, t in enumerate(tensors)]
+        payload = {"dim_k": dim_k, "outcomes": outcomes}
+        return {"kind": "coefficients", "version": "1", "payload": payload}
+
+    def test_tensor_planes_must_agree(self, tmp_path):
+        planes = [[[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]]
+        body = self.coefficients(1, [planes])
+        with pytest.raises(FormatError, match=r"^payload\.outcomes\[0\]\.tensor\[1\]: shape"):
+            load(self.write(tmp_path, body))
+
+    def test_empty_tensor_keeps_middle_dimension(self, tmp_path):
+        doc = load(self.write(tmp_path, self.coefficients(3, [[]])))
+        assert doc.value.outcomes[0][1].shape == (0, 3, 0)
+
+    def test_empty_tensor_with_huge_dimension(self, tmp_path):
+        with pytest.raises(FormatError, match=r"^payload\.outcomes\[0\]\.tensor: "):
+            load(self.write(tmp_path, self.coefficients(2**70, [[]])))
+
+    def test_empty_kraus_with_huge_dimension(self, tmp_path):
+        outcomes = [{"label": 0, "kraus": []}]
+        payload = {"dim_in": 2**70, "dim_out": 1, "outcomes": outcomes}
+        body = {"kind": "instrument", "version": "1", "payload": payload}
+        with pytest.raises(FormatError, match=r"^payload: "):
+            load(self.write(tmp_path, body))
+
     def test_states_dim_mismatch(self, tmp_path):
         body = {
             "kind": "states",

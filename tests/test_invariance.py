@@ -16,13 +16,27 @@ from the literature pin the verdicts independently: the rank bounds of Choi
 and of Li and Tam, projectivity of commuting extreme POVMs (D'Ariano, Lo
 Presti, Perinotti), the verdicts of nuclear instruments, invariance under an
 output isometry or input unitary, and extremality of unimodular ``v v^dag``.
+
+A valid document of any kind, with one node replaced, deleted or duplicated or
+with its text truncated, either loads or is refused with a ``FormatError`` that
+starts with a field path, and the command line answers it with exit code 0, 1
+or 2.
 """
 
+import contextlib
+import io
+import json
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from instrumentum import (
+    CompatCoefficients,
     DiscreteInstrument,
+    Document,
+    FormatError,
     KrausSet,
     Povm,
     action_distance,
@@ -33,15 +47,27 @@ from instrumentum import (
     correlation_extremal,
     correlation_witness_split,
     instrument_extremal,
+    load,
+    lueders,
+    measurement_model,
     minimal_kraus,
     minimal_stinespring,
     nuclear,
     povm_extremal,
+    save,
     validate,
     witness_decompose,
 )
+from instrumentum.cli import main
 
-from helpers import rand_instrument, rand_isometry, rand_state, rand_unitary
+from helpers import (
+    basis_pvm,
+    rand_coeffs_tensor,
+    rand_instrument,
+    rand_isometry,
+    rand_state,
+    rand_unitary,
+)
 
 DIMS = st.integers(min_value=1, max_value=4)
 
@@ -410,3 +436,81 @@ def test_unimodular_rank_one_correlation_is_extreme(angles):
     r = correlation_extremal(np.outer(v, v.conj()))
     assert (r.is_extreme, r.gram_rank, r.span_rank) == (True, 1, 1)
 
+
+
+def valid_documents():
+    """One valid document of each kind the command line reads or writes, but ``report``."""
+    rng = np.random.default_rng(41)
+    m = rand_instrument(rng, 2, 2, (1, 2), labels=((0, ("a", 1)), "b"))
+    m = DiscreteInstrument(2, 2, m.outcomes + (("zero", KrausSet(2, 2, ())),))
+    pvm = basis_pvm(2, ((0,), (1,)))
+    tensors = (("a", rand_coeffs_tensor(rng, 1, 2, 2)), ("b", np.zeros((0, 2, 0))))
+    states = (("x", np.eye(2) / 2), ((0, 1), np.diag([1.0, 0.0])))
+    return (
+        Document("matrix", np.eye(4) / 2, {"dim_in": 2, "dim_out": 2, "label": ("x", 1)}),
+        Document("povm", associate_povm(m)),
+        Document("instrument", m),
+        Document("dilation", minimal_stinespring(m)),
+        Document("model", measurement_model(lueders(pvm))),
+        Document("coefficients", CompatCoefficients(2, tensors)),
+        Document("states", states, {"dim": 2}),
+    )
+
+
+def json_nodes(node, where=()):
+    """The locations of every node below the top level, parents first."""
+    if not isinstance(node, (dict, list)):
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield where + (key,)
+        yield from json_nodes(child, where + (key,))
+
+
+@pytest.fixture(scope="module")
+def document_texts(tmp_path_factory):
+    texts = {}
+    for doc in valid_documents():
+        path = tmp_path_factory.mktemp("valid") / f"{doc.kind}.json"
+        save(doc, path)
+        texts[doc.kind] = path.read_text()
+    return texts
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` truncated, or with one node replaced, deleted or duplicated."""
+    action = draw(st.sampled_from(("replace", "delete", "duplicate", "truncate")))
+    if action == "truncate":
+        return text[: draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    body = json.loads(text)
+    *where, key = draw(st.sampled_from(list(json_nodes(body))))
+    parent = body
+    for step in where:
+        parent = parent[step]
+    if action == "replace":
+        parent[key] = draw(st.sampled_from((True, None, "x", [], 10**400)))
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        parent[key] = [parent[key], parent[key]]
+    return json.dumps(body)
+
+
+FIELD_PATH = r"payload(\.\w+|\[\d+\])*: "
+
+
+@pytest.mark.parametrize("kind", [doc.kind for doc in valid_documents()])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_mutated_documents_fail_with_a_field_path(document_texts, tmp_path_factory, kind, data):
+    path = tmp_path_factory.getbasetemp() / f"mutant-{kind}.json"
+    path.write_text(data.draw(mutated(document_texts[kind])))
+    try:
+        load(path)
+    except FormatError as exc:
+        assert re.match(f"({re.escape(str(path))}|{FIELD_PATH})", str(exc)), str(exc)
+    command = "cp-check" if kind == "matrix" else "validate"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([command, str(path)]) in (0, 1, 2)
