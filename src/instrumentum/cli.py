@@ -28,6 +28,7 @@ from .errors import FormatError, InstrumentumError
 from .extremality import correlation_extremal, instrument_extremal, povm_extremal
 from .formats import Document, _labelled, _parse_label, label_to_json, load, matrix_to_json, save
 from .instruments import (
+    _LABEL_DEPTH,
     DiscreteInstrument,
     _label_fault,
     _pooled,
@@ -101,6 +102,8 @@ def _parse_cli_label(text: str):
         raw = json.loads(text)
     except json.JSONDecodeError:
         return text
+    except RecursionError:  # an array nested deeper than the parser recurses
+        raise _UsageError(f"label {text!r}: labels may nest at most {_LABEL_DEPTH} arrays deep")
     if isinstance(raw, list):
         return _parse_label(raw, f"label {text!r}")
     return text if _label_fault(raw, list) else raw
@@ -129,10 +132,6 @@ def _vector_from_doc(doc: Document, path) -> np.ndarray:
     if matrix.shape[0] == 1 or matrix.shape[1] == 1:
         return np.asarray(matrix).ravel()
     raise FormatError(f"{path}: expected a row or column vector")
-
-
-def _instrument_doc(m: DiscreteInstrument) -> Document:
-    return Document(kind="instrument", value=m)
 
 
 def _cmd_validate(args, tol):
@@ -224,7 +223,7 @@ def _cmd_refine(args, tol):
         }
     )
     if args.output is not None:
-        save(_instrument_doc(refined), args.output)
+        save(Document(kind="instrument", value=refined), args.output)
     return 0
 
 
@@ -264,7 +263,7 @@ def _cmd_compose(args, tol):
         }
     )
     if args.output is not None:
-        save(_instrument_doc(composed), args.output)
+        save(Document(kind="instrument", value=composed), args.output)
     return 0
 
 
@@ -289,7 +288,7 @@ def _cmd_compat_build(args, tol):
         }
     )
     if args.output is not None:
-        save(_instrument_doc(built), args.output)
+        save(Document(kind="instrument", value=built), args.output)
     return 0
 
 
@@ -324,12 +323,8 @@ def _cmd_factorize(args, tol):
         }
     )
     if args.output is not None:
-        save(
-            _instrument_doc(
-                DiscreteInstrument(channel.dim_in, channel.dim_out, ((0, channel),))
-            ),
-            args.output,
-        )
+        single = DiscreteInstrument(channel.dim_in, channel.dim_out, ((0, channel),))
+        save(Document(kind="instrument", value=single), args.output)
     return 0 if report.passed else 2
 
 
@@ -404,7 +399,7 @@ def _cmd_standard_model(args, tol):
         }
     )
     if args.output is not None:
-        save(_instrument_doc(m), args.output)
+        save(Document(kind="instrument", value=m), args.output)
     if args.povm_output is not None:
         save(Document(kind="povm", value=povm), args.povm_output)
     return 0

@@ -107,18 +107,16 @@ def _kernel_defect(a: np.ndarray, blocks) -> float:
     return float(np.linalg.norm(a @ np.concatenate([b.reshape(-1) for b in blocks])))
 
 
-def _hermitize_block_diagonal(blocks: list, tol: Tolerances) -> list | None:
-    """Blockwise Hermitian part of a kernel element, picked by larger norm."""
+def _hermitize_block_diagonal(blocks: list) -> list:
+    """Blockwise Hermitian part of a unit kernel element, picked by larger norm."""
+    # the kernel is closed under the blockwise adjoint J and the two parts' squared
+    # norms sum to one, so the chosen part has norm >= 1/sqrt(2): never zero
     sym = [(b + dagger(b)) / 2.0 for b in blocks]
     anti = [1j * (b - dagger(b)) / 2.0 for b in blocks]
     norm_sym = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in sym))
     norm_anti = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in anti))
-    chosen, norm = (sym, norm_sym) if norm_sym >= norm_anti else (anti, norm_anti)
-    if norm <= tol.sv_rel_cutoff:
-        return None
+    chosen = sym if norm_sym >= norm_anti else anti
     op_norm = _op_norm(chosen)
-    if op_norm <= 0.0:
-        return None
     return [b / op_norm for b in chosen]
 
 
@@ -137,8 +135,8 @@ def _rank_and_witness(a: np.ndarray, block_dims, n: int, tol: Tolerances) -> tup
     cuts = np.cumsum([k * k for k in block_dims])[:-1]
     for column in null_basis.T:
         pieces = [v.reshape(k, k) for v, k in zip(np.split(column, cuts), block_dims)]
-        witness = _hermitize_block_diagonal(pieces, tol)
-        if witness is not None and _kernel_defect(a, witness) <= tol.eps_eq * max(1.0, float(n)):
+        witness = _hermitize_block_diagonal(pieces)
+        if _kernel_defect(a, witness) <= tol.eps_eq * max(1.0, float(n)):
             return rank, marginal, tuple(witness)
     raise InstrumentumError("failed to extract a Hermitian witness from the kernel")
 

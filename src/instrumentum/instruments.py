@@ -4,11 +4,11 @@ An instrument assigns to each outcome label a CP map given by a Kraus set;
 the maps share input/output spaces and their Heisenberg actions on the
 identity sum to the identity.  Outcome labels follow one grammar, checked by
 every labelled constructor in the package and by every lookup by label: a
-label is a string, an integer that is not a boolean, or a tuple of labels
-(tuples arise from sequential composition and from rank-one refinement), so
-``True`` or ``1.0`` names no outcome although it equals ``1``.  Zero effects
-and zero outcome maps are legal and retained, so label sets round-trip through
-files unchanged.
+label is a string, an integer that is not a boolean, or a tuple of labels at
+most ``_LABEL_DEPTH`` deep (tuples arise from sequential composition and from
+rank-one refinement), so ``True`` or ``1.0`` names no outcome although it
+equals ``1``.  Zero effects and zero outcome maps are legal and retained, so
+label sets round-trip through files unchanged.
 """
 
 from __future__ import annotations
@@ -43,19 +43,25 @@ __all__ = [
 
 Label = Union[str, int, tuple]
 
+# one level per sequential composition, whose outcome count grows as a product, so no real
+# label comes near this bound; it keeps every walk over a label inside the recursion limit
+_LABEL_DEPTH = 100
 
-def _label_fault(node, array=tuple):
+
+def _label_fault(node, array=tuple, depth=0):
     """Where and why ``node`` breaks the label grammar, or None when it is a label.
 
     A label is a string, an integer that is not a boolean, or a sequence of
     type ``array`` of labels (``tuple`` for values, ``list`` for decoded
-    JSON).  A fault is ``(where, reason)``, with ``where`` the index path of
-    the first offending element, such as ``"[1][0]"``; no string is built
-    for a valid label.
+    JSON), at most ``_LABEL_DEPTH`` sequences deep.  A fault is ``(where,
+    reason)``, with ``where`` the index path of the first offending element,
+    such as ``"[1][0]"``; no string is built for a valid label.
     """
     if isinstance(node, array):
+        if depth == _LABEL_DEPTH:
+            return "", f"labels may nest at most {_LABEL_DEPTH} arrays deep"
         for i, part in enumerate(node):
-            fault = _label_fault(part, array)
+            fault = _label_fault(part, array, depth + 1)
             if fault is not None:
                 return f"[{i}]{fault[0]}", fault[1]
         return None

@@ -39,7 +39,8 @@ class Tolerances:
     eps_psd:
         Relative tolerance for negative eigenvalues in positivity checks.
     eps_eq:
-        Relative operator-equality tolerance.
+        Relative operator-equality tolerance; an ``n``-sided matrix ``X`` is
+        the identity when ``||X - I||_F <= eps_eq * sqrt(n)``.
     sv_rel_cutoff:
         Relative cutoff ``c`` of the two rank rules.  The eigenvalue rule
         keeps ``lambda > c * lambda_max``, or ``s^2 > c * s_0^2`` on a factor;

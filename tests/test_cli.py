@@ -321,6 +321,35 @@ class TestModels:
         povm = load(povm_out).value
         assert np.allclose(povm.effect(0), np.diag([1.0, 0.0]), atol=1e-12)
 
+    def test_model_reaches_tol_scale(self, run, tmp_path):
+        # over-normalized by 2e-5: validate passes it at --tol-scale 1e5, so model must too
+        s = 1 + 1e-5
+        m = DiscreteInstrument(2, 2, ((0, (s * np.diag([1.0, 0.0]),)), (1, (s * np.diag([0.0, 1.0]),))))
+        path, out = tmp_path / "over.json", tmp_path / "model.json"
+        save(Document("instrument", m), path)
+        assert run("validate", str(path), "--tol-scale", "1e5")[0] == 0
+        code, _, err = run("model", str(path), "--tol-scale", "1e5", "-o", str(out))
+        assert code == 0, err
+        assert load(out).value.ancilla_dim == 2
+
+    def test_standard_model_reaches_tol_scale(self, run, tmp_path):
+        # ||xi|| = 1 + 1e-6 passes the probe check at --tol-scale 1e4; columns sum to ||xi||^2
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("a", "b", "xi")}
+        save(Document("matrix", np.diag([0.0, 1.0]).astype(complex)), paths["a"])
+        save(Document("matrix", PAULI["Y"]), paths["b"])
+        save(Document("matrix", np.array([[1 + 1e-6], [0.0]], dtype=complex)), paths["xi"])
+        code, report, err = run(
+            "standard-model",
+            "--tol-scale", "1e4",
+            "--a-op", paths["a"],
+            "--b-op", paths["b"],
+            "--coupling", "0.7",
+            "--xi", paths["xi"],
+            "--pointer", "0;1",
+        )
+        assert code == 0, err
+        assert np.allclose(np.sum(report["kernel"], axis=0), (1 + 1e-6) ** 2, rtol=0, atol=1e-15)
+
     def test_bad_pointer_spec(self, run, tmp_path):
         a_path = tmp_path / "a.json"
         save(Document(kind="matrix", value=np.eye(2, dtype=complex)), a_path)

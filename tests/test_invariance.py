@@ -16,6 +16,10 @@ from the literature pin the verdicts independently: the rank bounds of Choi
 and of Li and Tam, projectivity of commuting extreme POVMs (D'Ariano, Lo
 Presti, Perinotti), the verdicts of nuclear instruments, invariance under an
 output isometry or input unitary, and extremality of unimodular ``v v^dag``.
+The dilation and compatibility verdicts are pinned by ranks taken with numpy:
+a minimal dilation's blocks span each outcome's Kraus span, Naimark fibers
+have the effect ranks and a nuclear instrument's fibers the product of effect
+and state ranks, and a model built at any pointer slot realizes its instrument.
 
 A valid document of any kind, with one node replaced, deleted or duplicated or
 with its text truncated, either loads or is refused with a ``FormatError`` that
@@ -49,13 +53,16 @@ from instrumentum import (
     instrument_extremal,
     load,
     lueders,
+    lueders_factorization,
     measurement_model,
     minimal_kraus,
     minimal_stinespring,
+    model_intertwiner,
     nuclear,
     povm_extremal,
     save,
     validate,
+    verify_dilation,
     witness_decompose,
 )
 from instrumentum.cli import main
@@ -436,6 +443,58 @@ def test_unimodular_rank_one_correlation_is_extreme(angles):
     r = correlation_extremal(np.outer(v, v.conj()))
     assert (r.is_extreme, r.gram_rank, r.span_rank) == (True, 1, 1)
 
+
+
+def rank(a):
+    """``numpy``'s rank, taken as an oracle independent of the package's own rank rules."""
+    return int(np.linalg.matrix_rank(a)) if a.size else 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_minimal_dilation_spans_exactly_the_kraus_span(case):
+    m, _ = case
+    report = verify_dilation(m, minimal_stinespring(m))
+    spans = tuple(rank(k.stack.reshape(len(k), m.dim_in * m.dim_out)) for _, k in m.outcomes)
+    assert report.passed
+    assert report.block_span_ranks == report.block_dims == spans
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instruments())
+def test_compat_and_lueders_factorization_pass_over_the_effect_ranks(case):
+    m, _ = case
+    decomposition = compat_channel(m)
+    assert decomposition.passed
+    assert lueders_factorization(m)[1].passed
+    assert decomposition.naimark_dims == tuple(rank(e) for _, e in associate_povm(m).effects)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(nuclear_cases())
+def test_nuclear_fibers_are_effect_rank_times_state_rank(case):
+    p, states, _, _ = case
+    decomposition = compat_channel(nuclear(p, states))
+    assert decomposition.passed
+    expected = tuple(rank(e) * rank(sigma) for (_, e), sigma in zip(p.effects, states))
+    assert decomposition.fiber_dims == expected
+
+
+@st.composite
+def square_instruments(draw):
+    dim = st.just(draw(DIMS))
+    return draw(instruments(dim, dim))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(square_instruments())
+def test_every_pointer_slot_gives_a_model_that_realizes_the_instrument(case):
+    m, _ = case
+    ancilla = minimal_stinespring(m).total_fibers
+    for j in range(ancilla):
+        w, report = model_intertwiner(measurement_model(m, xi_index=j), m)
+        assert report.passed, j
+        assert w.shape == (ancilla, ancilla)
 
 
 def valid_documents():

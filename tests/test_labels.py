@@ -26,6 +26,9 @@ from instrumentum import (
     posterior_state,
     save,
 )
+from instrumentum.cli import main
+from instrumentum.formats import label_to_json
+from instrumentum.instruments import _LABEL_DEPTH
 
 from helpers import basis_pvm, rand_coeffs_tensor, rand_instrument, rand_unitary
 
@@ -183,3 +186,70 @@ def test_subset_names_its_first_non_label():
     m = lueders(basis_pvm(2, ((0,), (1,))))
     with pytest.raises(KeyError, match="no outcome labeled True"):
         conditional_output(m, np.eye(2) / 2, (True, 1.0))
+
+
+def nested(depth, array=tuple):
+    """The label 0 inside ``depth`` arrays of type ``array``."""
+    label = 0
+    for _ in range(depth):
+        label = array((label,))
+    return label
+
+
+def test_label_at_the_nesting_bound_round_trips_and_prints(tmp_path, capsys):
+    deepest = nested(_LABEL_DEPTH)
+    for doc in documents((deepest, "b"), np.random.default_rng(3)):
+        first, second = tmp_path / f"{doc.kind}.json", tmp_path / f"{doc.kind}-again.json"
+        save(doc, first)
+        save(load(first), second)
+        assert first.read_bytes() == second.read_bytes(), doc.kind
+        assert labels_of(load(first))[0] == deepest, doc.kind
+    m = lueders(Povm(2, ((deepest, np.diag([1.0, 0.0])), ("b", np.diag([0.0, 1.0])))))
+    save(Document("instrument", m), tmp_path / "m.json")
+    save(Document("matrix", np.eye(2) / 2), tmp_path / "rho.json")
+    text = json.dumps(nested(_LABEL_DEPTH, list))
+    argv = ["posterior", str(tmp_path / "m.json"), "--state", str(tmp_path / "rho.json")]
+    assert main(argv + ["--outcome", text]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"] == nested(_LABEL_DEPTH, list)
+    assert report["probability"] == pytest.approx(0.5)
+
+
+def test_label_past_the_nesting_bound_is_refused_everywhere(tmp_path):
+    too_deep = nested(_LABEL_DEPTH + 1)
+    reason = f"labels may nest at most {_LABEL_DEPTH} arrays deep"
+    for build in constructors(too_deep):
+        with pytest.raises(ValueError, match=reason):
+            build()
+    with pytest.raises(FormatError, match=reason):
+        label_to_json(too_deep)
+    effect = {"label": nested(_LABEL_DEPTH + 1, list), "matrix": [[[1.0, 0.0]]]}
+    path = tmp_path / "deep.json"
+    body = {"kind": "povm", "version": "1", "payload": {"dim": 1, "effects": [effect]}}
+    path.write_text(json.dumps(body))
+    where = re.escape("payload.effects[0].label" + "[0]" * _LABEL_DEPTH)
+    with pytest.raises(FormatError, match=f"^{where}: {reason}$"):
+        load(path)
+
+
+@pytest.fixture
+def luders_and_state(tmp_path):
+    save(Document("instrument", lueders(basis_pvm(2, ((0,), (1,))))), tmp_path / "m.json")
+    save(Document("matrix", np.eye(2) / 2), tmp_path / "rho.json")
+    return tmp_path / "m.json", tmp_path / "rho.json"
+
+
+def test_validate_refuses_a_document_with_a_deep_label(tmp_path, capsys, luders_and_state):
+    body = json.loads(luders_and_state[0].read_text())
+    body["payload"]["outcomes"][0]["label"] = nested(600, list)
+    (tmp_path / "deep.json").write_text(json.dumps(body))
+    assert main(["validate", str(tmp_path / "deep.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: payload.outcomes[0].label[0]") and "nest at most" in err
+
+
+def test_posterior_refuses_an_outcome_deeper_than_the_parser_recurses(capsys, luders_and_state):
+    text = "[" * 5000 + "0" + "]" * 5000
+    m, rho = luders_and_state
+    assert main(["posterior", str(m), "--state", str(rho), "--outcome", text]) == 1
+    assert "nest at most" in capsys.readouterr().err
