@@ -46,6 +46,7 @@ from .instruments import (
     _check_labels,
     _checked_subset,
     _effect_factors,
+    _label_repr,
     _nuclear,
     _pooled,
     _require_projection,
@@ -88,12 +89,13 @@ class CompatCoefficients:
         entries = []
         for label, tensor in self.outcomes:
             tensor = np.array(tensor, dtype=np.complex128)
-            _require_finite(tensor, f"coefficient tensor for {label!r}")
+            _require_finite(tensor, f"coefficient tensor for {_label_repr(label)}")
             if tensor.ndim != 3:
-                raise ValueError(f"coefficients for {label!r} must be a rank-3 tensor")
+                raise ValueError(f"coefficients for {_label_repr(label)} must be a rank-3 tensor")
             if tensor.shape[1] != self.dim_k:
                 raise ValueError(
-                    f"coefficients for {label!r} have middle dimension {tensor.shape[1]}, "
+                    f"coefficients for {_label_repr(label)} have middle dimension "
+                    f"{tensor.shape[1]}, "
                     f"expected {self.dim_k}"
                 )
             tensor.setflags(write=False)
@@ -193,7 +195,7 @@ def compat_from_coeffs(
         n_i = d_vectors.shape[1]
         if tensor.shape[0] != n_i:
             raise ValueError(
-                f"coefficients for {label!r} have {tensor.shape[0]} rows, "
+                f"coefficients for {_label_repr(label)} have {tensor.shape[0]} rows, "
                 f"but the effect has rank {n_i}"
             )
         r_i = tensor.shape[2]
@@ -201,7 +203,8 @@ def compat_from_coeffs(
         gram_defect = float(np.linalg.norm(flat @ flat.conj().T - np.eye(n_i)))
         if gram_defect > tol.eps_eq * max(1.0, float(np.sqrt(max(n_i, 1)))):
             raise InstrumentumError(
-                f"coefficient rows for {label!r} are not orthonormal: defect {gram_defect:.3e}"
+                f"coefficient rows for {_label_repr(label)} are not orthonormal: "
+                f"defect {gram_defect:.3e}"
             )
         mixed = np.tensordot(tensor, d_vectors.T, axes=([0], [0]))  # (dim_k, r_i, dim)
         ops = mixed.transpose(1, 0, 2).conj()
@@ -365,7 +368,9 @@ def rank1_nuclear_extract(
     for label, matrix in p.effects:
         rank = _rank(matrix, tol)
         if rank > 1:
-            raise InstrumentumError(f"effect {label!r} has rank {rank}, expected at most one")
+            raise InstrumentumError(
+                f"effect {_label_repr(label)} has rank {rank}, expected at most one"
+            )
     dim_in, dim_out = m.dim_in, m.dim_out
     mixed_in = np.eye(dim_in, dtype=np.complex128) / dim_in
     states = []

@@ -426,7 +426,9 @@ def standard_model(
     kernel ``K[j, a] = || Pi_j xi(a) ||^2``, the measured effects are
     ``sum_a K[j, a] E_a``, and outcome ``j`` of the returned instrument has
     one Kraus operator ``sum_a xi(a)[r] E_a`` per ancilla index ``r`` in
-    block ``j``.
+    block ``j``.  The effects sum to ``||xi||^2 I``, so the probe is taken
+    when ``| ||xi||^2 - 1 | <= eps_eq``, the rule ``validate`` applies to the
+    returned instrument.
     """
     a_op = require_hermitian(a_op, tol, name="system observable")
     b_op = require_hermitian(b_op, tol, name="probe generator")
@@ -434,7 +436,7 @@ def standard_model(
     anc = b_op.shape[0]
     if xi.size != anc:
         raise ValueError(f"xi has length {xi.size}, expected {anc}")
-    if abs(np.linalg.norm(xi) - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(anc))):
+    if abs(float(np.vdot(xi, xi).real) - 1.0) > tol.eps_eq:
         raise InstrumentumError("probe vector is not normalized")
     blocks = [tuple(int(r) for r in block) for block in pointer]
     flat = sorted(r for block in blocks for r in block)

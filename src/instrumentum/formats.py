@@ -2,13 +2,14 @@
 
 A document is an object ``{"kind": ..., "version": "1", "payload": ...}``.
 Complex numbers are two-element arrays ``[re, im]``; a vector, matrix or
-rank-3 tensor is a row-major nested array of complex entries, written by
-``matrix_to_json`` and read back by ``_parse_array``.  A label is a string,
-an integer that is not a boolean, or an array of labels, which decodes to a
-tuple; this is the grammar every labelled constructor enforces, so every
-label a constructor accepts round-trips, and every label ``load`` rejects a
-constructor rejects too.  Floats rely on the shortest-round-trip decimal
-representation, so documents reload bit-exactly.
+rank-3 tensor is a row-major nested array of complex entries, the form
+``matrix_to_json`` gives, written row by row by ``save`` and read back by
+``_parse_array``.  A label is a string, an integer that is not a boolean,
+or an array of labels, which decodes to a tuple; this is the grammar every
+labelled constructor enforces, so every label a constructor accepts
+round-trips, and every label ``load`` rejects a constructor rejects too.
+Floats rely on the shortest-round-trip decimal representation, so documents
+reload bit-exactly.
 
 Kinds and payloads:
 
@@ -36,7 +37,9 @@ Kinds and payloads:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +47,7 @@ import numpy as np
 from .compat import CompatCoefficients
 from .dilation import MeasurementModel, StinespringDilation
 from .errors import FormatError
-from .instruments import DiscreteInstrument, Povm, _label_fault
+from .instruments import DiscreteInstrument, Povm, _label_fault, _label_repr
 
 __all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json", "complex_to_json"]
 
@@ -72,6 +75,11 @@ def matrix_to_json(a) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
+def _complex(a) -> np.ndarray:
+    """A numeric field as ``save`` takes it: the array whose ``matrix_to_json`` form is written."""
+    return np.asarray(a, dtype=np.complex128)
+
+
 def label_to_json(label):
     """JSON form of an outcome label: tuples become (nested) arrays.
 
@@ -81,7 +89,7 @@ def label_to_json(label):
     """
     fault = _label_fault(label)
     if fault is not None:
-        raise FormatError(f"label {label!r}{fault[0]}: {fault[1]}")
+        raise FormatError(f"label {_label_repr(label)}{fault[0]}: {fault[1]}")
     return _lists(label)
 
 
@@ -123,6 +131,10 @@ def _parse_array(node, path: str, ndim: int, empty: tuple | None = None, stack: 
     different shapes, and decodes to the tuple of its entries, for a
     constructor that checks them against its declared dimensions.
     """
+    if ndim and stack:
+        dense = _dense(node, ndim)
+        if dense is not None:
+            return dense
     if ndim == 0:
         pair = _expect(node, list, path, "a [re, im] pair")
         if len(pair) != 2:
@@ -140,6 +152,43 @@ def _parse_array(node, path: str, ndim: int, empty: tuple | None = None, stack: 
             shape, first = parsed[i].shape, parsed[0].shape
             raise FormatError(f"{path}[{i}]: shape {shape} disagrees with entry 0's {first}")
     return np.array(parsed, dtype=np.complex128) if stack else tuple(parsed)
+
+
+def _dense(node, ndim: int):
+    """``node`` read in one numpy conversion, or None to leave it to the entry-by-entry walk.
+
+    An array comes back only where the walk would return the same one: a
+    rank-``ndim`` nesting of ``[re, im]`` pairs with no empty level, every
+    leaf an int or a float (numpy would also convert ``true`` and
+    ``"1.5"``), and every value finite.  Each level is checked in one pass
+    over all its entries; as a string or object in JSON iterates to strings,
+    one at any level shows as a string leaf or as a length that disagrees.
+    Anything else, including an integer too large for a double, is left to
+    the walk, which reports the first fault by field path.
+    """
+    try:
+        shape = []
+        for depth in range(ndim + 1):
+            lengths = set(map(len, _level(node, depth)))
+            if len(lengths) != 1 or 0 in lengths:
+                return None
+            shape.append(lengths.pop())
+        if shape[-1] != 2 or not set(map(type, _level(node, ndim + 1))) <= {float, int}:
+            return None
+        values = np.fromiter(_level(node, ndim + 1), np.float64, math.prod(shape))
+    except (TypeError, OverflowError):  # the length of a number, an integer too large
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(np.complex128).reshape(shape[:-1])
+
+
+def _level(node, depth: int):
+    """An iterator over the entries ``depth`` levels below ``node``."""
+    entries = iter((node,))
+    for _ in range(depth):
+        entries = itertools.chain.from_iterable(entries)
+    return entries
 
 
 def _parse_label(node, path: str):
@@ -198,7 +247,7 @@ def _decode_matrix(payload, path):
 
 
 def _encode_matrix(value, meta):
-    payload = {"matrix": matrix_to_json(value)}
+    payload = {"matrix": _complex(value)}
     for key in ("dim_in", "dim_out", "label"):
         if key in meta:
             payload[key] = label_to_json(meta[key]) if key == "label" else int(meta[key])
@@ -214,7 +263,7 @@ def _decode_povm(payload, path):
 
 
 def _encode_povm(value, meta):
-    rows = ((label, matrix_to_json(matrix)) for label, matrix in value.effects)
+    rows = ((label, _complex(matrix)) for label, matrix in value.effects)
     return {"dim": value.dim, "effects": _labelled(rows, "matrix")}
 
 
@@ -228,7 +277,7 @@ def _decode_instrument(payload, path):
 
 
 def _encode_instrument(value, meta):
-    rows = ((label, matrix_to_json(kraus.stack)) for label, kraus in value.outcomes)
+    rows = ((label, _complex(kraus.stack)) for label, kraus in value.outcomes)
     return {"dim_in": value.dim_in, "dim_out": value.dim_out, "outcomes": _labelled(rows, "kraus")}
 
 
@@ -258,7 +307,7 @@ def _encode_dilation(value, meta):
         "dim_in": value.dim_in,
         "dim_out": value.dim_out,
         "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
-        "isometry": matrix_to_json(value.isometry),
+        "isometry": _complex(value.isometry),
     }
 
 
@@ -279,8 +328,8 @@ def _encode_model(value, meta):
     return {
         "system_dim": value.system_dim,
         "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
-        "xi": matrix_to_json(value.xi),
-        "unitary": matrix_to_json(value.unitary),
+        "xi": _complex(value.xi),
+        "unitary": _complex(value.unitary),
     }
 
 
@@ -293,7 +342,7 @@ def _decode_coefficients(payload, path):
 
 
 def _encode_coefficients(value, meta):
-    rows = ((label, matrix_to_json(tensor)) for label, tensor in value.outcomes)
+    rows = ((label, _complex(tensor)) for label, tensor in value.outcomes)
     return {"dim_k": value.dim_k, "outcomes": _labelled(rows, "tensor")}
 
 
@@ -313,7 +362,7 @@ def _encode_states(value, meta):
     dim = meta.get("dim")
     if dim is None:
         dim = int(np.asarray(value[0][1]).shape[0])
-    rows = ((label, matrix_to_json(matrix)) for label, matrix in value)
+    rows = ((label, _complex(matrix)) for label, matrix in value)
     return {"dim": dim, "states": _labelled(rows, "matrix")}
 
 
@@ -375,11 +424,73 @@ def load(path) -> Document:
 
 
 def save(doc: Document, path) -> None:
-    """Write a document; floats use shortest-round-trip decimals."""
+    """Write a document; floats use shortest-round-trip decimals.
+
+    The bytes are those of ``json.dump(body, indent=2, allow_nan=False)``
+    and a newline, with every array in its ``matrix_to_json`` form.  The
+    arrays are written one row of entries at a time, so neither the text of
+    the whole document nor a nested list of a whole array is ever built.
+    """
     if doc.kind not in KINDS:
         raise FormatError(f"unknown document kind {doc.kind!r}")
     payload = _ENCODERS[doc.kind](doc.value, doc.meta)
     body = {"kind": doc.kind, "version": VERSION, "payload": payload}
+    pieces, arrays = _skeleton(body, doc.kind != "report")
+    for array in arrays:
+        if not np.isfinite(array).all():
+            raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(body, handle, indent=2, allow_nan=False)
+        handle.write(pieces[0])
+        for array, before, after in zip(arrays, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1 :]  # the indentation, then '"key": '
+            newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            _write_array(handle.write, np.stack((array.real, array.imag), -1), newline)
+            handle.write(after)
         handle.write("\n")
+
+
+def _skeleton(body, with_arrays: bool) -> tuple:
+    """The text of ``body`` cut where its ndarrays go, and the ndarrays in the order they go there.
+
+    Every ndarray is encoded as one marker string; when the text holds the
+    marker more often than there are ndarrays, a label holds it too, and
+    another marker is tried.  Without ``with_arrays`` (a report) an ndarray
+    is refused like any other value ``json`` cannot encode.
+    """
+    for salt in itertools.count():
+        marker, found = f"\0{salt}", []
+
+        def mark(value):
+            if not (with_arrays and isinstance(value, np.ndarray)):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            found.append(value)
+            return marker
+
+        pieces = json.dumps(body, indent=2, allow_nan=False, default=mark).split(json.dumps(marker))
+        if len(pieces) == len(found) + 1:
+            return pieces, found
+
+
+def _write_array(write, pairs: np.ndarray, newline: str) -> None:
+    """Write ``pairs.tolist()`` as ``json.dump(indent=2)`` does on a line that ``newline`` begins.
+
+    The last axis of ``pairs`` is ``[re, im]``.  Each row of pairs is one
+    ``%``-format of its floats, whose ``%r`` is ``float.__repr__``, as in ``json``.
+    """
+    if not len(pairs):
+        write("[]")
+        return
+    inner = newline + "  "
+    if pairs.ndim == 1:
+        write(f"[{inner}%r,{inner}%r{newline}]" % tuple(pairs.tolist()))
+    elif pairs.ndim == 2:
+        entry = f"[{inner}  %r,{inner}  %r{inner}]"
+        row = f"[{inner}" + f",{inner}".join([entry] * len(pairs)) + f"{newline}]"
+        write(row % tuple(pairs.ravel().tolist()))
+    else:
+        write("[" + inner)
+        for i, part in enumerate(pairs):
+            if i:
+                write("," + inner)
+            _write_array(write, part, inner)
+        write(newline + "]")

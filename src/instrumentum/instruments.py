@@ -13,6 +13,8 @@ label sets round-trip through files unchanged.
 
 from __future__ import annotations
 
+import reprlib
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -72,15 +74,36 @@ def _label_fault(node, array=tuple, depth=0):
     return "", "expected a string, integer, or array label"
 
 
+# repr with no limit but the depth, which stops a label too deep for the grammar
+_LABEL_REPR = reprlib.Repr()
+for _limit in [name for name in vars(_LABEL_REPR) if name.startswith("max")]:
+    setattr(_LABEL_REPR, _limit, sys.maxsize)
+_LABEL_REPR.maxlevel = _LABEL_DEPTH
+
+
+def _label_repr(label) -> str:
+    """``repr(label)`` for any label of the grammar, and a bounded text for anything else.
+
+    Arrays nested deeper than ``_LABEL_DEPTH`` are shown as ``(...)``, so an
+    error message can name a label of any depth without recursing past the
+    interpreter's limit.
+    """
+    if isinstance(label, (tuple, list)):
+        for part in label:
+            if isinstance(part, (tuple, list)):
+                return _LABEL_REPR.repr(label)
+    return repr(label)  # a flat label: no recursion, and several times faster than reprlib
+
+
 def _check_labels(labels) -> None:
     """Raise ValueError unless ``labels`` are distinct and each follows the label grammar."""
     seen = set()
     for label in labels:
         fault = _label_fault(label)
         if fault is not None:
-            raise ValueError(f"label {label!r}{fault[0]}: {fault[1]}")
+            raise ValueError(f"label {_label_repr(label)}{fault[0]}: {fault[1]}")
         if label in seen:
-            raise ValueError(f"duplicate outcome label {label!r}")
+            raise ValueError(f"duplicate outcome label {_label_repr(label)}")
         seen.add(label)
 
 
@@ -102,10 +125,11 @@ class Povm:
         effects = []
         for entry in self.effects:
             label, matrix = entry
-            matrix = as_matrix(matrix, name=f"effect {label!r}")
+            matrix = as_matrix(matrix, name=f"effect {_label_repr(label)}")
             if matrix.shape != (self.dim, self.dim):
                 raise ValueError(
-                    f"effect {label!r} has shape {matrix.shape}, expected {(self.dim, self.dim)}"
+                    f"effect {_label_repr(label)} has shape {matrix.shape}, "
+                    f"expected {(self.dim, self.dim)}"
                 )
             effects.append((label, matrix))
         _check_labels(label for label, _ in effects)
@@ -120,7 +144,7 @@ class Povm:
             for lab, matrix in self.effects:
                 if lab == label:
                     return matrix
-        raise KeyError(f"no effect labeled {label!r}")
+        raise KeyError(f"no effect labeled {_label_repr(label)}")
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -149,7 +173,7 @@ class DiscreteInstrument:
                 kraus = KrausSet(self.dim_in, self.dim_out, tuple(kraus))
             if (kraus.dim_in, kraus.dim_out) != (self.dim_in, self.dim_out):
                 raise ValueError(
-                    f"outcome {label!r} acts between dimensions "
+                    f"outcome {_label_repr(label)} acts between dimensions "
                     f"{(kraus.dim_in, kraus.dim_out)}, expected {(self.dim_in, self.dim_out)}"
                 )
             outcomes.append((label, kraus))
@@ -165,7 +189,7 @@ class DiscreteInstrument:
             for lab, kraus in self.outcomes:
                 if lab == label:
                     return kraus
-        raise KeyError(f"no outcome labeled {label!r}")
+        raise KeyError(f"no outcome labeled {_label_repr(label)}")
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -201,9 +225,11 @@ class BiInstrument(DiscreteInstrument):
         object.__setattr__(self, "second_labels", tuple(self.second_labels))
         for label, _ in self.outcomes:
             if not (isinstance(label, tuple) and len(label) == 2):
-                raise ValueError(f"outcome label {label!r} is not an ordered pair")
+                raise ValueError(f"outcome label {_label_repr(label)} is not an ordered pair")
             if label[0] not in self.first_labels or label[1] not in self.second_labels:
-                raise ValueError(f"outcome label {label!r} is not in the product label set")
+                raise ValueError(
+                    f"outcome label {_label_repr(label)} is not in the product label set"
+                )
 
 
 @dataclass(frozen=True)
@@ -253,7 +279,7 @@ def _effect_factors(p: Povm, tol: Tolerances) -> list:
     for label, matrix in p.effects:
         f = _factor(require_hermitian(matrix, tol), tol)
         if not f.psd:
-            raise InstrumentumError(f"effect {label!r} is not positive semidefinite")
+            raise InstrumentumError(f"effect {_label_repr(label)} is not positive semidefinite")
         factors.append(f.w)
     _require_effect_sum(p, tol)
     return factors
@@ -293,7 +319,7 @@ def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
         raise ValueError("subset must contain at least one outcome label")
     for label in subset:
         if _label_fault(label) is not None or label not in m.labels:
-            raise KeyError(f"no outcome labeled {label!r}")
+            raise KeyError(f"no outcome labeled {_label_repr(label)}")
     return subset
 
 
@@ -301,7 +327,9 @@ def _require_projection(label: Label, matrix: np.ndarray, tol: Tolerances) -> No
     """Raise unless ``||P P - P|| <= eps_eq * max(1, ||P||)`` for the effect ``P`` of ``label``."""
     defect = float(np.linalg.norm(matrix @ matrix - matrix))
     if defect > tol.eps_eq * max(1.0, float(np.linalg.norm(matrix))):
-        raise InstrumentumError(f"effect {label!r} is not a projection: defect {defect:.3e}")
+        raise InstrumentumError(
+            f"effect {_label_repr(label)} is not a projection: defect {defect:.3e}"
+        )
 
 
 def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
@@ -311,7 +339,10 @@ def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     ``eps_eq``, and the effects must sum to the identity; a Hermitian
     idempotent is positive, so no decomposition is needed.
     """
-    projs = [require_hermitian(matrix, tol, name=f"effect {label!r}") for label, matrix in p.effects]
+    projs = [
+        require_hermitian(matrix, tol, name=f"effect {_label_repr(label)}")
+        for label, matrix in p.effects
+    ]
     _require_effect_sum(p, tol)
     outcomes = []
     for label, proj in zip(p.labels, projs):
@@ -360,13 +391,15 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     state_factors = []
     for label, sigma in zip(p.labels, states):
         if sigma.shape != (dim_out, dim_out):
-            raise ValueError(f"state for outcome {label!r} has shape {sigma.shape}")
+            raise ValueError(f"state for outcome {_label_repr(label)} has shape {sigma.shape}")
         f = _factor(require_hermitian(sigma, tol), tol)
         if not f.psd:
-            raise InstrumentumError(f"state for outcome {label!r} is not positive semidefinite")
+            raise InstrumentumError(
+                f"state for outcome {_label_repr(label)} is not positive semidefinite"
+            )
         trace = float(np.trace(sigma).real)
         if abs(trace - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(dim_out))):
-            raise InstrumentumError(f"state for outcome {label!r} has trace {trace!r}")
+            raise InstrumentumError(f"state for outcome {_label_repr(label)} has trace {trace!r}")
         state_factors.append(f.w)
     rows = [d.conj().T for d in effect_factors]
     return _nuclear(p.dim, dim_out, p.labels, rows, state_factors)

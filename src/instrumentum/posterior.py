@@ -8,7 +8,7 @@ import numpy as np
 
 from .cpmaps import _schrodinger
 from .errors import InstrumentumError
-from .instruments import DiscreteInstrument, Label, _checked_subset, require_valid
+from .instruments import DiscreteInstrument, Label, _checked_subset, _label_repr, require_valid
 from .matkernel import DEFAULT_TOL, Tolerances, _is_psd, as_matrix, dagger, require_hermitian
 
 __all__ = [
@@ -57,7 +57,7 @@ def posterior_state(
 
     Raises when the outcome has (numerically) zero probability.
     """
-    zero = f"outcome {label!r} has zero probability on this state"
+    zero = f"outcome {_label_repr(label)} has zero probability on this state"
     _, weight, state = _conditioned(m, rho, (label,), zero, tol)
     return PosteriorResult(label, weight, state)
 

@@ -1,8 +1,19 @@
 """Shared generators and hand oracles for the test suite."""
 
+from unittest import mock
+
 import numpy as np
 
-from instrumentum import DiscreteInstrument, KrausSet, Povm, apply_heisenberg
+from instrumentum import (
+    DiscreteInstrument,
+    FormatError,
+    KrausSet,
+    Povm,
+    apply_heisenberg,
+    formats,
+    load,
+    save,
+)
 
 
 def rand_unitary(rng, d):
@@ -164,3 +175,21 @@ def action_distance(m1, m2):
         kraus_action_distance(k1, k2)
         for (_, k1), (_, k2) in zip(m1.outcomes, m2.outcomes)
     )
+
+
+def load_outcome(path):
+    """What ``load`` makes of ``path``: the bytes ``save`` writes of its value, or the error."""
+    try:
+        doc = load(path)
+    except FormatError as exc:
+        return str(exc)
+    again = path.with_name(path.name + ".again")
+    save(doc, again)
+    return again.read_bytes()
+
+
+def load_outcomes(path):
+    """``load_outcome(path)`` with the one-call array conversion, and with the walk alone."""
+    dense = load_outcome(path)
+    with mock.patch.object(formats, "_dense", lambda node, ndim: None):
+        return dense, load_outcome(path)

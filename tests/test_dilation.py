@@ -244,15 +244,20 @@ class TestStandardModel:
         assert np.allclose(povm.effect(1), np.eye(2), atol=1e-12)
 
     def test_probe_within_tolerance_gives_a_kernel(self):
-        # ||xi|| = 1 + 7e-9 passes the probe check at dim 64, and every column sums to ||xi||^2
+        # the probe is judged by validate's rule on the output, | ||xi||^2 - 1 | <= eps_eq, so a
+        # probe inside it gives a valid instrument and one outside it is refused
         rng = np.random.default_rng(5)
-        xi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        xi *= (1 + 7e-9) / np.linalg.norm(xi)
+        direction = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        direction /= np.linalg.norm(direction)
         b_op = rng.standard_normal((64, 64))
-        _, kernel, _ = standard_model(
-            np.diag([0.0, 1.0]), b_op + b_op.T, 0.3, xi, (tuple(range(32)), tuple(range(32, 64)))
-        )
+        args = (np.diag([0.0, 1.0]), b_op + b_op.T, 0.3)
+        pointer = (tuple(range(32)), tuple(range(32, 64)))
+        xi = direction * np.sqrt(1 + 0.9 * DEFAULT_TOL.eps_eq)
+        _, kernel, m = standard_model(*args, xi, pointer)
         assert np.allclose(kernel.matrix.sum(axis=0), np.linalg.norm(xi) ** 2, rtol=0, atol=1e-15)
+        assert validate(m).passed
+        with pytest.raises(InstrumentumError, match="not normalized"):
+            standard_model(*args, direction * np.sqrt(1 + 1.1 * DEFAULT_TOL.eps_eq), pointer)
 
     def test_custom_labels(self):
         povm, kernel, inst = standard_model(

@@ -1,14 +1,17 @@
 """JSON document round trips and malformed-input diagnostics."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from instrumentum import (
     CompatCoefficients,
+    DiscreteInstrument,
     Document,
     FormatError,
+    KrausSet,
     MeasurementModel,
     Povm,
     lueders,
@@ -17,8 +20,9 @@ from instrumentum import (
     minimal_stinespring,
     save,
 )
+from instrumentum.formats import KINDS, _dense, label_to_json, matrix_to_json
 
-from helpers import basis_pvm, rand_coeffs_tensor, rand_instrument
+from helpers import basis_pvm, load_outcomes, rand_coeffs_tensor, rand_instrument
 
 
 def roundtrip(doc, tmp_path, name="doc.json"):
@@ -257,3 +261,165 @@ class TestMalformed:
     def test_save_rejects_unknown_kind(self, tmp_path):
         with pytest.raises(FormatError, match="kind"):
             save(Document(kind="mystery", value=None, meta={}), tmp_path / "x.json")
+
+
+def from_pairs(pairs):
+    """The complex array with these ``[re, im]`` pairs, signed zeros kept."""
+    return np.array(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def json_form(doc):
+    """The document spelled by ``matrix_to_json`` and ``label_to_json``, for ``json.dumps``."""
+    v, label, array = doc.value, label_to_json, matrix_to_json
+    if doc.kind == "matrix":
+        payload = {"matrix": array(v)}
+        payload.update((k, label(x) if k == "label" else x) for k, x in doc.meta.items())
+    elif doc.kind == "povm":
+        effects = [{"label": label(lab), "matrix": array(e)} for lab, e in v.effects]
+        payload = {"dim": v.dim, "effects": effects}
+    elif doc.kind == "instrument":
+        outcomes = [{"label": label(lab), "kraus": array(k.stack)} for lab, k in v.outcomes]
+        payload = {"dim_in": v.dim_in, "dim_out": v.dim_out, "outcomes": outcomes}
+    elif doc.kind == "dilation":
+        blocks = [{"label": label(lab), "block_dim": n} for lab, n in zip(v.labels, v.block_dims)]
+        payload = {"dim_in": v.dim_in, "dim_out": v.dim_out, "outcomes": blocks}
+        payload["isometry"] = array(v.isometry)
+    elif doc.kind == "model":
+        blocks = [{"label": label(lab), "block_dim": n} for lab, n in zip(v.labels, v.block_dims)]
+        payload = {"system_dim": v.system_dim, "outcomes": blocks}
+        payload.update(xi=array(v.xi), unitary=array(v.unitary))
+    elif doc.kind == "coefficients":
+        outcomes = [{"label": label(lab), "tensor": array(t)} for lab, t in v.outcomes]
+        payload = {"dim_k": v.dim_k, "outcomes": outcomes}
+    elif doc.kind == "states":
+        states = [{"label": label(lab), "matrix": array(m)} for lab, m in v]
+        payload = {"dim": doc.meta["dim"], "states": states}
+    else:
+        payload = v
+    return {"kind": doc.kind, "version": "1", "payload": payload}
+
+
+def deep_label(depth):
+    label = "deep"
+    for _ in range(depth):
+        label = (label,)
+    return label
+
+
+# "\x000" spells save's first array marker, so a document holding it takes the second
+ODD_LABELS = ("\x00", 'say "hi"', "ünïcødé ✓", "\x000", deep_label(100), -3)
+ODD_FLOATS = from_pairs([[[-0.0, 5e-324], [1e16, -1e22]], [[1e-7, -0.0], [0.1, -2.5e-8]]])
+
+
+def byte_oracle_documents():
+    rng = np.random.default_rng(23)
+    m = rand_instrument(rng, 2, 3, (1, 2, 1, 1, 1, 1), labels=ODD_LABELS)
+    ones = DiscreteInstrument(1, 1, (("one", (np.eye(1),)), ("none", KrausSet(1, 1, ()))))
+    tensors = (("a", rand_coeffs_tensor(rng, 1, 2, 2)), ("\x000", np.zeros((0, 2, 0))))
+    meta = {"dim_in": 2, "dim_out": 1, "label": deep_label(100)}
+    pvm = basis_pvm(2, ((0,), (1,)))
+    report = {"x": [-0.0, 5e-324, 1e16, 1e22, 1e-7], "label": "\x000", "deep": [[[0]]]}
+    return {
+        "matrix": Document("matrix", ODD_FLOATS, meta),
+        "matrix-dim-1": Document("matrix", from_pairs([[[-0.0, -0.0]]])),
+        "povm": Document("povm", Povm(2, tuple((lab, ODD_FLOATS) for lab in ODD_LABELS))),
+        "instrument": Document("instrument", m),
+        "instrument-dim-1-empty-kraus": Document("instrument", ones),
+        "dilation": Document("dilation", minimal_stinespring(m)),
+        "model-rank-1-xi": Document("model", measurement_model(lueders(pvm))),
+        "coefficients-empty-tensor": Document("coefficients", CompatCoefficients(2, tensors)),
+        "states": Document("states", tuple((lab, ODD_FLOATS) for lab in ODD_LABELS), {"dim": 2}),
+        "report": Document("report", report),
+    }
+
+
+class TestSaveBytes:
+    @pytest.mark.parametrize("name", list(byte_oracle_documents()))
+    def test_bytes_are_those_of_json_dump(self, tmp_path, name):
+        doc = byte_oracle_documents()[name]
+        save(doc, tmp_path / "doc.json")
+        expected = json.dumps(json_form(doc), indent=2, allow_nan=False) + "\n"
+        assert (tmp_path / "doc.json").read_bytes() == expected.encode("ascii")
+
+    def test_kinds_are_covered(self):
+        assert {doc.kind for doc in byte_oracle_documents().values()} == set(KINDS)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            Document("matrix", [[np.nan]]),
+            Document("matrix", [[complex(0.0, -np.inf)]]),
+            Document("report", {"x": [np.inf]}),
+        ],
+        ids=["nan", "imaginary-inf", "report"],
+    )
+    def test_non_finite_values_are_refused(self, tmp_path, doc):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save(doc, tmp_path / "doc.json")
+
+    def test_report_takes_no_array(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save(Document("report", {"x": np.eye(2)}), tmp_path / "doc.json")
+
+    def test_peak_memory_of_a_256_by_256_matrix(self, tmp_path):
+        # the document is 3.7 MB of text; save writes it one row at a time (building the nested
+        # lists first peaked at 9.0 MB), and load peaks at json's parse tree (14.1 MB)
+        rng = np.random.default_rng(256)
+        parts = rng.standard_normal((2, 256, 256))
+        doc = Document("matrix", parts[0] + 1j * parts[1])
+        path = tmp_path / "big.json"
+        peaks = {}
+        for name, call in (("save", lambda: save(doc, path)), ("load", lambda: load(path))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+        assert peaks["save"] < 4.0, peaks
+        assert peaks["load"] < 14.8, peaks
+
+
+# leaves spelled as JSON text; each is put in place of a number, of a pair and of an outer entry
+HAND_PICKED = ["true", '"1.5"', "null", "3", str(2**53 + 1), "9" * 400, "NaN", "Infinity",
+               "[1.0]", "[[0.5, 0.0]]", "[]"]
+
+
+def parity_documents():
+    rng = np.random.default_rng(7)
+    m = rand_instrument(rng, 2, 2, (2, 1))
+    coefficients = CompatCoefficients(2, (("a", rand_coeffs_tensor(rng, 1, 2, 2)),))
+    return {
+        "matrix": (Document("matrix", rng.standard_normal((2, 2)) + 0j), ("matrix",), 2),
+        "kraus": (Document("instrument", m), ("outcomes", 0, "kraus"), 3),
+        "tensor": (Document("coefficients", coefficients), ("outcomes", 0, "tensor"), 3),
+        "xi": (Document("model", measurement_model(m)), ("xi",), 1),
+    }
+
+
+def test_dense_path_reads_valid_arrays_bit_for_bit():
+    for pairs in ([[[-0.0, 5e-324], [1e16, 3]]], [[-1e-7, 2**53 + 1]]):
+        node = json.loads(json.dumps(pairs))
+        array = _dense(node, np.ndim(pairs) - 1)
+        assert array is not None
+        assert array.tobytes() == from_pairs(np.array(pairs, dtype=float)).tobytes()
+
+
+@pytest.mark.parametrize("field", list(parity_documents()))
+@pytest.mark.parametrize("leaf", HAND_PICKED)
+def test_hand_picked_leaves_load_alike_with_and_without_the_dense_path(tmp_path, field, leaf):
+    doc, where, rank = parity_documents()[field]
+    save(doc, tmp_path / "doc.json")
+    text = (tmp_path / "doc.json").read_text()
+    for depth in (rank + 1, rank, 1):  # a number, a pair, an outer entry
+        body = json.loads(text)
+        node = body["payload"]
+        for key in where:
+            node = node[key]
+        for _ in range(depth - 1):
+            node = node[-1]
+        node[-1] = "LEAF"
+        path = tmp_path / f"leaf-{depth}.json"
+        path.write_text(json.dumps(body).replace('"LEAF"', leaf))
+        dense, walk = load_outcomes(path)
+        assert dense == walk, (depth, dense, walk)

@@ -69,6 +69,7 @@ from instrumentum.cli import main
 
 from helpers import (
     basis_pvm,
+    load_outcomes,
     rand_coeffs_tensor,
     rand_instrument,
     rand_isometry,
@@ -570,6 +571,8 @@ def test_mutated_documents_fail_with_a_field_path(document_texts, tmp_path_facto
         load(path)
     except FormatError as exc:
         assert re.match(f"({re.escape(str(path))}|{FIELD_PATH})", str(exc)), str(exc)
+    dense, walk = load_outcomes(path)  # the same value bits, or the same message
+    assert dense == walk
     command = "cp-check" if kind == "matrix" else "validate"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main([command, str(path)]) in (0, 1, 2)

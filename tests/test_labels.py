@@ -232,6 +232,40 @@ def test_label_past_the_nesting_bound_is_refused_everywhere(tmp_path):
         load(path)
 
 
+def test_labels_of_any_depth_are_named_in_messages():
+    # a label built in Python may nest past the interpreter's recursion limit; messages name
+    # labels through one repr that shows levels past the bound as (...), so each call still
+    # raises its own error
+    too_deep = nested(5000)
+    reason = f"labels may nest at most {_LABEL_DEPTH} arrays deep"
+    for build in constructors(too_deep):
+        with pytest.raises(ValueError, match=reason):
+            build()
+    with pytest.raises(ValueError, match=re.escape("(...),),") + ".* has shape"):
+        Povm(1, ((too_deep, np.eye(2)),))
+    with pytest.raises(FormatError, match=reason):
+        label_to_json(too_deep)
+    p = basis_pvm(2, ((0,), (1,)))
+    m = lueders(p)
+    rho = np.eye(2) / 2
+    for lookup in (
+        lambda: p.effect(too_deep),
+        lambda: m.outcome(too_deep),
+        lambda: posterior_state(m, rho, too_deep),
+        lambda: conditional_output(m, rho, (1, too_deep)),
+    ):
+        with pytest.raises(KeyError, match=r"no (effect|outcome) labeled \(\(\(.*\(\.\.\.\)"):
+            lookup()
+
+
+def test_messages_show_labels_at_the_bound_in_full():
+    deepest = nested(_LABEL_DEPTH)
+    with pytest.raises(KeyError, match=re.escape(f"no outcome labeled {deepest!r}")):
+        lueders(basis_pvm(2, ((0,), (1,)))).outcome(deepest)
+    with pytest.raises(ValueError, match=re.escape(f"duplicate outcome label {deepest!r}")):
+        Povm(1, ((deepest, np.eye(1)), (deepest, np.eye(1))))
+
+
 @pytest.fixture
 def luders_and_state(tmp_path):
     save(Document("instrument", lueders(basis_pvm(2, ((0,), (1,))))), tmp_path / "m.json")
