@@ -43,9 +43,9 @@ from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
     Povm,
-    _check_labels,
     _checked_subset,
     _effect_factors,
+    _family,
     _label_repr,
     _nuclear,
     _pooled,
@@ -86,22 +86,20 @@ class CompatCoefficients:
     def __post_init__(self) -> None:
         if self.dim_k < 1:
             raise ValueError(f"output dimension must be positive, got {self.dim_k}")
-        entries = []
-        for label, tensor in self.outcomes:
-            tensor = np.array(tensor, dtype=np.complex128)
-            _require_finite(tensor, f"coefficient tensor for {_label_repr(label)}")
-            if tensor.ndim != 3:
-                raise ValueError(f"coefficients for {_label_repr(label)} must be a rank-3 tensor")
-            if tensor.shape[1] != self.dim_k:
-                raise ValueError(
-                    f"coefficients for {_label_repr(label)} have middle dimension "
-                    f"{tensor.shape[1]}, "
-                    f"expected {self.dim_k}"
-                )
-            tensor.setflags(write=False)
-            entries.append((label, tensor))
-        _check_labels(label for label, _ in entries)
-        object.__setattr__(self, "outcomes", tuple(entries))
+        object.__setattr__(self, "outcomes", _family(self.outcomes, self._checked_tensor))
+
+    def _checked_tensor(self, label, tensor) -> np.ndarray:
+        tensor = np.array(tensor, dtype=np.complex128)
+        _require_finite(tensor, f"coefficient tensor for {_label_repr(label)}")
+        if tensor.ndim != 3:
+            raise ValueError(f"coefficients for {_label_repr(label)} must be a rank-3 tensor")
+        if tensor.shape[1] != self.dim_k:
+            raise ValueError(
+                f"coefficients for {_label_repr(label)} have middle dimension "
+                f"{tensor.shape[1]}, expected {self.dim_k}"
+            )
+        tensor.setflags(write=False)
+        return tensor
 
     @property
     def labels(self) -> tuple:

@@ -31,7 +31,15 @@ import numpy as np
 
 from .cpmaps import KrausSet, action_distance, minimal_kraus
 from .errors import InstrumentumError
-from .instruments import DiscreteInstrument, Povm, _check_labels, require_valid, trivial_from_povm
+from .instruments import (
+    DiscreteInstrument,
+    Povm,
+    _block_partition,
+    _block_slice,
+    _family,
+    require_valid,
+    trivial_from_povm,
+)
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
@@ -80,13 +88,7 @@ class StinespringDilation:
     isometry: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        block_dims = tuple(int(n) for n in self.block_dims)
-        if len(labels) != len(block_dims):
-            raise ValueError("labels and block_dims disagree in length")
-        _check_labels(labels)
-        if any(n < 0 for n in block_dims):
-            raise ValueError("block dimensions must be nonnegative")
+        labels, block_dims = _block_partition(self.labels, self.block_dims)
         total = sum(block_dims)
         iso = as_matrix(self.isometry, name="dilation isometry")
         if iso.shape != (self.dim_out * total, self.dim_in):
@@ -101,9 +103,7 @@ class StinespringDilation:
     def total_fibers(self) -> int:
         return sum(self.block_dims)
 
-    def block_slice(self, index: int) -> slice:
-        offset = sum(self.block_dims[:index])
-        return slice(offset, offset + self.block_dims[index])
+    block_slice = _block_slice
 
     def _fiber_blocks(self) -> list:
         """Per outcome, ``Y[s * total + offset(i) + k, m]`` as a ``(dim_out, n_i, dim_in)`` view."""
@@ -147,13 +147,7 @@ class MeasurementModel:
     unitary: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        block_dims = tuple(int(n) for n in self.block_dims)
-        if len(labels) != len(block_dims):
-            raise ValueError("labels and block_dims disagree in length")
-        _check_labels(labels)
-        if any(n < 0 for n in block_dims):
-            raise ValueError("pointer block dimensions must be nonnegative")
+        labels, block_dims = _block_partition(self.labels, self.block_dims)
         ancilla = sum(block_dims)
         if ancilla < 1:
             raise ValueError("ancilla must have positive dimension")
@@ -175,9 +169,7 @@ class MeasurementModel:
     def ancilla_dim(self) -> int:
         return sum(self.block_dims)
 
-    def block_slice(self, index: int) -> slice:
-        offset = sum(self.block_dims[:index])
-        return slice(offset, offset + self.block_dims[index])
+    block_slice = _block_slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +196,7 @@ class MarkovKernel:
             raise ValueError(
                 f"kernel has shape {matrix.shape}, expected {(len(labels), eigenvalues.size)}"
             )
+        _family(zip(labels, matrix), lambda label, row: row)  # the rows K[j, :] by label
         matrix.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)

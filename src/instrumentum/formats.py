@@ -49,7 +49,7 @@ from .dilation import MeasurementModel, StinespringDilation
 from .errors import FormatError
 from .instruments import DiscreteInstrument, Povm, _label_fault, _label_repr
 
-__all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json", "complex_to_json"]
+__all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json"]
 
 VERSION = "1"
 
@@ -62,11 +62,6 @@ class Document:
     value: object
     meta: dict = field(default_factory=dict)
     version: str = VERSION
-
-
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def matrix_to_json(a) -> list:

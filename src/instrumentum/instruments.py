@@ -4,7 +4,8 @@ An instrument assigns to each outcome label a CP map given by a Kraus set;
 the maps share input/output spaces and their Heisenberg actions on the
 identity sum to the identity.  Outcome labels follow one grammar, checked by
 every labelled constructor in the package and by every lookup by label: a
-label is a string, an integer that is not a boolean, or a tuple of labels at
+label is a string, an integer of at most 4300 digits (the most Python
+converts to text by default) that is not a boolean, or a tuple of labels at
 most ``_LABEL_DEPTH`` deep (tuples arise from sequential composition and from
 rank-one refinement), so ``True`` or ``1.0`` names no outcome although it
 equals ``1``.  Zero effects and zero outcome maps are legal and retained, so
@@ -48,16 +49,22 @@ Label = Union[str, int, tuple]
 # one level per sequential composition, whose outcome count grows as a product, so no real
 # label comes near this bound; it keeps every walk over a label inside the recursion limit
 _LABEL_DEPTH = 100
+# Python's default limit on integer-to-text conversion, so every integer label can be written
+_LABEL_DIGITS = 4300
+_INT_BOUND = 10**_LABEL_DIGITS
+_NEG_INT_BOUND = -_INT_BOUND  # negated once, not on every check
+_LONG_INT = f"<integer of more than {_LABEL_DIGITS} digits>"
 
 
 def _label_fault(node, array=tuple, depth=0):
     """Where and why ``node`` breaks the label grammar, or None when it is a label.
 
-    A label is a string, an integer that is not a boolean, or a sequence of
-    type ``array`` of labels (``tuple`` for values, ``list`` for decoded
-    JSON), at most ``_LABEL_DEPTH`` sequences deep.  A fault is ``(where,
-    reason)``, with ``where`` the index path of the first offending element,
-    such as ``"[1][0]"``; no string is built for a valid label.
+    A label is a string, an integer of at most ``_LABEL_DIGITS`` digits that
+    is not a boolean, or a sequence of type ``array`` of labels (``tuple``
+    for values, ``list`` for decoded JSON), at most ``_LABEL_DEPTH``
+    sequences deep.  A fault is ``(where, reason)``, with ``where`` the index
+    path of the first offending element, such as ``"[1][0]"``; no string is
+    built for a valid label.
     """
     if isinstance(node, array):
         if depth == _LABEL_DEPTH:
@@ -69,16 +76,22 @@ def _label_fault(node, array=tuple, depth=0):
         return None
     if isinstance(node, bool):
         return "", "labels may not be booleans"
-    if isinstance(node, (str, int)):
+    if isinstance(node, str):
         return None
+    if isinstance(node, int):
+        if _NEG_INT_BOUND < node < _INT_BOUND:
+            return None
+        return "", f"integer labels may have at most {_LABEL_DIGITS} digits"
     return "", "expected a string, integer, or array label"
 
 
-# repr with no limit but the depth, which stops a label too deep for the grammar
+# repr with no limit but the depth, which stops a label too deep for the grammar, and with an
+# integer too long for the grammar named by its bound, as Python refuses to convert it to text
 _LABEL_REPR = reprlib.Repr()
 for _limit in [name for name in vars(_LABEL_REPR) if name.startswith("max")]:
     setattr(_LABEL_REPR, _limit, sys.maxsize)
 _LABEL_REPR.maxlevel = _LABEL_DEPTH
+_LABEL_REPR.repr_int = lambda x, level: repr(x) if _NEG_INT_BOUND < x < _INT_BOUND else _LONG_INT
 
 
 def _label_repr(label) -> str:
@@ -92,7 +105,10 @@ def _label_repr(label) -> str:
         for part in label:
             if isinstance(part, (tuple, list)):
                 return _LABEL_REPR.repr(label)
-    return repr(label)  # a flat label: no recursion, and several times faster than reprlib
+    try:
+        return repr(label)  # a flat label: no recursion, and several times faster than reprlib
+    except ValueError:  # an integer too long for the grammar, alone or in a flat array
+        return _LABEL_REPR.repr(label)
 
 
 def _check_labels(labels) -> None:
@@ -105,6 +121,40 @@ def _check_labels(labels) -> None:
         if label in seen:
             raise ValueError(f"duplicate outcome label {_label_repr(label)}")
         seen.add(label)
+
+
+def _family(entries, coerce) -> tuple:
+    """The pairs ``(label, coerce(label, value))`` of ``entries``, then ``_check_labels`` once."""
+    family = tuple((label, coerce(label, value)) for label, value in entries)
+    _check_labels(label for label, _ in family)
+    return family
+
+
+def _find(family, label, what: str):
+    """The value paired with ``label`` in ``family``; KeyError naming ``what`` if there is none."""
+    if _label_fault(label) is None:  # else True or 1.0 would compare equal to 1
+        for lab, value in family:
+            if lab == label:
+                return value
+    raise KeyError(f"no {what} labeled {_label_repr(label)}")
+
+
+def _block_partition(labels, block_dims) -> tuple:
+    """``labels`` and ``block_dims`` as tuples, checked to split a basis into labelled blocks."""
+    labels, block_dims = tuple(labels), tuple(block_dims)
+    if len(labels) != len(block_dims):
+        raise ValueError("labels and block_dims disagree in length")
+    _check_labels(labels)
+    for n in block_dims:  # int() would truncate a float and read True or "2" as a dimension
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"block dimensions must be non-negative integers, got {_label_repr(n)}")
+    return labels, tuple(map(int, block_dims))
+
+
+def _block_slice(self, index: int) -> slice:
+    """The basis indices of block ``index`` of a partition into ``self.block_dims``."""
+    offset = sum(self.block_dims[:index])
+    return slice(offset, offset + self.block_dims[index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,29 +172,23 @@ class Povm:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        effects = []
-        for entry in self.effects:
-            label, matrix = entry
-            matrix = as_matrix(matrix, name=f"effect {_label_repr(label)}")
-            if matrix.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"effect {_label_repr(label)} has shape {matrix.shape}, "
-                    f"expected {(self.dim, self.dim)}"
-                )
-            effects.append((label, matrix))
-        _check_labels(label for label, _ in effects)
-        object.__setattr__(self, "effects", tuple(effects))
+        object.__setattr__(self, "effects", _family(self.effects, self._checked_effect))
+
+    def _checked_effect(self, label, matrix) -> np.ndarray:
+        matrix = as_matrix(matrix, name=f"effect {_label_repr(label)}")
+        if matrix.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"effect {_label_repr(label)} has shape {matrix.shape}, "
+                f"expected {(self.dim, self.dim)}"
+            )
+        return matrix
 
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.effects)
 
     def effect(self, label: Label) -> np.ndarray:
-        if _label_fault(label) is None:  # else True or 1.0 would compare equal to 1
-            for lab, matrix in self.effects:
-                if lab == label:
-                    return matrix
-        raise KeyError(f"no effect labeled {_label_repr(label)}")
+        return _find(self.effects, label, "effect")
 
     def __len__(self) -> int:
         return len(self.effects)
@@ -166,30 +210,24 @@ class DiscreteInstrument:
     def __post_init__(self) -> None:
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError(f"dimensions must be positive, got {self.dim_in}, {self.dim_out}")
-        outcomes = []
-        for entry in self.outcomes:
-            label, kraus = entry
-            if not isinstance(kraus, KrausSet):
-                kraus = KrausSet(self.dim_in, self.dim_out, tuple(kraus))
-            if (kraus.dim_in, kraus.dim_out) != (self.dim_in, self.dim_out):
-                raise ValueError(
-                    f"outcome {_label_repr(label)} acts between dimensions "
-                    f"{(kraus.dim_in, kraus.dim_out)}, expected {(self.dim_in, self.dim_out)}"
-                )
-            outcomes.append((label, kraus))
-        _check_labels(label for label, _ in outcomes)
-        object.__setattr__(self, "outcomes", tuple(outcomes))
+        object.__setattr__(self, "outcomes", _family(self.outcomes, self._checked_kraus))
+
+    def _checked_kraus(self, label, kraus) -> KrausSet:
+        if not isinstance(kraus, KrausSet):
+            kraus = KrausSet(self.dim_in, self.dim_out, tuple(kraus))
+        if (kraus.dim_in, kraus.dim_out) != (self.dim_in, self.dim_out):
+            raise ValueError(
+                f"outcome {_label_repr(label)} acts between dimensions "
+                f"{(kraus.dim_in, kraus.dim_out)}, expected {(self.dim_in, self.dim_out)}"
+            )
+        return kraus
 
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.outcomes)
 
     def outcome(self, label: Label) -> KrausSet:
-        if _label_fault(label) is None:  # else True or 1.0 would compare equal to 1
-            for lab, kraus in self.outcomes:
-                if lab == label:
-                    return kraus
-        raise KeyError(f"no outcome labeled {_label_repr(label)}")
+        return _find(self.outcomes, label, "outcome")
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -213,7 +251,7 @@ class BiInstrument(DiscreteInstrument):
     """An instrument over a product outcome set, as produced by sequential composition.
 
     Labels are ``(first, second)`` pairs; ``first_labels`` and
-    ``second_labels`` record the factor outcome sets in order.
+    ``second_labels`` record the factor outcome sets in order, each checked like ``labels``.
     """
 
     first_labels: tuple = ()
@@ -223,6 +261,8 @@ class BiInstrument(DiscreteInstrument):
         super().__post_init__()
         object.__setattr__(self, "first_labels", tuple(self.first_labels))
         object.__setattr__(self, "second_labels", tuple(self.second_labels))
+        _check_labels(self.first_labels)
+        _check_labels(self.second_labels)
         for label, _ in self.outcomes:
             if not (isinstance(label, tuple) and len(label) == 2):
                 raise ValueError(f"outcome label {_label_repr(label)} is not an ordered pair")
@@ -318,8 +358,7 @@ def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
     if not subset:
         raise ValueError("subset must contain at least one outcome label")
     for label in subset:
-        if _label_fault(label) is not None or label not in m.labels:
-            raise KeyError(f"no outcome labeled {_label_repr(label)}")
+        _find(m.outcomes, label, "outcome")
     return subset
 
 
@@ -456,16 +495,13 @@ def margins(b: BiInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Povm]
     over the first.
     """
     p = associate_povm(b, tol)
-    first = {label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.first_labels}
-    second = {
-        label: np.zeros((b.dim_in, b.dim_in), dtype=np.complex128) for label in b.second_labels
-    }
+    zero = np.zeros((b.dim_in, b.dim_in), dtype=np.complex128)
+    # the factor label sets are distinct, so each keys its margin in order
+    first, second = dict.fromkeys(b.first_labels, zero), dict.fromkeys(b.second_labels, zero)
     for (lab1, lab2), matrix in p.effects:
         first[lab1] = first[lab1] + matrix
         second[lab2] = second[lab2] + matrix
-    first_povm = Povm(b.dim_in, tuple((label, first[label]) for label in b.first_labels))
-    second_povm = Povm(b.dim_in, tuple((label, second[label]) for label in b.second_labels))
-    return first_povm, second_povm
+    return Povm(b.dim_in, tuple(first.items())), Povm(b.dim_in, tuple(second.items()))
 
 
 def refine_rank1(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:

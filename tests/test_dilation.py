@@ -155,6 +155,26 @@ class TestMeasurementModel:
             MeasurementModel(1, (0,), (1,), [np.nan], [[1.0]])
 
 
+class TestBlockDimensions:
+    @pytest.mark.parametrize("dims", [(1.7, True), (1, 1.0), (1, "1"), (-1, 2), (None, 1)], ids=str)
+    def test_must_be_non_negative_integers(self, dims):
+        # int() would truncate 1.7 to 1 and read True and "1" as 1
+        message = "block dimensions must be non-negative integers, got "
+        with pytest.raises(ValueError, match=message):
+            StinespringDilation(1, 1, ("a", "b"), dims, np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match=message):
+            MeasurementModel(1, ("a", "b"), dims, [1, 0], np.eye(2))
+
+    def test_numpy_integers_are_kept_as_integers(self):
+        dims = np.array([1, 0])
+        dilation = StinespringDilation(1, 1, ("a", "b"), dims, np.eye(1))
+        model = MeasurementModel(1, ("a", "b"), dims, [1], np.eye(1))
+        for value in (dilation, model):
+            assert value.block_dims == (1, 0)
+            assert all(type(n) is int for n in value.block_dims)
+            assert value.block_slice(0) == slice(0, 1) and value.block_slice(1) == slice(1, 1)
+
+
 class TestModelIntertwiner:
     def test_own_model_gives_identity(self):
         m = lueders(basis_pvm(2, ((0,), (1,))))

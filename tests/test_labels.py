@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from instrumentum import (
+    BiInstrument,
     CompatCoefficients,
     DiscreteInstrument,
     Document,
     FormatError,
     KrausSet,
+    MarkovKernel,
     MeasurementModel,
     Povm,
     StinespringDilation,
@@ -28,7 +30,7 @@ from instrumentum import (
 )
 from instrumentum.cli import main
 from instrumentum.formats import label_to_json
-from instrumentum.instruments import _LABEL_DEPTH
+from instrumentum.instruments import _LABEL_DEPTH, _LABEL_DIGITS, _label_repr
 
 from helpers import basis_pvm, rand_coeffs_tensor, rand_instrument, rand_unitary
 
@@ -93,6 +95,7 @@ BAD_LABELS = [
     ((0, (1, False)), "[0, [1, false]]"),
     ((0, [1]), None),
     (np.int64(3), None),
+    (10**_LABEL_DIGITS, None),  # one digit past the bound; Python would not parse its JSON
 ]
 
 
@@ -103,18 +106,36 @@ def constructors(label):
     xi = np.array([1.0, 0.0])
     t = np.zeros((1, 2, 1), dtype=np.complex128)
     t[0, 0, 0] = 1.0
+    k, x = KrausSet(1, 1, (np.eye(1),)), ("x",)
     yield lambda: Povm(2, tuple((lab, eye / 2) for lab in labels))
     yield lambda: DiscreteInstrument(2, 2, tuple((lab, KrausSet(2, 2, (eye,))) for lab in labels))
+    yield lambda: BiInstrument(1, 1, ((("ok", "x"), k),), first_labels=labels, second_labels=x)
+    yield lambda: BiInstrument(1, 1, ((("x", "ok"), k),), first_labels=x, second_labels=labels)
     yield lambda: StinespringDilation(1, 1, labels, (1, 0), np.eye(1))
     yield lambda: MeasurementModel(1, labels, (1, 1), xi, np.eye(2))
     yield lambda: CompatCoefficients(2, tuple((lab, t) for lab in labels))
+    yield lambda: MarkovKernel(np.ones((2, 1)), [1.0], labels)
 
 
-@pytest.mark.parametrize("label", [bad for bad, _ in BAD_LABELS], ids=repr)
+@pytest.mark.parametrize("label", [bad for bad, _ in BAD_LABELS], ids=_label_repr)
 def test_constructors_reject_non_grammar_labels(label):
     for build in constructors(label):
-        with pytest.raises(ValueError, match="label"):
+        with pytest.raises(ValueError, match=re.escape(f"label {_label_repr(label)}")):
             build()
+
+
+def test_constructors_reject_a_duplicate_label():
+    for build in constructors("ok"):
+        with pytest.raises(ValueError, match="duplicate outcome label 'ok'"):
+            build()
+
+
+def test_bi_instrument_checks_its_factor_label_sets():
+    k = KrausSet(1, 1, (np.eye(1),))
+    with pytest.raises(ValueError, match="label True: labels may not be booleans"):
+        BiInstrument(1, 1, (((1, "x"), k),), first_labels=(True, 1.0), second_labels=("x",))
+    with pytest.raises(ValueError, match="duplicate outcome label 'x'"):
+        BiInstrument(1, 1, (((1, "x"), k),), first_labels=(1,), second_labels=("x", "x"))
 
 
 @pytest.mark.parametrize("text", [text for _, text in BAD_LABELS if text], ids=str)
@@ -141,7 +162,7 @@ def test_constructors_accept_grammar_labels(good):
         build()
 
 
-@pytest.mark.parametrize("label", [bad for bad, _ in BAD_LABELS], ids=repr)
+@pytest.mark.parametrize("label", [bad for bad, _ in BAD_LABELS], ids=_label_repr)
 def test_save_refuses_non_grammar_labels_in_kinds_without_a_constructor(tmp_path, label):
     states = Document("states", (("ok", np.eye(1)), (label, np.eye(1))), meta={"dim": 1})
     matrix = Document("matrix", np.eye(1), meta={"label": label})
@@ -287,3 +308,23 @@ def test_posterior_refuses_an_outcome_deeper_than_the_parser_recurses(capsys, lu
     m, rho = luders_and_state
     assert main(["posterior", str(m), "--state", str(rho), "--outcome", text]) == 1
     assert "nest at most" in capsys.readouterr().err
+
+
+def test_integer_labels_are_bounded_at_the_digits_python_converts(tmp_path):
+    longest = 10**_LABEL_DIGITS - 1
+    for doc in documents((longest, -longest), np.random.default_rng(5)):
+        path = tmp_path / f"{doc.kind}.json"
+        save(doc, path)
+        assert labels_of(load(path)) == labels_of(doc), doc.kind
+    reason = f"integer labels may have at most {_LABEL_DIGITS} digits"
+    named = "<integer of more than 4300 digits>"
+    for too_long in (10**_LABEL_DIGITS, -(10**_LABEL_DIGITS), 10**5000):
+        with pytest.raises(FormatError, match=re.escape(f"label {named}: {reason}")):
+            label_to_json(too_long)
+        with pytest.raises(FormatError, match=re.escape(f"label (0, ({named},))[1][0]: {reason}")):
+            label_to_json((0, (too_long,)))
+        with pytest.raises(ValueError, match=re.escape(f"label [{named}]: expected")):
+            Povm(1, (([too_long], np.eye(1)),))
+    m = DiscreteInstrument(1, 1, ((longest, KrausSet(1, 1, (np.eye(1),))),))
+    with pytest.raises(KeyError, match=re.escape(f"no outcome labeled {named}")):
+        m.outcome(10**5000 + 1)
