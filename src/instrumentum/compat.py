@@ -35,6 +35,8 @@ from .cpmaps import (
     _difference_core,
     _effect,
     _largest_block,
+    _minimal_factor,
+    _rebuilt,
     action_distance,
     apply_schrodinger,
     minimal_kraus,
@@ -53,7 +55,7 @@ from .instruments import (
     associate_povm,
     require_valid,
 )
-from .matkernel import DEFAULT_TOL, Tolerances, _factor, _kept, _rank, _require_finite, dagger
+from .matkernel import DEFAULT_TOL, Tolerances, _factor, _integer, _kept, _rank, dagger
 
 __all__ = [
     "CompatCoefficients",
@@ -84,13 +86,17 @@ class CompatCoefficients:
     outcomes: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.dim_k < 1:
-            raise ValueError(f"output dimension must be positive, got {self.dim_k}")
+        object.__setattr__(self, "dim_k", _integer(self.dim_k, "output dimensions"))
         object.__setattr__(self, "outcomes", _family(self.outcomes, self._checked_tensor))
+
+    __reduce__ = _rebuilt
 
     def _checked_tensor(self, label, tensor) -> np.ndarray:
         tensor = np.array(tensor, dtype=np.complex128)
-        _require_finite(tensor, f"coefficient tensor for {_label_repr(label)}")
+        if not np.all(np.isfinite(tensor)):
+            raise ValueError(
+                f"coefficient tensor for {_label_repr(label)} contains NaN or Inf entries"
+            )
         if tensor.ndim != 3:
             raise ValueError(f"coefficients for {_label_repr(label)} must be a rank-3 tensor")
         if tensor.shape[1] != self.dim_k:
@@ -272,9 +278,15 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
 
 
 def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
-    """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``."""
-    rows = KrausSet(kraus.dim_in, 1, kraus.stack.reshape(-1, 1, kraus.dim_in))
-    return minimal_kraus(rows, tol).stack[:, 0, :]
+    """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``.
+
+    Its operators are the rows ``dagger(w)`` of the minimal factor ``w`` read
+    off the kept SVD of the conjugated rows, cut under ``tol`` per call, as
+    ``minimal_kraus`` of the rows would give them.
+    """
+    if not len(kraus):
+        return np.zeros((0, kraus.dim_in), dtype=np.complex128)
+    return dagger(_minimal_factor(kraus._row_svd, tol))
 
 
 def _block_product(dec: CompatChannelDecomposition, right: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ factor of the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .matkernel import (
     Tolerances,
     _factor,
     _fix_phases,
+    _integer,
     _kept,
     _rank,
     as_matrix,
@@ -59,6 +61,15 @@ __all__ = [
 ]
 
 
+def _rebuilt(self) -> tuple:
+    """``__reduce__`` through the constructor, over the fields it takes.
+
+    A copy or an unpickled value is checked and made read-only like a new
+    one, and data kept on the original is formed again on demand.
+    """
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """An ordered, possibly empty, family of Kraus operators of fixed shape.
@@ -68,6 +79,15 @@ class KrausSet:
     ``ops`` is the tuple of its 2-D views ``stack[k]``.  The constructor takes
     a sequence of ``dim_out x dim_in`` matrices or one such 3-D array.  The
     empty set is the canonical representation of the zero map.
+
+    Being immutable, a Kraus set keeps the two thin SVDs behind its minimal
+    factorizations, each formed on first need: ``_choi_svd`` of its Choi
+    columns (``minimal_kraus``) and ``_row_svd`` of its conjugated Kraus rows
+    (``compat``'s Naimark fiber).  Each is a read-only pair ``(u, s)``; the
+    rank cut depends on the caller's ``Tolerances`` and is made per call.
+    The first ``u`` is at most the size of ``stack``, the second at most that
+    plus ``dim_in ** 2`` entries, and only Kraus sets that reach such a call
+    keep them.
     """
 
     dim_in: int
@@ -76,9 +96,8 @@ class KrausSet:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError(f"dimensions must be positive, got {self.dim_in}, {self.dim_out}")
-        shape = (self.dim_out, self.dim_in)
+        dim_in, dim_out = _integer(self.dim_in, "dimensions"), _integer(self.dim_out, "dimensions")
+        shape = (dim_out, dim_in)
         ops = self.ops if isinstance(self.ops, np.ndarray) else tuple(self.ops)
         try:
             stack = np.array(ops if len(ops) else np.zeros((0, *shape)), np.complex128, order="C")
@@ -92,11 +111,25 @@ class KrausSet:
                     raise ValueError(f"Kraus operator has shape {op.shape}, expected {shape}")
             raise ValueError(f"no array of Kraus operators of shape {shape} can be formed")
         stack.setflags(write=False)
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "ops", tuple(stack))
 
+    __reduce__ = _rebuilt
+
     def __len__(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def _choi_svd(self) -> tuple:
+        """``(u, s)`` of the thin SVD of ``_choi_columns(stack)``, read-only."""
+        return _thin_svd(_choi_columns(self.stack))
+
+    @cached_property
+    def _row_svd(self) -> tuple:
+        """``(u, s)`` of the thin SVD of the conjugated Kraus rows ``conj(R)^T``, read-only."""
+        return _thin_svd(self.stack.reshape(-1, self.dim_in).conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +141,16 @@ class ChoiMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError(f"dimensions must be positive, got {self.dim_in}, {self.dim_out}")
+        dim_in, dim_out = _integer(self.dim_in, "dimensions"), _integer(self.dim_out, "dimensions")
         m = as_matrix(self.matrix, name="Choi matrix")
-        side = self.dim_in * self.dim_out
+        side = dim_in * dim_out
         if m.shape != (side, side):
             raise ValueError(f"Choi matrix has shape {m.shape}, expected {(side, side)}")
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "matrix", m)
+
+    __reduce__ = _rebuilt
 
 
 def choi(k: KrausSet) -> ChoiMatrix:
@@ -157,12 +193,34 @@ def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     spectrum is non-degenerate the operators agree with ``kraus_from_choi``'s
     to rounding, elsewhere up to a unitary remixing.  An empty or all-zero
     family gives the empty set.
+
+    The SVD is made once per Kraus set and kept (``KrausSet._choi_svd``);
+    each call makes the cut under its own ``tol`` and fixes the phases on a
+    copy of the kept ``U``, so calls under different tolerances, in any
+    order, return what they would on a fresh Kraus set.
     """
     if not len(k):
         return KrausSet(k.dim_in, k.dim_out, ())
-    u, s, _ = np.linalg.svd(_choi_columns(k.stack), full_matrices=False)
+    return _kraus_of_factor(_minimal_factor(k._choi_svd, tol), k.dim_in, k.dim_out)
+
+
+def _thin_svd(a: np.ndarray) -> tuple:
+    """``(u, s)`` of the thin SVD of ``a``, both read-only, to be kept."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u.setflags(write=False)
+    s.setflags(write=False)
+    return u, s
+
+
+def _minimal_factor(svd: tuple, tol: Tolerances) -> np.ndarray:
+    """The columns ``s_j u_j`` of a kept thin SVD ``(u, s)`` with ``s_j^2`` above the rank cut.
+
+    ``herm_eig``'s phase rule fixes each ``u_j``; it works in place, so on a
+    copy, and the kept ``u`` is never written.
+    """
+    u, s = svd
     r = _kept(s * s, tol)
-    return _kraus_of_factor(_fix_phases(u[:, :r], tol) * s[:r], k.dim_in, k.dim_out)
+    return _fix_phases(u[:, :r].copy(), tol) * s[:r]
 
 
 def _choi_columns(stack: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, action_distance, minimal_kraus
+from .cpmaps import KrausSet, _rebuilt, action_distance, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
@@ -44,6 +44,7 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _descending_eigh,
+    _integer,
     _rank,
     _require_finite,
     as_matrix,
@@ -88,16 +89,21 @@ class StinespringDilation:
     isometry: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        dim_in, dim_out = _integer(self.dim_in, "dimensions"), _integer(self.dim_out, "dimensions")
         labels, block_dims = _block_partition(self.labels, self.block_dims)
         total = sum(block_dims)
         iso = as_matrix(self.isometry, name="dilation isometry")
-        if iso.shape != (self.dim_out * total, self.dim_in):
+        if iso.shape != (dim_out * total, dim_in):
             raise ValueError(
-                f"isometry has shape {iso.shape}, expected {(self.dim_out * total, self.dim_in)}"
+                f"isometry has shape {iso.shape}, expected {(dim_out * total, dim_in)}"
             )
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "block_dims", block_dims)
         object.__setattr__(self, "isometry", iso)
+
+    __reduce__ = _rebuilt
 
     @property
     def total_fibers(self) -> int:
@@ -147,6 +153,7 @@ class MeasurementModel:
     unitary: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        system_dim = _integer(self.system_dim, "dimensions")
         labels, block_dims = _block_partition(self.labels, self.block_dims)
         ancilla = sum(block_dims)
         if ancilla < 1:
@@ -156,14 +163,17 @@ class MeasurementModel:
         if xi.shape != (ancilla,):
             raise ValueError(f"xi has length {xi.size}, expected {ancilla}")
         u = as_matrix(self.unitary, name="model unitary")
-        side = self.system_dim * ancilla
+        side = system_dim * ancilla
         if u.shape != (side, side):
             raise ValueError(f"unitary has shape {u.shape}, expected {(side, side)}")
         xi.setflags(write=False)
+        object.__setattr__(self, "system_dim", system_dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "block_dims", block_dims)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "unitary", u)
+
+    __reduce__ = _rebuilt
 
     @property
     def ancilla_dim(self) -> int:
@@ -202,6 +212,8 @@ class MarkovKernel:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "labels", labels)
+
+    __reduce__ = _rebuilt
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,16 @@ from typing import Union
 
 import numpy as np
 
-from .cpmaps import KrausSet, _effect, _kraus_of_factor, minimal_kraus
+from .cpmaps import KrausSet, _effect, _kraus_of_factor, _rebuilt, minimal_kraus
 from .errors import InstrumentumError
-from .matkernel import DEFAULT_TOL, Tolerances, _factor, as_matrix, require_hermitian
+from .matkernel import (
+    DEFAULT_TOL,
+    Tolerances,
+    _factor,
+    _integer,
+    as_matrix,
+    require_hermitian,
+)
 
 __all__ = [
     "Label",
@@ -145,10 +152,7 @@ def _block_partition(labels, block_dims) -> tuple:
     if len(labels) != len(block_dims):
         raise ValueError("labels and block_dims disagree in length")
     _check_labels(labels)
-    for n in block_dims:  # int() would truncate a float and read True or "2" as a dimension
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError(f"block dimensions must be non-negative integers, got {_label_repr(n)}")
-    return labels, tuple(map(int, block_dims))
+    return labels, tuple(_integer(n, "block dimensions", minimum=0) for n in block_dims)
 
 
 def _block_slice(self, index: int) -> slice:
@@ -170,18 +174,21 @@ class Povm:
     effects: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _integer(self.dim, "dimensions"))
         object.__setattr__(self, "effects", _family(self.effects, self._checked_effect))
 
+    __reduce__ = _rebuilt
+
     def _checked_effect(self, label, matrix) -> np.ndarray:
-        matrix = as_matrix(matrix, name=f"effect {_label_repr(label)}")
-        if matrix.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"effect {_label_repr(label)} has shape {matrix.shape}, "
-                f"expected {(self.dim, self.dim)}"
-            )
-        return matrix
+        try:
+            checked = as_matrix(matrix)
+        except ValueError:
+            checked = None
+        if checked is None or checked.shape != (self.dim, self.dim):
+            name = f"effect {_label_repr(label)}"  # formed only to raise
+            checked = as_matrix(matrix, name=name)
+            raise ValueError(f"{name} has shape {checked.shape}, expected {(self.dim, self.dim)}")
+        return checked
 
     @property
     def labels(self) -> tuple:
@@ -208,9 +215,12 @@ class DiscreteInstrument:
     outcomes: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError(f"dimensions must be positive, got {self.dim_in}, {self.dim_out}")
+        dim_in, dim_out = _integer(self.dim_in, "dimensions"), _integer(self.dim_out, "dimensions")
+        object.__setattr__(self, "dim_in", dim_in)
+        object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "outcomes", _family(self.outcomes, self._checked_kraus))
+
+    __reduce__ = _rebuilt
 
     def _checked_kraus(self, label, kraus) -> KrausSet:
         if not isinstance(kraus, KrausSet):
@@ -378,10 +388,12 @@ def lueders(p: Povm, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:
     ``eps_eq``, and the effects must sum to the identity; a Hermitian
     idempotent is positive, so no decomposition is needed.
     """
-    projs = [
-        require_hermitian(matrix, tol, name=f"effect {_label_repr(label)}")
-        for label, matrix in p.effects
-    ]
+    projs = []
+    for label, matrix in p.effects:
+        try:
+            projs.append(require_hermitian(matrix, tol))
+        except InstrumentumError:  # only Hermiticity can fail on an effect: again, naming it
+            require_hermitian(matrix, tol, name=f"effect {_label_repr(label)}")
     _require_effect_sum(p, tol)
     outcomes = []
     for label, proj in zip(p.labels, projs):

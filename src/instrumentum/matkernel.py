@@ -7,6 +7,7 @@ of cutoffs and every verdict is deterministic for identical input.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,6 +88,26 @@ def _require_finite(a: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` when the array ``a`` holds a NaN or Inf entry."""
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
+
+
+def _integer(n, what: str, minimum: int = 1) -> int:
+    """``n`` as an ``int``, checked to be an integer of at least ``minimum`` (0 or 1).
+
+    The one rule for dimensions: a numpy integer counts, a boolean, a float or
+    a string of digits does not, as ``int()`` would read ``True`` or ``"2"``
+    as a number and truncate ``1.7``.  Raises ``ValueError`` naming ``what``
+    (the dimensions in the plural) and ``n``.
+    """
+    if type(n) is int and n >= minimum:  # the common case, at a fraction of the full test
+        return n
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        try:
+            shown = reprlib.repr(n)
+        except ValueError:  # Python converts at most 4300 digits to text by default
+            shown = "<integer of more than 4300 digits>"
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{what} must be {kind} integers, got {shown}")
+    return int(n)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

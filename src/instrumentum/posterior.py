@@ -57,7 +57,7 @@ def posterior_state(
 
     Raises when the outcome has (numerically) zero probability.
     """
-    zero = f"outcome {_label_repr(label)} has zero probability on this state"
+    zero = lambda: f"outcome {_label_repr(label)} has zero probability on this state"
     _, weight, state = _conditioned(m, rho, (label,), zero, tol)
     return PosteriorResult(label, weight, state)
 
@@ -66,12 +66,16 @@ def conditional_output(
     m: DiscreteInstrument, rho, subset, tol: Tolerances = DEFAULT_TOL
 ) -> PosteriorResult:
     """The output state conditioned on the outcome falling in ``subset``."""
-    zero = "outcome subset has zero probability on this state"
+    zero = lambda: "outcome subset has zero probability on this state"
     return PosteriorResult(*_conditioned(m, rho, subset, zero, tol))
 
 
-def _conditioned(m: DiscreteInstrument, rho, subset, zero: str, tol: Tolerances) -> tuple:
-    """Checked ``subset``, probability and output state given an outcome in it; raises ``zero``."""
+def _conditioned(m: DiscreteInstrument, rho, subset, zero, tol: Tolerances) -> tuple:
+    """Checked ``subset``, probability and output state given an outcome in it.
+
+    Raises with the message ``zero()`` when the probability is zero; the text
+    is formed only then.
+    """
     require_valid(m, tol)
     rho = _check_state(rho, m.dim_in, tol)
     subset = _checked_subset(m, subset)
@@ -82,7 +86,7 @@ def _conditioned(m: DiscreteInstrument, rho, subset, zero: str, tol: Tolerances)
             raw += _schrodinger(kraus, rho)
     weight = float(np.trace(raw).real)
     if weight <= tol.eps_eq:
-        raise InstrumentumError(zero)
+        raise InstrumentumError(zero())
     return subset, weight, (raw + dagger(raw)) / (2.0 * weight)
 
 

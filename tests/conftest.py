@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from instrumentum import cpmaps, matkernel
+from instrumentum import cpmaps, instruments, matkernel
 
 from instrumentum import (
     DiscreteInstrument,
@@ -134,6 +134,14 @@ def effect_calls(monkeypatch):
     """Log ``cpmaps.apply_heisenberg`` and ``cpmaps._effect``, each with its Kraus set."""
     log = CallLog()
     _count_package_calls(monkeypatch, log, cpmaps, ("apply_heisenberg", "_effect"))
+    return log
+
+
+@pytest.fixture
+def label_texts(monkeypatch):
+    """Log ``instruments._label_repr``, each with its label: the texts formed for messages."""
+    log = CallLog()
+    _count_package_calls(monkeypatch, log, instruments, ("_label_repr",))
     return log
 
 

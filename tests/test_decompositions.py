@@ -5,8 +5,11 @@ each get one ``eigh``, which yields both the positivity verdict and the
 minimal factorization; a minimal Kraus set comes from one thin SVD of the
 Kraus operators, and no instrument-level operation forms or decomposes a
 ``(dim_out * dim_in)``-sided matrix.  Kraus sets that are minimal by
-construction are not decomposed again.
+construction are not decomposed again, and a Kraus set keeps its thin SVDs,
+so no later call on it decomposes it again either.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from instrumentum import (
     verify_dilation,
     witness_decompose,
 )
+from instrumentum.compat import _naimark_fiber
 
 from helpers import PAULI, basis_pvm, rand_instrument, rand_povm, rand_state, rand_unitary
 
@@ -91,12 +95,15 @@ def test_compat_channel_decomposes_each_effect_and_outcome_once(decompositions):
 
 
 def test_lueders_factorization_adds_one_svd_to_compat_channel(decompositions):
-    m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (2, 1, 2))
+    # on fresh, equal instruments: a second call reuses what the first kept
+    first, second = (
+        rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (2, 1, 2)) for _ in range(2)
+    )
     decompositions.clear()
-    compat_channel(m)
+    compat_channel(first)
     compat_svds = decompositions.number("svd")
     decompositions.clear()
-    lueders_factorization(m, (0, 2))
+    lueders_factorization(second, (0, 2))
     assert decompositions.number("svd") == compat_svds + 1  # of the subset-masked fibers
     assert decompositions.number("eigh") == decompositions.number("eigvalsh") == 0
     assert decompositions.number("require_hermitian") == 0
@@ -225,3 +232,114 @@ def test_no_choi_sided_decomposition(decompositions, name):
     # the model's unitary acts on system (x) ancilla, 6 * 6 = 36 sided here as well:
     # completing the 36 x 6 dilation isometry to it takes one SVD of the 6 x 36 adjoint
     assert sided == ([(6, 36)] if name == "measurement_model" else [])
+
+
+KEPT_OPERATIONS = {
+    "minimal_stinespring": minimal_stinespring,
+    "instrument_extremal": instrument_extremal,
+    "witness_decompose": None,  # takes a witness, made in _kept_case
+    "compat_channel": compat_channel,
+    "lueders_factorization": lueders_factorization,
+    "measurement_model": measurement_model,
+    "refine_rank1": refine_rank1,
+}
+
+
+def _kept_case(name):
+    """A maker of fresh, equal 3 -> 3 instruments for operation ``name``, and the call on one."""
+    if name != "witness_decompose":
+
+        def make():
+            return rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2, 1, 2))
+
+        return make, KEPT_OPERATIONS[name]
+
+    def make():
+        return _unitary_mixture(np.random.default_rng(RNG_SEED), 3, 3, 2)
+
+    witness = instrument_extremal(make()).witness  # from an equal instrument, not the one called
+    return make, lambda m: witness_decompose(m, witness)
+
+
+def _kraus_svds(decompositions, m):
+    """The SVDs logged of the Choi columns or the conjugated rows of a Kraus set of ``m``."""
+    shapes = set()
+    for _, kraus in m.outcomes:
+        shapes |= {(m.dim_out * m.dim_in, len(kraus)), (m.dim_in, len(kraus) * m.dim_out)}
+    return sum(decompositions.number("svd", shape) for shape in shapes)
+
+
+def _leaves(value) -> list:
+    """Every array and scalar inside a returned value, in a fixed order."""
+    if dataclasses.is_dataclass(value):
+        return [x for f in dataclasses.fields(value) for x in _leaves(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [x for part in value for x in _leaves(part)]
+    return [value]
+
+
+def _same_bytes(a, b) -> bool:
+    """Whether two returned values hold the same arrays, bit for bit, and the same scalars."""
+    left, right = _leaves(a), _leaves(b)
+    return len(left) == len(right) and all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        if isinstance(x, np.ndarray)
+        else type(x) is type(y) and repr(x) == repr(y)
+        for x, y in zip(left, right)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_OPERATIONS))
+def test_a_second_call_decomposes_no_kraus_set_again(decompositions, name):
+    make, call = _kept_case(name)
+    m = make()
+    decompositions.clear()
+    call(m)
+    assert _kraus_svds(decompositions, m) > 0
+    decompositions.clear()
+    call(m)
+    assert _kraus_svds(decompositions, m) == 0
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_OPERATIONS))
+def test_first_second_and_fresh_calls_agree_bit_for_bit(name):
+    make, call = _kept_case(name)
+    m = make()
+    first, second, fresh = call(m), call(m), call(make())
+    assert _same_bytes(first, second)
+    assert _same_bytes(first, fresh)
+
+
+def _tolerance_pair_case():
+    """A Kraus set whose Choi columns and Kraus rows each have two singular values.
+
+    Their squares are about 1 and 1e-8 apart, so ``sv_rel_cutoff`` 1e-10
+    keeps both and 1e-6 cuts the second.
+    """
+    return KrausSet(2, 2, (np.diag([1.0, 1e-4]), np.diag([1e-4, -1.0]) * 1e-4))
+
+
+@pytest.mark.parametrize("factor", [minimal_kraus, _naimark_fiber], ids=lambda f: f.__name__)
+def test_each_call_cuts_under_its_own_tolerances(factor):
+    keep, cut = Tolerances(), Tolerances(sv_rel_cutoff=1e-6)
+    fresh = {tol: factor(_tolerance_pair_case(), tol) for tol in (keep, cut)}
+    assert len(fresh[keep]) == 2 and len(fresh[cut]) == 1
+    for order in ((keep, cut), (cut, keep)):
+        k = _tolerance_pair_case()
+        for tol in order + order:
+            assert _same_bytes(factor(k, tol), fresh[tol])
+
+
+def test_kept_decompositions_are_read_only_and_unchanged():
+    m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2, 1, 2))
+    kept = [(k._choi_svd, k._row_svd) for _, k in m.outcomes]
+    before = [[a.copy() for svd in pair for a in svd] for pair in kept]
+    for tol in (Tolerances(), Tolerances().scaled(1000), Tolerances()):
+        for _, kraus in m.outcomes:
+            minimal_kraus(kraus, tol)
+        compat_channel(m, tol)
+    for (_, kraus), pair, copies in zip(m.outcomes, kept, before):
+        assert kraus._choi_svd is pair[0] and kraus._row_svd is pair[1]  # not formed again
+        arrays = [a for svd in pair for a in svd]
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, copies))

@@ -18,6 +18,7 @@ from instrumentum import (
     FormatError,
     KrausSet,
     MarkovKernel,
+    InstrumentumError,
     MeasurementModel,
     Povm,
     StinespringDilation,
@@ -328,3 +329,38 @@ def test_integer_labels_are_bounded_at_the_digits_python_converts(tmp_path):
     m = DiscreteInstrument(1, 1, ((longest, KrausSet(1, 1, (np.eye(1),))),))
     with pytest.raises(KeyError, match=re.escape(f"no outcome labeled {named}")):
         m.outcome(10**5000 + 1)
+
+
+TEXT_LABEL = ("a", (1, "b"))
+
+
+def test_labels_are_formatted_only_for_a_message(label_texts):
+    pvm = basis_pvm(2, ((0,), (1,)), labels=(TEXT_LABEL, "c"))  # Povm checks each effect
+    m = lueders(pvm)
+    CompatCoefficients(2, ((TEXT_LABEL, np.ones((1, 2, 1))),))
+    posterior_state(m, np.eye(2) / 2, TEXT_LABEL)
+    conditional_output(m, np.eye(2) / 2, (TEXT_LABEL,))
+    assert len(label_texts) == 0
+
+
+def test_messages_that_name_a_label_keep_their_words(label_texts):
+    name = "effect ('a', (1, 'b'))"
+    bad_effects = {
+        f"{name} has shape (3, 3), expected (2, 2)": np.eye(3),
+        f"{name} must be 2-dimensional, got shape (2,)": np.ones(2),
+        f"{name} contains NaN or Inf entries": np.full((2, 2), np.nan),
+    }
+    for message, effect in bad_effects.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Povm(2, ((TEXT_LABEL, effect),))
+    skew = Povm(2, ((TEXT_LABEL, np.array([[0.5, 1.0], [0.0, 0.5]])), ("c", np.eye(2) / 2)))
+    with pytest.raises(InstrumentumError, match=f"^{re.escape(name)} is not Hermitian: defect "):
+        lueders(skew)
+    message = "coefficient tensor for ('a', (1, 'b')) contains NaN or Inf entries"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CompatCoefficients(2, ((TEXT_LABEL, np.full((1, 2, 1), np.nan)),))
+    m = lueders(basis_pvm(2, ((0,), (1,)), labels=(TEXT_LABEL, "c")))
+    message = "outcome ('a', (1, 'b')) has zero probability on this state"
+    with pytest.raises(InstrumentumError, match=f"^{re.escape(message)}$"):
+        posterior_state(m, np.diag([0.0, 1.0]), TEXT_LABEL)
+    assert len(label_texts) == 6
