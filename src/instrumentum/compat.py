@@ -125,7 +125,7 @@ class CompatChannelDecomposition:
     I) C_i`` from the fiber space of outcome ``i`` into the output space, or
     None when the effect is zero; ``generalized_vectors[i][k, s, :]`` is
     ``D_k^s(i) = C_i^dag (k_s (x) b_k)``.  ``max_residual`` bounds the defect
-    of every defining identity checked.
+    of every defining identity checked.  The isometries are read-only.
     """
 
     dim_in: int
@@ -265,6 +265,8 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
         recon = action_distance(lifted, kraus)
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
         isometries.append(c_i)
+    for c_i in isometries:
+        c_i.setflags(write=False)  # the derived channels and vectors read them
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
     dec = CompatChannelDecomposition(
         dim_in=dim_in,

@@ -1,23 +1,40 @@
 """Extreme points: instruments, POVMs, channels, and correlation matrices.
 
 One criterion, applied by ``_rank_and_witness``, decides every verdict: a
-coefficient matrix whose columns fall into square blocks either has
-independent columns, and its subject is extreme, or its kernel holds a
-blockwise Hermitian vector, which scaled to unit operator norm is a witness
-splitting the subject into two distinct halves that average back to it.
+real coefficient matrix ``R`` whose columns fall into blocks either has
+independent columns, and its subject is extreme, or each kernel vector is a
+blockwise Hermitian witness, which scaled to unit operator norm splits the
+subject into two distinct halves that average back to it.
 
-* An instrument passes the columns ``vec(A_k(i)^dag A_l(i))`` over the pairs
-  of a minimal Kraus set of each outcome ``i``, one block per outcome; its
-  witness ``D`` has ``sum_{i,k,l} D(i)[k,l] A_k(i)^dag A_l(i) = 0``, and
-  factoring ``I +- D(i)`` gives the halves.  A POVM passes the columns of its
-  one-dimensional-output instrument, a unital channel those of its one-outcome one.
+``R`` is written in orthonormal Hermitian coordinates on both sides: an
+``n x n`` matrix has coordinates on ``E_kk``, then ``(E_kl + E_lk)/sqrt 2``,
+then ``i (E_kl - E_lk)/sqrt 2`` for ``k < l``.  Hermitian matrices have real
+coordinates, so a map that commutes with the adjoint has a real matrix, with
+the singular values of its complex matrix in the standard basis.
+
+* An instrument passes the map ``D -> sum_{k,l} D[k,l] A_k(i)^dag A_l(i)``
+  over a minimal Kraus set of each outcome ``i``, one block of ``n(i)^2``
+  columns per outcome and ``dim_in^2`` rows; its witness ``D`` has
+  ``sum_{i,k,l} D(i)[k,l] A_k(i)^dag A_l(i) = 0``, and factoring ``I +-
+  D(i)`` gives the halves.  A POVM passes the map of its
+  one-dimensional-output instrument, a unital channel that of its one-outcome one.
 * A correlation matrix (unit-diagonal PSD) with Gram vectors ``m_i`` passes
-  the rows ``vec(|m_i><m_i|)``, one block of the Gram rank; its witness ``B``
-  has ``<m_i| B m_i> = 0`` for every ``i``.
+  the rows of coordinates of ``|m_i><m_i|``, one block of the Gram rank; its
+  witness ``B`` has ``<m_i| B m_i> = 0`` for every ``i``.
+
+The span rank and ``marginal`` come from the singular values of ``R`` alone.
+With more columns than rows (``sum_i n(i)^2 > dim_in^2``, Choi's bound, or
+``r^2 > n``, Li and Tam's) the count decides the verdict, and the witness is
+the kernel vector of the first ``rows + 1`` columns.  Otherwise a rank below
+the column count takes one thin SVD, and the witness is the first projection
+``P e_j`` of a unit vector onto the kernel that passes the residual test.
+Either way the witness has its entry of largest modulus positive, so it does
+not depend on the kernel basis LAPACK returns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +46,6 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _factor,
-    _kernel,
     _span_rank,
     dagger,
     require_hermitian,
@@ -51,13 +67,17 @@ __all__ = [
 class ExtremalityReport:
     """Verdict of the linear-independence criterion for an instrument.
 
-    ``span_rank`` is the rank of the family ``{A_k(i)^dag A_l(i)}``,
+    ``span_rank`` is the rank of the family ``{A_k(i)^dag A_l(i)}``, from
+    the singular values of the criterion in real Hermitian coordinates, and
     ``required_rank`` its cardinality ``sum_i n(i)^2``; the instrument is
-    extreme exactly when the two agree.  ``witness`` (present only when not
-    extreme) holds one Hermitian block per outcome, normalized to unit
-    operator norm, annihilating the family.  ``marginal`` flags verdicts
-    where the smallest retained singular value sits within a factor ten of
-    the rank cutoff.
+    extreme exactly when the two agree, so never when ``required_rank >
+    dim_in^2``.  ``witness`` (present only when not extreme) holds one
+    read-only Hermitian block per outcome, normalized to unit operator norm,
+    annihilating the family: above that count the kernel vector of the first
+    ``dim_in^2 + 1`` columns, below it the first projection of a unit vector
+    onto the kernel that passes the residual test, its largest coordinate
+    positive.  ``marginal`` flags verdicts where the smallest retained
+    singular value sits within a factor ten of the rank cutoff.
     """
 
     is_extreme: bool
@@ -75,7 +95,8 @@ class CorrelationReport:
 
     ``gram_vectors`` holds the Gram vector of row ``i`` in row ``i``
     (shape ``(n, gram_rank)``); ``witness`` (when not extreme) is Hermitian
-    with unit operator norm and ``<m_i| witness m_i> = 0`` for all ``i``.
+    with unit operator norm and ``<m_i| witness m_i> = 0`` for all ``i``,
+    chosen by the rule of ``ExtremalityReport.witness``.  Both are read-only.
     ``span_rank`` is the rank of the family ``{|m_i><m_i|}``, and the matrix
     is extreme exactly when it equals ``gram_rank ** 2``.  ``marginal`` flags
     verdicts where the smallest singular value kept for ``span_rank`` sits
@@ -90,11 +111,110 @@ class CorrelationReport:
     witness: np.ndarray | None = field(repr=False, default=None)
 
 
-def _gram_columns(blocks: list, dim_in: int) -> np.ndarray:
-    """Columns ``vec(A_k^dag A_l)`` over all outcomes and index pairs."""
-    # one (n, n, dim_in, dim_in) array per outcome with [k, l] = A_k^dag A_l
-    products = [dagger(ks.stack)[:, None] @ ks.stack[None] for ks in blocks]
-    return np.concatenate([p.reshape(-1, dim_in * dim_in) for p in products]).T
+_SQRT2 = np.sqrt(2.0)
+_SLICE_ENTRIES = 1 << 14  # complex entries in one slice of products A_k^dag A_l
+
+
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(d: int) -> tuple:
+    """Flat indices of the ``d x d`` entries ``(k, l)``, then ``(l, k)``, ``k < l`` row-major."""
+    k, l = np.triu_indices(d, 1)
+    upper, lower = k * d + l, l * d + k
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
+def _coordinates(x: np.ndarray) -> np.ndarray:
+    """Coordinates of square matrices in the orthonormal Hermitian basis, along the last axis.
+
+    The basis of ``d x d`` matrices is ``E_kk``, then ``(E_kl + E_lk)/sqrt 2``,
+    then ``i (E_kl - E_lk)/sqrt 2``, for ``k < l`` in row-major order.  The
+    map is complex linear and unitary; a Hermitian matrix has real coordinates.
+    """
+    d = x.shape[-1]
+    upper, lower = _off_diagonal(d)
+    flat = x.reshape(*x.shape[:-2], d * d)
+    upper, lower = flat.take(upper, -1), flat.take(lower, -1)
+    return np.concatenate(
+        (flat[..., :: d + 1], (upper + lower) / _SQRT2, (upper - lower) / (1j * _SQRT2)), -1
+    )
+
+
+def _hermitian(v: np.ndarray, n: int) -> np.ndarray:
+    """The ``n x n`` Hermitian matrix with the real coordinates ``v``."""
+    upper, lower = _off_diagonal(n)
+    out = np.zeros(n * n, dtype=np.complex128)
+    out[:: n + 1] = v[:n]
+    out[upper] = (v[n : n + len(upper)] + 1j * v[n + len(upper) :]) / _SQRT2
+    out[lower] = out[upper].conj()
+    return out.reshape(n, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(block_dims: tuple) -> tuple:
+    """Pairs ``k <= l`` of pooled Kraus operators, block by block, and the rows of ``R^T``.
+
+    A pair ``k = l`` fills the row of ``E_kk`` with the coordinates of
+    ``A_k^dag A_k``.  A pair ``k < l`` fills the row of ``(E_kl + E_lk)/sqrt
+    2`` with ``sqrt 2 Re`` and that of ``i (E_kl - E_lk)/sqrt 2`` with ``-sqrt
+    2 Im`` of those of ``A_k^dag A_l``; ``anti`` is -1 for ``k = l``.
+    """
+    k, l, rows, anti = [], [], [], []
+    offset = row = 0
+    for n in block_dims:
+        upper_k, upper_l = np.triu_indices(n, 1)
+        p = len(upper_k)
+        k.append(offset + np.concatenate((np.arange(n), upper_k)))
+        l.append(offset + np.concatenate((np.arange(n), upper_l)))
+        rows.append(row + np.arange(n + p))
+        anti.append(np.concatenate((np.full(n, -1), row + n + p + np.arange(p))))
+        offset, row = offset + n, row + n * n
+    plan = [np.concatenate(x) for x in (k, l, rows, anti)]
+    plan.append(np.where(plan[0] == plan[1], 1.0, _SQRT2)[:, None])
+    for a in plan:
+        a.setflags(write=False)  # shared by every call with these block sizes
+    return tuple(plan)
+
+
+def _criterion_matrix(blocks: list, dim_in: int) -> np.ndarray:
+    """The real matrix ``R`` of the criterion for the minimal Kraus sets ``blocks``.
+
+    Column ``j`` of the block of outcome ``i`` holds the coordinates of
+    ``sum_{k,l} H_j[k, l] A_k(i)^dag A_l(i)`` for the ``j``-th basis element
+    ``H_j``; the map commutes with the adjoint, so ``R`` is real.  It is
+    written as ``R^T`` over slices of the pairs of ``_pairs``.
+    """
+    stack = np.concatenate([ks.stack for ks in blocks])
+    adjoints = dagger(stack)
+    k, l, rows, anti, scale = _pairs(tuple(len(ks) for ks in blocks))
+    rt = np.empty((sum(len(ks) ** 2 for ks in blocks), dim_in * dim_in))
+    step = max(1, _SLICE_ENTRIES // (dim_in * dim_in))
+    for start in range(0, len(k), step):
+        part = slice(start, start + step)
+        c = _coordinates(adjoints[k[part]] @ stack[l[part]])
+        rt[rows[part]] = c.real * scale[part]
+        off = anti[part] >= 0
+        rt[anti[part][off]] = -_SQRT2 * c.imag[off]
+    return rt.T
+
+
+def _singular_values(r: np.ndarray) -> np.ndarray:
+    """Singular values of ``r``, one SVD without singular vectors.
+
+    A ``r`` more than four times wider than tall is first reduced to the
+    triangular factor of ``r^T``, which has the same singular values; the
+    factor is accumulated over slabs of ``8 * rows`` columns, each QR small
+    enough for cache.
+    """
+    rows, cols = r.shape
+    if cols > 4 * rows:
+        triangle = np.zeros((0, rows))
+        for start in range(0, cols, 8 * rows):
+            slab = r[:, start : start + 8 * rows].T
+            triangle = np.linalg.qr(np.concatenate((triangle, slab)), mode="r")
+        r = triangle
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def _op_norm(blocks) -> float:
@@ -102,42 +222,40 @@ def _op_norm(blocks) -> float:
     return max((float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in blocks)
 
 
-def _kernel_defect(a: np.ndarray, blocks) -> float:
-    """``||a v||`` for the vector ``v`` made of the flattened ``blocks`` in order."""
-    return float(np.linalg.norm(a @ np.concatenate([b.reshape(-1) for b in blocks])))
+def _rank_and_witness(r: np.ndarray, block_dims, n: int, tol: Tolerances) -> tuple:
+    """The extremality criterion on the real ``r``: its rank, ``marginal`` flag, and witness.
 
-
-def _hermitize_block_diagonal(blocks: list) -> list:
-    """Blockwise Hermitian part of a unit kernel element, picked by larger norm."""
-    # the kernel is closed under the blockwise adjoint J and the two parts' squared
-    # norms sum to one, so the chosen part has norm >= 1/sqrt(2): never zero
-    sym = [(b + dagger(b)) / 2.0 for b in blocks]
-    anti = [1j * (b - dagger(b)) / 2.0 for b in blocks]
-    norm_sym = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in sym))
-    norm_anti = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in anti))
-    chosen = sym if norm_sym >= norm_anti else anti
-    op_norm = _op_norm(chosen)
-    return [b / op_norm for b in chosen]
-
-
-def _rank_and_witness(a: np.ndarray, block_dims, n: int, tol: Tolerances) -> tuple:
-    """The extremality criterion on ``a``: its rank, ``marginal`` flag, and witness.
-
-    The columns of ``a`` fall into square blocks of the sizes ``block_dims``.
-    The witness is None when the columns are independent; otherwise it is the
-    first kernel vector whose blockwise Hermitian part, scaled to unit
-    operator norm, leaves a residual ``||a v|| <= eps_eq * max(1, n)``, as a
-    tuple of blocks.  Raises when no kernel vector qualifies.
+    The columns of ``r`` fall into blocks of the ``k * k`` Hermitian
+    coordinates of the sizes ``k`` of ``block_dims``.  The witness is None
+    when the columns are independent.  Otherwise the candidates are, with
+    more columns than rows, the kernel vector of the first ``rows + 1``
+    columns (the last column of the complete QR factor of their transpose),
+    zero-padded, and else the projections ``P e_j = e_j - V_r V_r^T e_j`` in
+    order of ``j``.  The witness is the first candidate that, with its
+    largest entry positive and scaled to unit operator norm, leaves a
+    residual ``||r v|| <= eps_eq * max(1, n)``: a tuple of read-only blocks.
+    Raises when no candidate qualifies.
     """
-    rank, marginal, null_basis = _kernel(a, tol)
-    if rank == a.shape[1]:
+    rows, cols = r.shape
+    rank, marginal = _span_rank(_singular_values(r), r.shape, tol)
+    if cols > rows:  # dependent by the count: Choi, Theorem 5; Li and Tam
+        q = np.linalg.qr(r[:, : rows + 1].T, mode="complete")[0][:, -1]
+        candidates = [np.concatenate((q, np.zeros(cols - rows - 1)))]
+    elif rank == cols:
         return rank, marginal, None
+    else:
+        kept = np.linalg.svd(r, full_matrices=False)[2][:rank]  # V_r^T
+        candidates = np.eye(cols) - kept.T @ kept  # row j is P e_j
     cuts = np.cumsum([k * k for k in block_dims])[:-1]
-    for column in null_basis.T:
-        pieces = [v.reshape(k, k) for v, k in zip(np.split(column, cuts), block_dims)]
-        witness = _hermitize_block_diagonal(pieces)
-        if _kernel_defect(a, witness) <= tol.eps_eq * max(1.0, float(n)):
-            return rank, marginal, tuple(witness)
+    for v in candidates:
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        blocks = [_hermitian(x, k) for x, k in zip(np.split(v, cuts), block_dims)]
+        op_norm = _op_norm(blocks)
+        if op_norm > 0.0 and np.linalg.norm(r @ v) <= tol.eps_eq * max(1.0, float(n)) * op_norm:
+            for b in blocks:
+                b /= op_norm
+                b.setflags(write=False)
+            return rank, marginal, tuple(blocks)
     raise InstrumentumError("failed to extract a Hermitian witness from the kernel")
 
 
@@ -150,10 +268,10 @@ def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
 def _extremal(m: DiscreteInstrument, blocks: list, tol: Tolerances) -> ExtremalityReport:
     """``instrument_extremal`` of a normalized ``m`` whose minimal Kraus sets are ``blocks``."""
     block_dims = tuple(len(ks) for ks in blocks)
-    gram = _gram_columns(blocks, m.dim_in)
-    rank, marginal, witness = _rank_and_witness(gram, block_dims, m.dim_in, tol)
+    r = _criterion_matrix(blocks, m.dim_in)
+    rank, marginal, witness = _rank_and_witness(r, block_dims, m.dim_in, tol)
     return ExtremalityReport(  # required_rank: the column count sum_i n(i)^2
-        witness is None, rank, gram.shape[1], marginal, m.labels, block_dims, witness
+        witness is None, rank, r.shape[1], marginal, m.labels, block_dims, witness
     )
 
 
@@ -200,7 +318,14 @@ def witness_decompose(
     op_norm = _op_norm(herm)
     if op_norm > 1.0 + tol.eps_psd:
         raise InstrumentumError(f"witness operator norm {op_norm:.6f} exceeds one")
-    kernel_defect = _kernel_defect(_gram_columns(blocks, m.dim_in), herm)
+    # ||R x|| for the coordinates x of the witness: the Frobenius norm of the image
+    # sum_{i,k,l} D(i)[k,l] A_k(i)^dag A_l(i), formed from the Kraus stacks
+    image = sum(
+        dagger(ks.stack.reshape(-1, m.dim_in))
+        @ np.tensordot(block, ks.stack, axes=(1, 0)).reshape(-1, m.dim_in)
+        for ks, block in zip(blocks, herm)
+    )
+    kernel_defect = float(np.linalg.norm(image))
     if kernel_defect > tol.eps_eq * max(1.0, float(m.dim_in)):
         raise InstrumentumError(
             f"witness does not annihilate the Kraus products: defect {kernel_defect:.3e}"
@@ -250,7 +375,9 @@ def correlation_extremal(c, tol: Tolerances = DEFAULT_TOL) -> CorrelationReport:
     # eigenvalue never exceeds the positive cut, so it gets no Gram vector
     rank, _ = _span_rank(f.values, c.shape, tol)
     gram = (np.sqrt(f.values[:rank])[:, None] * dagger(f.vectors[:, :rank])).T  # row i = m_i
-    span = (gram.conj()[:, :, None] * gram[:, None, :]).reshape(n, rank * rank)
+    gram.setflags(write=False)
+    # row i: the coordinates of |m_i><m_i|, so that (span v)_i = <m_i| B m_i> for B of coordinates v
+    span = _coordinates(gram[:, :, None] * gram.conj()[:, None, :]).real
     span_rank, marginal, witness = _rank_and_witness(span, (rank,), n, tol)
     witness = None if witness is None else witness[0]
     return CorrelationReport(witness is None, rank, span_rank, marginal, gram, witness)

@@ -51,8 +51,10 @@ class Tolerances:
         ``numeric_rank``, the span ranks of ``verify_dilation``, the
         minimality test of ``kraus_equivalent``, the effect rank of
         ``rank1_nuclear_extract``, extremality's ``span_rank`` and
-        ``marginal``, the Gram rank of ``correlation_extremal`` and the
-        ``rank`` of CLI ``choi``.
+        ``marginal`` (on the singular values of its real criterion matrix;
+        more columns than rows decide the verdict by the count, with no
+        cut), the Gram rank of ``correlation_extremal`` and the ``rank`` of
+        CLI ``choi``.
     """
 
     eps_herm: float = 1e-9
@@ -226,16 +228,6 @@ def _rank(a: np.ndarray, tol: Tolerances) -> int:
     return _span_rank(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
 
 
-def _kernel(a: np.ndarray, tol: Tolerances) -> tuple[int, bool, np.ndarray]:
-    """Span rank, ``marginal`` flag and orthonormal kernel basis of ``a``, from one SVD."""
-    rows, cols = a.shape
-    if a.size == 0:
-        return 0, False, np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)  # thin vh is square if rows >= cols
-    rank, marginal = _span_rank(s, a.shape, tol)
-    return rank, marginal, vh[rank:, :].conj().T.copy()
-
-
 def numeric_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     """Numerical rank and orthonormal kernel basis of a rectangular matrix.
 
@@ -243,8 +235,13 @@ def numeric_rank(a, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
     kernel basis has shape ``(cols, cols - rank)``; its columns are the
     trailing right-singular vectors.
     """
-    rank, _, null_basis = _kernel(as_matrix(a), tol)
-    return rank, null_basis
+    a = as_matrix(a)
+    rows, cols = a.shape
+    if a.size == 0:
+        return 0, np.eye(cols, dtype=np.complex128)
+    _, s, vh = np.linalg.svd(a, full_matrices=rows < cols)  # thin vh is square if rows >= cols
+    rank = _span_rank(s, a.shape, tol)[0]
+    return rank, vh[rank:, :].conj().T.copy()
 
 
 def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -22,7 +22,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PosteriorResult:
-    """An outcome (or outcome set), its probability, and the conditioned output state."""
+    """An outcome (or outcome set), its probability, and the read-only conditioned state."""
 
     label: object
     probability: float
@@ -87,7 +87,9 @@ def _conditioned(m: DiscreteInstrument, rho, subset, zero, tol: Tolerances) -> t
     weight = float(np.trace(raw).real)
     if weight <= tol.eps_eq:
         raise InstrumentumError(zero())
-    return subset, weight, (raw + dagger(raw)) / (2.0 * weight)
+    state = (raw + dagger(raw)) / (2.0 * weight)
+    state.setflags(write=False)
+    return subset, weight, state
 
 
 def conditional_expectation(

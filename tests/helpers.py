@@ -79,6 +79,46 @@ def near_cut_instrument(seed, lam):
     return DiscreteInstrument(3, 3, ((0, KrausSet(3, 3, [a0])), (1, KrausSet(3, 3, [a1]))))
 
 
+HIGH_RANK_SEED = 20261019
+
+
+def full_rank_channel(d, kraus=None):
+    """A random channel on ``C^d`` with ``kraus`` Kraus operators, by default ``d^2`` (full Choi rank).
+
+    The operators are cut out of a random isometry seeded by ``d`` and
+    ``kraus``; generically they are minimal whenever ``kraus <= d^2``.
+    """
+    kraus = d * d if kraus is None else kraus
+    return rand_instrument(np.random.default_rng([HIGH_RANK_SEED, d, kraus]), d, d, (kraus,))
+
+
+def full_rank_correlation(n, rank=None):
+    """A random unit-diagonal PSD ``n x n`` matrix of Gram rank ``rank``, ``n`` by default."""
+    rank = n if rank is None else rank
+    rng = np.random.default_rng([HIGH_RANK_SEED, n, rank])
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g @ g.conj().T
+
+
+def kraus_product_rank(m):
+    """numpy's rank of the columns ``vec(A_k(i)^dag A_l(i))`` over every outcome and pair."""
+    columns = [
+        (kraus.stack.conj().swapaxes(1, 2)[:, None] @ kraus.stack[None]).reshape(-1, m.dim_in**2)
+        for _, kraus in m.outcomes
+    ]
+    return int(np.linalg.matrix_rank(np.concatenate(columns).T))
+
+
+def projector_rank(c):
+    """numpy's rank of the rows ``vec(|m_i><m_i|)``, Gram vectors ``m_i`` of ``c`` from ``eigh``."""
+    values, vectors = np.linalg.eigh(c)
+    keep = values > 1e-10 * values[-1]
+    gram = vectors[:, keep] * np.sqrt(values[keep])  # row i = m_i
+    projectors = gram[:, :, None] * gram.conj()[:, None, :]
+    return int(np.linalg.matrix_rank(projectors.reshape(len(c), -1)))
+
+
 def rand_povm(rng, d, n, labels=None):
     """A full-rank-free random POVM via the symmetrized normalization trick."""
     raw = []

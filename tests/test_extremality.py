@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from instrumentum import (
+    DiscreteInstrument,
     InstrumentumError,
     KrausSet,
     Povm,
@@ -275,3 +276,91 @@ class TestCorrelationSplit:
         report = correlation_extremal(np.array([[1.0, z], [np.conj(z), 1.0]]))
         with pytest.raises(InstrumentumError, match="no witness"):
             correlation_witness_split(report)
+
+
+def hermitian_basis(n):
+    """``E_kk``, then ``(E_kl + E_lk)/sqrt 2``, then ``i (E_kl - E_lk)/sqrt 2`` for ``k < l``."""
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    basis = []
+    for entries in (
+        [((k, k), 1.0) for k in range(n)],
+        [((k, l), 1.0 / np.sqrt(2.0)) for k, l in pairs],
+        [((k, l), 1j / np.sqrt(2.0)) for k, l in pairs],
+    ):
+        for (k, l), value in entries:
+            h = np.zeros((n, n), dtype=complex)
+            h[k, l], h[l, k] = value, np.conj(value)
+            basis.append(h)
+    return basis
+
+
+def criterion_matrix(blocks, dim_in):
+    """The criterion in Hermitian coordinates, one basis element at a time: ``<G_m, Phi(H_j)>``."""
+    columns = []
+    for ks in blocks:
+        products = [[a_k.conj().T @ a_l for a_l in ks.ops] for a_k in ks.ops]
+        for h in hermitian_basis(len(ks)):
+            image = sum(h[k, l] * products[k][l] for k in range(len(ks)) for l in range(len(ks)))
+            columns.append([np.trace(g @ image).real for g in hermitian_basis(dim_in)])
+    return np.array(columns).T
+
+
+def split_channel(weights):
+    """One qutrit channel with two Kraus operators, split over outcomes with the given weights.
+
+    Every outcome has the same products up to its weight, so the criterion
+    matrix has rank 4 and ``4 * len(weights)`` columns against 9 rows.
+    """
+    rng = np.random.default_rng(97)
+    ops = rand_unitary(rng, 6)[:, :3].reshape(2, 3, 3)  # an isometry C^3 -> C^2 (x) C^3
+    outcomes = tuple((i, KrausSet(3, 3, np.sqrt(w) * ops)) for i, w in enumerate(weights))
+    return DiscreteInstrument(3, 3, outcomes)
+
+
+class TestCanonicalWitness:
+    def test_equal_inputs_give_byte_identical_witnesses(self, corpus):
+        cases = [(name, m) for name, m in corpus.items() if not instrument_extremal(m).is_extreme]
+        assert len(cases) >= 3
+        for name, m in cases:
+            outcomes = tuple((lab, k.stack.copy()) for lab, k in m.outcomes)
+            fresh = type(m)(m.dim_in, m.dim_out, outcomes)
+            first, second = instrument_extremal(m).witness, instrument_extremal(fresh).witness
+            assert [b.tobytes() for b in first] == [b.tobytes() for b in second], name
+        for c in (np.eye(3), near_collinear_correlation(0.3)):
+            first, second = correlation_extremal(c).witness, correlation_extremal(c.copy()).witness
+            assert first.tobytes() == second.tobytes()
+
+    def test_projection_rule_picks_the_first_kernel_projection(self):
+        m = split_channel((1 / 3, 2 / 3))
+        report = instrument_extremal(m)
+        assert (report.is_extreme, report.span_rank, report.required_rank) == (False, 4, 8)
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        r = criterion_matrix(blocks, 3)
+        assert r.shape == (9, 8)
+        vt = np.linalg.svd(r)[2][:4]
+        for j in range(8):
+            v = np.eye(8)[j] - vt.T @ vt[:, j]  # P e_j
+            v = v * np.sign(v[np.argmax(np.abs(v))])
+            herm = [sum(x * h for x, h in zip(part, hermitian_basis(2))) for part in (v[:4], v[4:])]
+            op_norm = max(np.max(np.abs(np.linalg.eigvalsh(b))) for b in herm)
+            if np.linalg.norm(r @ v) <= 1e-9 * 3 * op_norm:
+                break
+        assert j == 0  # e_0 has a kernel component here
+        for got, want in zip(report.witness, herm):
+            assert np.allclose(got, want / op_norm, atol=1e-12)
+
+    def test_count_rule_witness_is_the_kernel_of_the_leading_columns(self):
+        report = instrument_extremal(mixed_trivial())  # 8 columns against 4 rows
+        r = criterion_matrix([minimal_kraus(k) for _, k in mixed_trivial().outcomes], 2)
+        coordinates = np.array(
+            [np.trace(h @ block).real for block in report.witness for h in hermitian_basis(2)]
+        )
+        assert np.all(coordinates[5:] == 0.0)  # zero-padded beyond the first rows + 1 columns
+        assert np.linalg.norm(r @ coordinates) <= 1e-12
+        assert coordinates[np.argmax(np.abs(coordinates))] > 0
+
+    def test_identity_witness_puts_symmetric_before_antisymmetric(self):
+        # the first three coordinates of |m_i><m_i| are diagonal and symmetric: the kernel of
+        # those columns is the symmetric coordinate, and the witness is sigma_x
+        witness = correlation_extremal(np.eye(2)).witness
+        assert np.allclose(witness, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)

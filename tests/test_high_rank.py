@@ -1,0 +1,98 @@
+"""Inputs of full Choi rank and inputs at the count bounds.
+
+Choi (Linear Algebra Appl. 10, 285, 1975, Theorem 5) and Li and Tam (SIAM J.
+Matrix Anal. Appl. 15, 903, 1994) bound extreme points by a count: an
+instrument with ``sum_i n(i)^2 > dim_in^2`` is never extreme, nor is a
+correlation matrix of Gram rank ``r`` with ``r^2 > n``, while generic inputs
+at or below the count are.  The seeded corpus of ``helpers`` holds random
+channels of full Choi rank at d = 6 to 8 (``d^4`` Kraus products against
+``d^2`` dimensions), a random d = 32 channel with 32 Kraus operators (at the
+bound) and a full-rank correlation matrix at n = 64.  On each the verdict
+follows the count, the span rank is numpy's, a witness splits its subject
+into valid, distinct halves, and memory stays within bounds far below those
+of a criterion with full singular vectors.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from instrumentum import (
+    KrausSet,
+    correlation_extremal,
+    correlation_witness_split,
+    instrument_extremal,
+    validate,
+    witness_decompose,
+)
+
+from helpers import (
+    action_distance,
+    full_rank_channel,
+    full_rank_correlation,
+    kraus_action_distance,
+    kraus_product_rank,
+    projector_rank,
+)
+
+# (d, Kraus operators): full Choi rank at d = 6, 7, 8, and generic channels at and below the bound
+CHANNELS = ((6, 36), (7, 49), (8, 64), (8, 8), (8, 4), (32, 32))
+# (n, Gram rank): full rank at n = 64, and generic matrices at and below the Li-Tam bound
+CORRELATIONS = ((64, 64), (64, 8), (64, 5), (16, 16))
+
+
+@pytest.mark.parametrize("d, kraus", CHANNELS)
+def test_channel_verdict_follows_the_count_and_span_rank_is_numpys(d, kraus):
+    m = full_rank_channel(d, kraus)
+    report = instrument_extremal(m)
+    assert report.block_dims == (kraus,)
+    assert report.required_rank == kraus * kraus
+    assert report.is_extreme == (kraus * kraus <= d * d)
+    assert report.span_rank == kraus_product_rank(m) == min(kraus * kraus, d * d)
+    assert (report.witness is None) == report.is_extreme
+
+
+@pytest.mark.parametrize("n, rank", CORRELATIONS)
+def test_correlation_verdict_follows_the_count_and_span_rank_is_numpys(n, rank):
+    c = full_rank_correlation(n, rank)
+    report = correlation_extremal(c)
+    assert report.gram_rank == rank
+    assert report.is_extreme == (rank * rank <= n)
+    assert report.span_rank == projector_rank(c) == min(rank * rank, n)
+
+
+@pytest.mark.parametrize("d", (6, 7, 8))
+def test_full_rank_channel_witness_halves_are_valid_and_distinct(d):
+    m = full_rank_channel(d)
+    plus, minus = witness_decompose(m, instrument_extremal(m).witness)
+    assert validate(plus).passed and validate(minus).passed
+    assert action_distance(plus, minus) > 1e-6
+    (_, kraus), (_, k_plus), (_, k_minus) = m.outcomes[0], plus.outcomes[0], minus.outcomes[0]
+    pooled = np.concatenate([k_plus.stack, k_minus.stack]) / np.sqrt(2.0)
+    assert kraus_action_distance(KrausSet(d, d, pooled), kraus) <= 1e-9
+
+
+def test_full_rank_correlation_witness_halves_are_valid_and_distinct():
+    c = full_rank_correlation(64)
+    plus, minus = correlation_witness_split(correlation_extremal(c))
+    for half in (plus, minus):
+        assert np.max(np.abs(np.diag(half) - 1.0)) <= 1e-9
+        assert np.linalg.eigvalsh((half + half.conj().T) / 2)[0] >= -1e-9
+    assert np.linalg.norm(plus - minus) > 1e-6
+    assert np.linalg.norm((plus + minus) / 2 - c) <= 1e-9
+
+
+# tracemalloc peaks of extremal + witness_decompose on a fresh full-rank channel: 1.3 MiB at
+# d = 6 and 3.3 MiB at d = 8 with the real criterion; 76 and 764 MiB with a complex SVD
+# that returns every right-singular vector
+@pytest.mark.parametrize("d, bound_mib", ((6, 8), (8, 16)))
+def test_full_rank_channel_memory_peak(d, bound_mib):
+    m = full_rank_channel(d)
+    tracemalloc.start()
+    try:
+        witness_decompose(m, instrument_extremal(m).witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20

@@ -1,7 +1,7 @@
 """Array-holding value types compare by identity, so ``==`` and ``hash`` never touch the arrays.
 
 Copies and pickles of them are built again by their constructors, and every
-dimension they take follows one rule.
+dimension they take follows one rule.  The reports hand out read-only arrays.
 """
 
 import copy
@@ -31,6 +31,7 @@ from instrumentum import (
     measurement_model,
     minimal_stinespring,
     posterior_state,
+    trivial_from_povm,
 )
 
 from helpers import basis_pvm
@@ -189,3 +190,32 @@ def test_numpy_integer_dimensions_are_kept_as_integers(name):
     build, attrs = DIMENSIONED[name]
     value = build(np.int64(2))
     assert all(type(getattr(value, attr)) is int and getattr(value, attr) == 2 for attr in attrs)
+
+
+def _mixed_qubit_trivial():
+    eye = np.eye(2, dtype=np.complex128)
+    return trivial_from_povm(Povm(2, (("a", eye / 2), ("b", eye / 2))))
+
+
+def _correlation_arrays():
+    report = correlation_extremal(np.eye(3))
+    return report.gram_vectors, report.witness
+
+
+REPORT_ARRAYS = {
+    "ExtremalityReport": lambda: instrument_extremal(_mixed_qubit_trivial()).witness,
+    "CorrelationReport": _correlation_arrays,
+    "CompatChannelDecomposition": lambda: compat_channel(luders()).isometries,
+    "PosteriorResult": lambda: (posterior_state(luders(), np.eye(2) / 2, 0).state,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_ARRAYS))
+def test_report_arrays_are_read_only(name):
+    arrays = REPORT_ARRAYS[name]()
+    assert arrays
+    for a in arrays:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7.0
+
