@@ -223,60 +223,56 @@ def compat_channel(
 ) -> CompatChannelDecomposition:
     """Solve for the fiber isometries and channels of ``m`` over its POVM's Naimark fibers.
 
-    For each outcome the isometry ``C_i`` is the least-squares solution of
-    ``C_i psi_i = sum_s k_s (x) phi_i^s`` over the input basis, where row
-    ``k`` of ``phi_i^s`` is row ``s`` of the ``k``-th minimal Kraus operator
-    of outcome ``i``, and ``T_i(B) = C_i^dag (B (x) I) C_i``; the
+    For each outcome the isometry ``C_i`` solves ``C_i psi_i = sum_s k_s (x)
+    phi_i^s`` over the input basis, in closed form as ``psi_i`` has orthogonal
+    rows; row ``k`` of ``phi_i^s`` is row ``s`` of the ``k``-th minimal Kraus
+    operator of outcome ``i``, and ``T_i(B) = C_i^dag (B (x) I) C_i``.  The
     decomposition reproduces ``M(i, B) = psi_i^dag T_i(B) psi_i``.
     """
     require_valid(m, tol)
-    return _decompose(m, tol)[0]
-
-
-def _decompose(m: DiscreteInstrument, tol: Tolerances) -> tuple:
-    """``compat_channel`` of a normalized ``m``, and the Naimark fibers ``psi_i`` of its POVM.
-
-    ``psi_i`` (``n_i x dim_in``) is the minimal Kraus set of ``c -> c * M(i)``,
-    whose Kraus operators are the rows of the ``A_k(i)``, so ``M(i) =
-    psi_i^dag psi_i`` with orthogonal rows; the instrument fiber is the
-    minimal Kraus set of ``A(i)``.  Both come from one SVD of the Kraus stack
-    each; the effects themselves are never formed.
-    """
-    dim_in, dim_out = m.dim_in, m.dim_out
-    psis = []
-    isometries = []
+    fibers = _decompose(m, tol)
     max_residual = 0.0
-    for _, kraus in m.outcomes:
-        psi = _naimark_fiber(kraus, tol)
-        fiber = minimal_kraus(kraus, tol)
+    for (psi, phi, c_i), (_, kraus) in zip(fibers, m.outcomes):
         n_i = len(psi)
-        psis.append(psi)
-        # columns over the input basis of the instrument fiber images
-        phi = fiber.stack.transpose(1, 0, 2).reshape(dim_out * len(fiber), dim_in)
         if n_i == 0:
-            isometries.append(np.zeros((len(phi), 0), dtype=np.complex128))
             continue
-        sol, *_ = np.linalg.lstsq(psi.T, phi.T, rcond=None)
-        c_i = sol.T  # (dim_out * n'_i, n_i)
         solve_residual = float(np.linalg.norm(c_i @ psi - phi))
         iso_defect = float(np.linalg.norm(dagger(c_i) @ c_i - np.eye(n_i)))
-        t_i = c_i.reshape(dim_out, len(fiber), n_i).transpose(1, 0, 2)
-        lifted = KrausSet(dim_in, dim_out, t_i @ psi)  # psi^dag T_i(.) psi
-        recon = action_distance(lifted, kraus)
+        # psi^dag T_i(.) psi against the outcome map
+        pair = (c_i.reshape(m.dim_out, -1, n_i).transpose(1, 0, 2) @ psi, kraus.stack)
+        recon = _largest_block(*_difference_core(pair, pair), m.dim_in)
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
-        isometries.append(c_i)
-    for c_i in isometries:
-        c_i.setflags(write=False)  # the derived channels and vectors read them
-    threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
-    dec = CompatChannelDecomposition(
-        dim_in=dim_in,
-        dim_out=dim_out,
+    threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
+    return CompatChannelDecomposition(
+        dim_in=m.dim_in,
+        dim_out=m.dim_out,
         labels=m.labels,
-        isometries=tuple(isometries),
+        isometries=tuple(c_i for _, _, c_i in fibers),
         max_residual=max_residual,
         passed=max_residual <= threshold,
     )
-    return dec, psis
+
+
+def _decompose(m: DiscreteInstrument, tol: Tolerances) -> list:
+    """Per outcome of a normalized ``m``, the triple ``(psi_i, phi_i, C_i)``.
+
+    ``psi_i`` (``n_i x dim_in``) is the minimal Kraus set of ``c -> c * M(i)``,
+    whose Kraus operators are the rows of the ``A_k(i)``; ``phi_i`` (``dim_out
+    * n'_i x dim_in``, output-major) stacks the rows of the minimal Kraus set
+    of ``A(i)``.  Each is read off one kept SVD.  ``psi_i = S U^dag`` has
+    orthogonal rows, so ``C_i psi_i = phi_i`` is solved by ``C_i = phi_i
+    psi_i^dag S^-2``, read-only and unchecked.
+    """
+    fibers = []
+    for _, kraus in m.outcomes:
+        psi = _naimark_fiber(kraus, tol)
+        phi = minimal_kraus(kraus, tol).stack.transpose(1, 0, 2).reshape(-1, m.dim_in)
+        c_i = phi @ dagger(psi)
+        if len(psi):
+            c_i /= kraus._row_svd[1][: len(psi)] ** 2
+        c_i.setflags(write=False)  # the derived channels and vectors read them
+        fibers.append((psi, phi, c_i))
+    return fibers
 
 
 def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
@@ -291,13 +287,14 @@ def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
     return dagger(_minimal_factor(kraus._row_svd, tol))
 
 
-def _block_product(dec: CompatChannelDecomposition, right: np.ndarray) -> np.ndarray:
+def _block_product(isometries: tuple, dim_out: int, right: np.ndarray) -> np.ndarray:
     """Kraus stack of ``(+)_i T_i`` composed with ``right``, whose rows run over the fibers."""
     blocks = []
     offset = 0
-    for t_i, n_i in zip(dec.channels, dec.naimark_dims):
-        if t_i is not None:
-            blocks.append(t_i.stack @ right[offset : offset + n_i])
+    for c_i in isometries:  # a zero outcome has n_i = n'_i = 0 and adds no operator
+        n_i = c_i.shape[1]
+        t_i = c_i.reshape(dim_out, len(c_i) // dim_out, n_i).transpose(1, 0, 2)
+        blocks.append(t_i @ right[offset : offset + n_i])
         offset += n_i
     return np.concatenate(blocks)
 
@@ -311,13 +308,13 @@ def lueders_factorization(
     With the thin SVD ``u s vh`` of the Naimark fibers of the outcomes in
     ``X`` (zero rows for the others), so that ``M(X) = vh^dag s^2 vh``, the
     root is ``vh^dag s vh`` over the singular values kept by the
-    ``sv_rel_cutoff`` rule and ``Phi^X`` is the block channel of
-    ``compat_channel`` conjugated by the isometry ``u vh``, which extends it
-    isometrically off the range of ``M(X)``.
+    ``sv_rel_cutoff`` rule and ``Phi^X`` is the block channel of the closed
+    form isometries of ``compat_channel`` (unchecked) conjugated by the
+    isometry ``u vh``, which extends it isometrically off the range of ``M(X)``.
     """
     require_valid(m, tol)
     subset = _checked_subset(m, m.labels if subset is None else subset)
-    dec, psis = _decompose(m, tol)
+    psis, _, isometries = zip(*_decompose(m, tol))
     dim = m.dim_in
     # the fibers of every outcome span H, so there are at least dim rows
     masked = np.concatenate(
@@ -327,10 +324,9 @@ def lueders_factorization(
     r = _kept(s * s, tol)
     root = dagger(vh[:r]) @ (s[:r, None] * vh[:r])
 
-    phi = KrausSet(dim, m.dim_out, _block_product(dec, u @ vh))
-    direct = _pooled(m, subset)
-    factored = KrausSet(dim, m.dim_out, phi.stack @ root)  # root Phi(.) root
-    max_err = action_distance(factored, direct)
+    phi = KrausSet(dim, m.dim_out, _block_product(isometries, m.dim_out, u @ vh))
+    pair = (phi.stack @ root, _pooled(m, subset).stack)  # root Phi(.) root against M(X, .)
+    max_err = _largest_block(*_difference_core(pair, pair), dim)
     unit_defect = float(np.linalg.norm(_effect(phi) - np.eye(dim)))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim)))
     passed = max_err <= threshold and unit_defect <= threshold
@@ -349,11 +345,11 @@ def pvm_compat(
     p = associate_povm(m, tol)
     for label, matrix in p.effects:
         _require_projection(label, matrix, tol)
-    dec, psis = _decompose(m, tol)
+    psis, _, isometries = zip(*_decompose(m, tol))
     fibers = np.concatenate(psis)
     if len(fibers) != m.dim_in:
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
-    ops = _block_product(dec, fibers)
+    ops = _block_product(isometries, m.dim_out, fibers)
     conjugated = KrausSet(m.dim_in, m.dim_out, ops)
     max_err = 0.0
     for (_, effect), (_, kraus) in zip(p.effects, m.outcomes):

@@ -355,10 +355,11 @@ def model_intertwiner(
     """The unique isometry from the minimal fiber space into the model's ancilla.
 
     Solves ``(I (x) W) Y psi = U (psi (x) xi)`` under the pointer
-    compatibility ``P'_j W = W P_j``, block by block in least squares.  Raises
-    when ``||U^dag U - I||_F > eps_eq * sqrt(side)`` or the model does not
-    realize ``m`` within ``eps_eq * sqrt(dim)``; a non-unit ``xi`` shows as
-    the isometry defect of ``W``.
+    compatibility ``P'_j W = W P_j``, block by block as ``img psi^dag S^-2``,
+    as the rows ``psi`` of block ``i`` are the conjugated columns ``U S`` of
+    outcome ``i``'s kept Choi SVD.  Raises when ``||U^dag U - I||_F > eps_eq *
+    sqrt(side)`` or the model does not realize ``m`` within ``eps_eq *
+    sqrt(dim)``; a non-unit ``xi`` shows as the isometry defect of ``W``.
     """
     require_valid(m, tol)
     if m.dim_out != m.dim_in or model.system_dim != m.dim_in:
@@ -376,7 +377,7 @@ def model_intertwiner(
     y_blocks = dil.isometry.reshape(d, total, d)  # [s, f, n]
     v_blocks = _coupled(model)  # [s, a, n]
     w = np.zeros((anc, total), dtype=np.complex128)
-    for i in range(len(dil.labels)):
+    for i, (_, kraus) in enumerate(m.outcomes):
         fibers = dil.block_slice(i)
         pointer = model.block_slice(i)
         n_i = fibers.stop - fibers.start
@@ -385,8 +386,7 @@ def model_intertwiner(
         # columns over (s, n) of the block components of Y h_n and U(h_n (x) xi)
         psi = y_blocks[:, fibers, :].transpose(1, 0, 2).reshape(n_i, d * d)
         img = v_blocks[:, pointer, :].transpose(1, 0, 2).reshape(pointer.stop - pointer.start, d * d)
-        sol, *_ = np.linalg.lstsq(psi.T, img.T, rcond=None)
-        w[pointer, fibers] = sol.T
+        w[pointer, fibers] = img @ dagger(psi) / kraus._choi_svd[1][:n_i] ** 2
     residual = max(float(np.linalg.norm(w @ y - v)) for y, v in zip(y_blocks, v_blocks))
     iso_defect = float(np.linalg.norm(w.conj().T @ w - np.eye(total)))
     threshold = tol.eps_eq * float(np.sqrt(d * total))

@@ -363,12 +363,13 @@ def _pooled(m: DiscreteInstrument, labels=None) -> KrausSet:
 
 
 def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
-    """``subset`` as a tuple; raises unless it is non-empty and names outcomes of ``m``."""
+    """``subset`` as a tuple; raises unless it is non-empty and names distinct outcomes of ``m``."""
     subset = tuple(subset)
     if not subset:
         raise ValueError("subset must contain at least one outcome label")
     for label in subset:
         _find(m.outcomes, label, "outcome")
+    _check_labels(subset)  # each is a label of m, so only a repeat can fail
     return subset
 
 

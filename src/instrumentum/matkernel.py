@@ -164,12 +164,15 @@ def _fix_phases(vectors: np.ndarray, tol: Tolerances) -> np.ndarray:
     Each column is rotated so that its first entry of modulus above
     ``sv_rel_cutoff`` is real and positive; a column without one is left alone.
     """
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        significant = np.flatnonzero(np.abs(col) > tol.sv_rel_cutoff)
-        if significant.size:
-            pivot = col[significant[0]]
-            vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
+    if not vectors.size:  # argmax needs a row
+        return vectors
+    significant = np.abs(vectors) > tol.sv_rel_cutoff
+    columns = significant.any(axis=0)  # those with a pivot, their first significant entry
+    pivots = vectors[significant.argmax(axis=0)[columns], columns]
+    phases = pivots.conj() / np.hypot(pivots.real, pivots.imag)  # rounds as a scalar abs does
+    # one flat product rounds as a column times a scalar does; a 1 x 1 broadcast one may not
+    rotated = vectors[:, columns].ravel() * phases[None].repeat(len(vectors), axis=0).ravel()
+    vectors[:, columns] = rotated.reshape(len(vectors), -1)
     return vectors
 
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from instrumentum import (
+    DEFAULT_TOL,
     CompatCoefficients,
+    DiscreteInstrument,
     InstrumentumError,
     KrausSet,
     Povm,
     Tolerances,
+    action_distance,
     apply_heisenberg,
     apply_schrodinger,
     associate_povm,
@@ -16,12 +19,17 @@ from instrumentum import (
     compat_from_coeffs,
     lueders,
     lueders_factorization,
+    measurement_model,
+    minimal_kraus,
+    minimal_stinespring,
+    model_intertwiner,
     nuclear,
     pvm_compat,
     rank1_nuclear_extract,
     trivial_from_povm,
     validate,
 )
+from instrumentum.compat import _naimark_fiber
 
 from helpers import (
     basis_pvm,
@@ -296,3 +304,192 @@ class TestNuclearExtract:
         assert report.passed
         assert np.allclose(states[0], np.diag([1.0, 0.0]))
         assert np.allclose(states[1], np.diag([0.0, 1.0]))
+
+
+def _solve_corpus():
+    """Seeded instruments for the fiber solves: zero outcomes, redundant operators, dim_in = 1."""
+    rng = np.random.default_rng(20261019)
+    cases = {
+        "zero-outcome": rand_instrument(rng, 3, 2, (2, 0, 1)),
+        "dim-in-one": rand_instrument(rng, 1, 3, (1, 2)),
+        "square": rand_instrument(rng, 3, 3, (2, 1, 1)),
+    }
+    # the same map as outcome 0 written with five operators: A split in two, B twice, a zero
+    m = rand_instrument(rng, 3, 3, (2, 1))
+    (a, b), rest = m.outcomes[0][1].ops, m.outcomes[1][1]
+    ops = (0.6 * a, 0.8 * a, b / np.sqrt(2), np.zeros((3, 3)), b / np.sqrt(2))
+    cases["redundant"] = DiscreteInstrument(3, 3, ((0, KrausSet(3, 3, ops)), (1, rest)))
+    # a PVM followed by a channel, for pvm_compat
+    channel = rand_instrument(rng, 3, 2, (2,)).outcomes[0][1].ops
+    pvm = basis_pvm(3, ((0, 1), (2,)))
+    outcomes = tuple((label, KrausSet(3, 2, [k @ e for k in channel])) for label, e in pvm.effects)
+    cases["pvm-then-channel"] = DiscreteInstrument(3, 2, outcomes)
+    return cases
+
+
+def _fiber_solves(m, tol, lstsq):
+    """Per outcome ``(psi_i, phi_i, C_i)``; ``C_i`` solves ``C_i psi_i = phi_i`` by ``lstsq``."""
+    solves = []
+    for _, kraus in m.outcomes:
+        psi = _naimark_fiber(kraus, tol)
+        phi = minimal_kraus(kraus, tol).stack.transpose(1, 0, 2).reshape(-1, m.dim_in)
+        c = lstsq(psi.T, phi.T, rcond=None)[0].T if len(psi) else np.zeros((len(phi), 0))
+        solves.append((psi, phi, c))
+    return solves
+
+
+def _block_channel(solves, dim_out, right):
+    """The Kraus stack of ``(+)_i T_i`` composed with ``right``, one outcome at a time."""
+    blocks, offset = [], 0
+    for psi, _, c in solves:
+        n = len(psi)
+        if n:
+            t = c.reshape(dim_out, -1, n).transpose(1, 0, 2)
+            blocks.append(t @ right[offset : offset + n])
+        offset += n
+    return np.concatenate(blocks)
+
+
+def _compat_reference(m, tol, lstsq):
+    """``compat_channel``'s isometries and verdict from least-squares solves."""
+    solves = _fiber_solves(m, tol, lstsq)
+    worst = 0.0
+    for (psi, phi, c), (_, kraus) in zip(solves, m.outcomes):
+        if len(psi):
+            t = c.reshape(m.dim_out, -1, len(psi)).transpose(1, 0, 2)
+            lifted = KrausSet(m.dim_in, m.dim_out, t @ psi)
+            worst = max(
+                worst,
+                np.linalg.norm(c @ psi - phi),
+                np.linalg.norm(c.conj().T @ c - np.eye(len(psi))),
+                action_distance(lifted, kraus),
+            )
+    threshold = tol.eps_eq * max(1.0, np.sqrt(m.dim_in))
+    return [c for _, _, c in solves], worst <= threshold
+
+
+def _lueders_reference(m, subset, tol, lstsq):
+    """``lueders_factorization``'s channel stack and verdict from least-squares solves."""
+    solves = _fiber_solves(m, tol, lstsq)
+    masked = np.concatenate(
+        [psi if label in subset else 0 * psi for label, (psi, _, _) in zip(m.labels, solves)]
+    )
+    u, s, vh = np.linalg.svd(masked, full_matrices=False)
+    r = int(np.count_nonzero(s * s > tol.sv_rel_cutoff * s[0] ** 2))
+    root = vh[:r].conj().T @ (s[:r, None] * vh[:r])
+    stack = _block_channel(solves, m.dim_out, u @ vh)
+    pooled = np.concatenate([k.stack for label, k in m.outcomes if label in subset])
+    direct = KrausSet(m.dim_in, m.dim_out, pooled)
+    error = action_distance(KrausSet(m.dim_in, m.dim_out, stack @ root), direct)
+    rows = stack.reshape(-1, m.dim_in)
+    unit = np.linalg.norm(rows.conj().T @ rows - np.eye(m.dim_in))
+    threshold = tol.eps_eq * max(1.0, np.sqrt(m.dim_in))
+    return stack, error <= threshold and unit <= threshold
+
+
+def _pvm_reference(m, tol, lstsq):
+    """``pvm_compat``'s Kraus stack and verdict from least-squares solves, over matrix units."""
+    solves = _fiber_solves(m, tol, lstsq)
+    stack = _block_channel(solves, m.dim_out, np.concatenate([psi for psi, _, _ in solves]))
+    channel = KrausSet(m.dim_in, m.dim_out, stack)
+    worst = 0.0
+    for (_, effect), (_, kraus) in zip(associate_povm(m, tol).effects, m.outcomes):
+        for unit in matrix_units(m.dim_out):
+            both = effect @ apply_heisenberg(channel, unit) - apply_heisenberg(kraus, unit)
+            worst = max(worst, np.linalg.norm(both))
+    return stack, worst <= tol.eps_eq * max(1.0, np.sqrt(m.dim_in))
+
+
+def _intertwiner_reference(model, m, tol, lstsq):
+    """``model_intertwiner``'s ``W`` and verdict from one least-squares solve per block."""
+    dil = minimal_stinespring(m, tol)
+    d, total = m.dim_in, dil.total_fibers
+    y = dil.isometry.reshape(d, total, d)
+    coupled = (model.unitary @ np.kron(np.eye(d), model.xi.reshape(-1, 1))).reshape(d, -1, d)
+    w = np.zeros((model.ancilla_dim, total), dtype=complex)
+    for i in range(len(m.labels)):
+        fibers, pointer = dil.block_slice(i), model.block_slice(i)
+        if fibers.stop > fibers.start:
+            psi = y[:, fibers, :].transpose(1, 0, 2).reshape(fibers.stop - fibers.start, d * d)
+            img = coupled[:, pointer, :].transpose(1, 0, 2).reshape(-1, d * d)
+            w[pointer, fibers] = lstsq(psi.T, img.T, rcond=None)[0].T
+    residual = max(np.linalg.norm(w @ y_s - v_s) for y_s, v_s in zip(y, coupled))
+    defect = np.linalg.norm(w.conj().T @ w - np.eye(total))
+    threshold = tol.eps_eq * np.sqrt(d * total)
+    return w, residual <= threshold and defect <= threshold
+
+
+def _near_cut_cases():
+    return {
+        f"near-cut-{seed}-{lam:g}": near_cut_instrument(seed, lam)
+        for seed in range(20)
+        for lam in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12)
+    }
+
+
+def _condition(psi):
+    s = np.linalg.svd(psi, compute_uv=False)
+    return float(s[0] / s[-1]) if len(s) else 1.0
+
+
+class TestFiberSolvesMatchLeastSquares:
+    """The closed-form fiber solves agree with ``np.linalg.lstsq`` and call no solver.
+
+    Every dimension and verdict is equal, and every array agrees to 1e-12
+    while the Naimark fibers ``psi_i`` are conditioned at most 100.  Both
+    solves lose accuracy with that condition number (up to 1e5 on the
+    near-cut fibers), so the isometries and the Lueders channel, which
+    carry it, are held to 1e-14 times it beyond; the pvm and model results
+    do not carry it and are held to 1e-12 throughout.
+    """
+
+    @pytest.fixture
+    def lstsq(self, monkeypatch):
+        """The real ``lstsq`` for the reference, with the package's patched to raise."""
+        real = np.linalg.lstsq
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        return real
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3], ids=["default", "scaled-1e3"])
+    def test_corpus_and_near_cut(self, corpus, lstsq, scale):
+        tol = DEFAULT_TOL.scaled(scale) if scale != 1.0 else DEFAULT_TOL
+        cases = {**corpus, **_solve_corpus(), **_near_cut_cases()}
+        for name, m in cases.items():
+            dec = compat_channel(m, tol)
+            isometries, passed = _compat_reference(m, tol, lstsq)
+            assert dec.passed == passed, name
+            conditions = [_condition(_naimark_fiber(k, tol)) for _, k in m.outcomes]
+            bound = max(1e-12, 1e-14 * max(conditions))
+            for got, want in zip(dec.isometries, isometries):
+                assert got.shape == want.shape, name
+                assert np.max(np.abs(got - want), initial=0.0) <= bound, name
+
+            for subset in (m.labels, m.labels[:1]):
+                channel, report = lueders_factorization(m, subset, tol)
+                stack, passed = _lueders_reference(m, subset, tol, lstsq)
+                assert report.passed == passed, (name, subset)
+                assert channel.stack.shape == stack.shape, (name, subset)
+                assert np.max(np.abs(channel.stack - stack)) <= bound, (name, subset)
+
+            if all(np.linalg.norm(e @ e - e) <= 1e-10 for _, e in associate_povm(m, tol).effects):
+                if sum(len(_naimark_fiber(k, tol)) for _, k in m.outcomes) != m.dim_in:
+                    with pytest.raises(InstrumentumError, match="should be unitary"):
+                        pvm_compat(m, tol)  # an eigenvalue at the cut, as in near-cut-6-1e-10
+                else:
+                    conjugated, report = pvm_compat(m, tol)
+                    stack, passed = _pvm_reference(m, tol, lstsq)
+                    assert report.passed == passed, name
+                    assert conjugated.stack.shape == stack.shape, name
+                    assert np.max(np.abs(conjugated.stack - stack)) <= 1e-12, name
+
+            if m.dim_in == m.dim_out:
+                model = measurement_model(m, 0, tol)
+                w, report = model_intertwiner(model, m, tol)
+                want, passed = _intertwiner_reference(model, m, tol, lstsq)
+                assert report.passed == passed, name
+                assert w.shape == want.shape, name
+                assert np.max(np.abs(w - want)) <= 1e-12, name

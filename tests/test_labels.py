@@ -188,7 +188,7 @@ def lookups(label):
     yield lambda: m.outcome(label), absent
     yield lambda: posterior_state(m, rho, label), absent
     yield lambda: conditional_output(m, rho, (label,)), absent
-    yield lambda: conditional_output(m, rho, (1, label)), absent
+    yield lambda: conditional_output(m, rho, (0, label)), absent
     yield lambda: lueders_factorization(m, (label,)), absent
 
 
@@ -208,6 +208,16 @@ def test_subset_names_its_first_non_label():
     m = lueders(basis_pvm(2, ((0,), (1,))))
     with pytest.raises(KeyError, match="no outcome labeled True"):
         conditional_output(m, np.eye(2) / 2, (True, 1.0))
+
+
+def test_subsets_refuse_a_repeated_label():
+    m = lueders(basis_pvm(2, ((0,), (1,))))
+    for subset in ((0, 0), (1, 0, 1)):
+        message = f"duplicate outcome label {subset[-1]}"
+        with pytest.raises(ValueError, match=message):
+            lueders_factorization(m, subset)
+        with pytest.raises(ValueError, match=message):
+            conditional_output(m, np.eye(2) / 2, subset)
 
 
 def nested(depth, array=tuple):

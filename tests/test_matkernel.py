@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from instrumentum import DEFAULT_TOL, InstrumentumError, Tolerances
+from instrumentum import DEFAULT_TOL, InstrumentumError, KrausSet, Tolerances, minimal_kraus
+from instrumentum.compat import _naimark_fiber
 from instrumentum.matkernel import (
+    _fix_phases,
     as_matrix,
     herm_defect,
     herm_eig,
@@ -86,6 +88,48 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InstrumentumError, match="not Hermitian"):
             herm_eig([[0.0, 1.0], [0.0, 0.0]])
+
+
+def _phases_by_column(vectors, cutoff):
+    """``herm_eig``'s phase rule one column at a time: the reference for ``_fix_phases``."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        significant = np.flatnonzero(np.abs(col) > cutoff)
+        if significant.size:
+            pivot = col[significant[0]]
+            vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return vectors
+
+
+class TestFixPhases:
+    def test_bytes_match_a_loop_over_columns(self):
+        rng = np.random.default_rng(20261019)
+        shapes = [(0, 0), (3, 0), (1, 1), (1, 5), (5, 1)]
+        for k in range(3000):  # every third one has one row
+            shapes.append((1 if k % 3 == 0 else int(rng.integers(1, 9)), int(rng.integers(0, 9))))
+        for tol in (DEFAULT_TOL, DEFAULT_TOL.scaled(1e3)):
+            for rows, cols in shapes:
+                g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+                a = g * 10.0 ** rng.uniform(-13, 1, (rows, cols))
+                if rows and cols and rng.random() < 0.5:
+                    a[:, rng.integers(cols)] = 0.0  # a column without a pivot
+                if rows and rng.random() < 0.5:
+                    a[0] *= 1e-11  # leading entries at or under the cutoff
+                want = _phases_by_column(a.copy(), tol.sv_rel_cutoff)
+                got = a.copy()
+                assert _fix_phases(got, tol) is got  # in place
+                assert got.tobytes() == want.tobytes(), (rows, cols)
+
+    def test_kept_singular_vectors_are_not_written(self):
+        rng = np.random.default_rng(5)
+        k = KrausSet(3, 2, rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3)))
+        kept = [k._choi_svd[0], k._row_svd[0]]
+        before = [u.tobytes() for u in kept]
+        for tol in (DEFAULT_TOL, DEFAULT_TOL.scaled(1e3)):
+            minimal_kraus(k, tol)
+            _naimark_fiber(k, tol)
+        assert [u.tobytes() for u in kept] == before
+        assert not any(u.flags.writeable for u in kept)
 
 
 class TestRank:
