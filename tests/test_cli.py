@@ -553,8 +553,6 @@ class TestDomainLookupErrors:
         [
             (("posterior", "{m}", "--state", "{rho}", "--outcome", "nope"), "no outcome labeled 'nope'"),
             (("factorize", "{m}", "--subset", "nope"), "no outcome labeled 'nope'"),
-            (("factorize", "{m}", "--subset", "0,0"), "duplicate outcome label 0"),
-            (("posterior", "{m}", "--state", "{rho}", "--subset", "1,0,1"), "duplicate outcome label 1"),
             (("choi", "{m}", "--outcome", "7"), "no outcome labeled 7"),
             (
                 ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0"),
@@ -564,6 +562,8 @@ class TestDomainLookupErrors:
                 ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0;1", "--labels", "a,a"),
                 "duplicate outcome label 'a'",
             ),
+            (("factorize", "{m}", "--subset", "0,0"), "duplicate outcome label 0"),
+            (("posterior", "{m}", "--state", "{rho}", "--subset", "1,0,1"), "duplicate outcome label 1"),
         ],
     )
     def test_exits_one_with_message(self, run, luders_file, state_file, probe_files, argv, message):
