@@ -9,6 +9,10 @@ Reports go to stdout as JSON with a fixed key order, so identical inputs
 produce byte-identical output.  Tolerances can be scaled globally through
 the ``INSTRUMENTUM_TOL`` environment variable or ``--tol-scale``, and the
 individual thresholds overridden with dedicated flags.
+
+Each handler imports the analysis module it calls (``compat``,
+``dilation``, ``extremality``, ``posterior``), so a process loads only the
+modules its command uses.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .compat import compat_channel, compat_from_coeffs, lueders_factorization, rank1_nuclear_extract
 from .cpmaps import ChoiMatrix, choi, cp_check
-from .dilation import measurement_model, minimal_stinespring, standard_model, verify_dilation
 from .errors import FormatError, InstrumentumError
-from .extremality import correlation_extremal, instrument_extremal, povm_extremal
 from .formats import Document, _labelled, _parse_label, label_to_json, load, matrix_to_json, save
 from .instruments import (
     _LABEL_DEPTH,
@@ -38,7 +39,6 @@ from .instruments import (
     validate,
 )
 from .matkernel import DEFAULT_TOL, Tolerances, _rank
-from .posterior import conditional_output, outcome_distribution, posterior_state
 
 __all__ = ["main"]
 
@@ -150,6 +150,8 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_extremal(args, tol):
+    from .extremality import instrument_extremal, povm_extremal
+
     doc = _load_kind(args.file, ("instrument", "povm"))
     if doc.kind == "povm":
         report = povm_extremal(doc.value, tol)
@@ -188,6 +190,8 @@ def _cmd_extremal(args, tol):
 
 
 def _cmd_dilate(args, tol):
+    from .dilation import minimal_stinespring, verify_dilation
+
     doc = _load_kind(args.file, ("instrument",))
     dilation = minimal_stinespring(doc.value, tol)
     report = verify_dilation(doc.value, dilation, tol)
@@ -228,6 +232,8 @@ def _cmd_refine(args, tol):
 
 
 def _cmd_posterior(args, tol):
+    from .posterior import conditional_output, outcome_distribution, posterior_state
+
     doc = _load_kind(args.file, ("instrument",))
     state_doc = _load_kind(args.state, ("matrix",))
     m = doc.value
@@ -268,6 +274,8 @@ def _cmd_compose(args, tol):
 
 
 def _cmd_compat_build(args, tol):
+    from .compat import compat_from_coeffs
+
     povm = _load_kind(args.povm, ("povm",)).value
     coeffs = _load_kind(args.coefficients, ("coefficients",)).value
     built = compat_from_coeffs(povm, coeffs, tol)
@@ -293,6 +301,8 @@ def _cmd_compat_build(args, tol):
 
 
 def _cmd_compat_channel(args, tol):
+    from .compat import compat_channel
+
     doc = _load_kind(args.file, ("instrument",))
     dec = compat_channel(doc.value, tol)
     _emit(
@@ -309,6 +319,8 @@ def _cmd_compat_channel(args, tol):
 
 
 def _cmd_factorize(args, tol):
+    from .compat import lueders_factorization
+
     doc = _load_kind(args.file, ("instrument",))
     subset = None if args.subset is None else _parse_subset(args.subset)
     channel, report = lueders_factorization(doc.value, subset, tol)
@@ -329,6 +341,8 @@ def _cmd_factorize(args, tol):
 
 
 def _cmd_nuclear_extract(args, tol):
+    from .compat import rank1_nuclear_extract
+
     doc = _load_kind(args.file, ("instrument",))
     povm, states, report = rank1_nuclear_extract(doc.value, tol)
     _emit(
@@ -353,6 +367,8 @@ def _cmd_nuclear_extract(args, tol):
 
 
 def _cmd_model(args, tol):
+    from .dilation import measurement_model
+
     doc = _load_kind(args.file, ("instrument",))
     model = measurement_model(doc.value, xi_index=args.xi_index, tol=tol)
     _emit(
@@ -379,6 +395,8 @@ def _parse_pointer(text: str) -> tuple:
 
 
 def _cmd_standard_model(args, tol):
+    from .dilation import standard_model
+
     a_op = _load_kind(args.a_op, ("matrix",)).value
     b_op = _load_kind(args.b_op, ("matrix",)).value
     xi = _vector_from_doc(_load_kind(args.xi, ("matrix",)), args.xi)
@@ -406,6 +424,8 @@ def _cmd_standard_model(args, tol):
 
 
 def _cmd_corr_extreme(args, tol):
+    from .extremality import correlation_extremal
+
     doc = _load_kind(args.file, ("matrix",))
     report = correlation_extremal(doc.value, tol)
     out = {

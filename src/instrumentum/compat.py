@@ -347,7 +347,14 @@ def pvm_compat(
         _require_projection(label, matrix, tol)
     psis, _, isometries = zip(*_decompose(m, tol))
     fibers = np.concatenate(psis)
-    if len(fibers) != m.dim_in:
+    if len(fibers) != m.dim_in:  # a fiber kept an eigenvalue that the projection's rank cuts
+        for (label, effect), psi in zip(p.effects, psis):
+            rank = _rank(effect, tol)
+            if len(psi) > rank:
+                raise InstrumentumError(
+                    f"effect {_label_repr(label)}: its Naimark fiber keeps {len(psi)} rows, "
+                    f"but the projection has rank {rank}"
+                )
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
     ops = _block_product(isometries, m.dim_out, fibers)
     conjugated = KrausSet(m.dim_in, m.dim_out, ops)

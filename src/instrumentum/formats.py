@@ -33,6 +33,10 @@ Kinds and payloads:
     ``{"dim": d, "states": [{"label": L, "matrix": M}, ...]}``
 ``report``
     Arbitrary JSON object produced by a command; loaded verbatim.
+
+The ``dilation``, ``model`` and ``coefficients`` decoders import their value
+types when called, so reading the other kinds loads neither ``dilation`` nor
+``compat``.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compat import CompatCoefficients
-from .dilation import MeasurementModel, StinespringDilation
 from .errors import FormatError
 from .instruments import DiscreteInstrument, Povm, _label_fault, _label_repr
 
@@ -285,6 +287,8 @@ def _parse_blocks(payload, path):
 
 
 def _decode_dilation(payload, path):
+    from .dilation import StinespringDilation
+
     dim_in = _parse_int(payload.get("dim_in"), f"{path}.dim_in", minimum=1)
     dim_out = _parse_int(payload.get("dim_out"), f"{path}.dim_out", minimum=1)
     labels, block_dims = _parse_blocks(payload, path)
@@ -307,6 +311,8 @@ def _encode_dilation(value, meta):
 
 
 def _decode_model(payload, path):
+    from .dilation import MeasurementModel
+
     system_dim = _parse_int(payload.get("system_dim"), f"{path}.system_dim", minimum=1)
     labels, block_dims = _parse_blocks(payload, path)
     xi = _parse_array(payload.get("xi"), f"{path}.xi", 1)
@@ -329,6 +335,8 @@ def _encode_model(value, meta):
 
 
 def _decode_coefficients(payload, path):
+    from .compat import CompatCoefficients
+
     dim_k = _parse_int(payload.get("dim_k"), f"{path}.dim_k", minimum=1)
     outcomes = _parse_labelled(
         payload, path, "outcomes", "tensor", lambda n, p: _parse_array(n, p, 3, (0, dim_k, 0))

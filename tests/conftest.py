@@ -1,11 +1,14 @@
 """Shared fixtures: the instrument corpus, call counters and the acceptance summary."""
 
+import importlib
+import pkgutil
 import re
 import sys
 
 import numpy as np
 import pytest
 
+import instrumentum
 from instrumentum import cpmaps, instruments, matkernel
 
 from instrumentum import (
@@ -109,8 +112,11 @@ def _count_package_calls(monkeypatch, log, owner, fn_names):
     """Log the calls of ``owner``'s functions through every ``instrumentum`` module namespace.
 
     The modules import each other's functions by name, so patching only the
-    defining module would miss most calls.
+    defining module would miss most calls.  Every submodule is imported
+    first, so the namespaces patched do not depend on which tests ran before.
     """
+    for info in pkgutil.iter_modules(instrumentum.__path__):
+        importlib.import_module(f"instrumentum.{info.name}")
     for fn_name in fn_names:
         original = getattr(owner, fn_name)
         check = _counted(log, fn_name, original)

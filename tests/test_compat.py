@@ -227,6 +227,13 @@ class TestPvmCompat:
             assert np.allclose(effect @ tb, apply_heisenberg(m.outcome(lab), b), atol=1e-12)
             assert np.allclose(tb @ effect, apply_heisenberg(m.outcome(lab), b), atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [6, 9])
+    def test_fiber_beyond_the_projection_rank_names_the_effect(self, seed):
+        # effect 0 passes as a projection, but its fiber keeps the eigenvalue 1e-10 above the cut
+        message = r"^effect 0: its Naimark fiber keeps 2 rows, but the projection has rank 1$"
+        with pytest.raises(InstrumentumError, match=message):
+            pvm_compat(near_cut_instrument(seed, 1e-10))
+
     def test_rejects_non_projective(self):
         # the POVM of trivial_from_povm(p) is p, so lueders(p) judges the same effects
         message = r"^effect 'a' is not a projection: defect 3\.536e-01$"
@@ -477,7 +484,7 @@ class TestFiberSolvesMatchLeastSquares:
 
             if all(np.linalg.norm(e @ e - e) <= 1e-10 for _, e in associate_povm(m, tol).effects):
                 if sum(len(_naimark_fiber(k, tol)) for _, k in m.outcomes) != m.dim_in:
-                    with pytest.raises(InstrumentumError, match="should be unitary"):
+                    with pytest.raises(InstrumentumError, match="Naimark fiber keeps"):
                         pvm_compat(m, tol)  # an eigenvalue at the cut, as in near-cut-6-1e-10
                 else:
                     conjugated, report = pvm_compat(m, tol)
