@@ -35,7 +35,7 @@ from .cpmaps import (
     _difference_core,
     _effect,
     _largest_block,
-    _minimal_factor,
+    _minimal_cut,
     _rebuilt,
     action_distance,
     apply_schrodinger,
@@ -279,12 +279,20 @@ def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
     """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``.
 
     Its operators are the rows ``dagger(w)`` of the minimal factor ``w`` read
-    off the kept SVD of the conjugated rows, cut under ``tol`` per call, as
-    ``minimal_kraus`` of the rows would give them.
+    off the kept SVD of the conjugated rows, as ``minimal_kraus`` of the rows
+    would give them.  The result is read-only; a non-empty set's is kept on
+    ``kraus`` under the ``sv_rel_cutoff`` of ``tol``, as ``minimal_kraus``
+    keeps its own, and the empty set's is a new empty array.
     """
     if not len(kraus):
-        return np.zeros((0, kraus.dim_in), dtype=np.complex128)
-    return dagger(_minimal_factor(kraus._row_svd, tol))
+        return _read_only(np.zeros((0, kraus.dim_in), dtype=np.complex128))
+    return _minimal_cut(kraus, "fiber", kraus._row_svd, tol, lambda w: _read_only(dagger(w)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def _block_product(isometries: tuple, dim_out: int, right: np.ndarray) -> np.ndarray:

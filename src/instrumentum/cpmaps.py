@@ -83,11 +83,15 @@ class KrausSet:
     Being immutable, a Kraus set keeps the two thin SVDs behind its minimal
     factorizations, each formed on first need: ``_choi_svd`` of its Choi
     columns (``minimal_kraus``) and ``_row_svd`` of its conjugated Kraus rows
-    (``compat``'s Naimark fiber).  Each is a read-only pair ``(u, s)``; the
-    rank cut depends on the caller's ``Tolerances`` and is made per call.
-    The first ``u`` is at most the size of ``stack``, the second at most that
-    plus ``dim_in ** 2`` entries, and only Kraus sets that reach such a call
-    keep them.
+    (``compat``'s Naimark fiber).  Each is a read-only pair ``(u, s)``.  It
+    also keeps, in ``_cuts``, the last rank cut of each, with the
+    ``sv_rel_cutoff`` it was made under (the only cutoff the cut reads): the
+    minimal Kraus set of ``minimal_kraus`` and the read-only Naimark fiber.
+    A cut under another cutoff replaces the kept one, so a Kraus set holds at
+    most one cut per SVD.  The first ``u`` is at most the size of ``stack``, the second at
+    most that plus ``dim_in ** 2`` entries, each cut at most the size of its
+    ``u``, and only Kraus sets that reach such a call keep them; a copy or an
+    unpickled Kraus set keeps none.
     """
 
     dim_in: int
@@ -194,14 +198,18 @@ def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     to rounding, elsewhere up to a unitary remixing.  An empty or all-zero
     family gives the empty set.
 
-    The SVD is made once per Kraus set and kept (``KrausSet._choi_svd``);
-    each call makes the cut under its own ``tol`` and fixes the phases on a
-    copy of the kept ``U``, so calls under different tolerances, in any
-    order, return what they would on a fresh Kraus set.
+    The SVD is made once per Kraus set and kept (``KrausSet._choi_svd``), and
+    so is the last minimal set cut from it, under its ``sv_rel_cutoff``: a
+    repeat call under that cutoff may return the same read-only object, and
+    a call under another cutoff cuts again and keeps that result instead.
+    Calls under different tolerances, in any order, return what they would on
+    a fresh Kraus set.
     """
     if not len(k):
         return KrausSet(k.dim_in, k.dim_out, ())
-    return _kraus_of_factor(_minimal_factor(k._choi_svd, tol), k.dim_in, k.dim_out)
+    return _minimal_cut(
+        k, "minimal", k._choi_svd, tol, lambda w: _kraus_of_factor(w, k.dim_in, k.dim_out)
+    )
 
 
 def _thin_svd(a: np.ndarray) -> tuple:
@@ -212,15 +220,23 @@ def _thin_svd(a: np.ndarray) -> tuple:
     return u, s
 
 
-def _minimal_factor(svd: tuple, tol: Tolerances) -> np.ndarray:
-    """The columns ``s_j u_j`` of a kept thin SVD ``(u, s)`` with ``s_j^2`` above the rank cut.
+def _minimal_cut(k: KrausSet, kind: str, svd: tuple, tol: Tolerances, form):
+    """``form(w)`` for the minimal factor ``w`` of the kept SVD ``svd`` of ``k``, kept on ``k``.
 
-    ``herm_eig``'s phase rule fixes each ``u_j``; it works in place, so on a
-    copy, and the kept ``u`` is never written.
+    ``w`` holds the columns ``s_j u_j`` of ``svd = (u, s)`` with ``s_j^2``
+    above the rank cut, and ``herm_eig``'s phase rule fixes each ``u_j``; it
+    works in place, so on a copy, and the kept ``u`` is never written.  The
+    cut reads only ``sv_rel_cutoff``, so its result is kept in ``k._cuts``
+    under ``kind`` with that cutoff: a repeat call returns the kept object,
+    and a call under another cutoff replaces it.
     """
-    u, s = svd
-    r = _kept(s * s, tol)
-    return _fix_phases(u[:, :r].copy(), tol) * s[:r]
+    cuts = vars(k).setdefault("_cuts", {})  # formed on first need, as the SVDs are
+    kept = cuts.get(kind)
+    if kept is None or kept[0] != tol.sv_rel_cutoff:
+        u, s = svd
+        r = _kept(s * s, tol)
+        kept = cuts[kind] = (tol.sv_rel_cutoff, form(_fix_phases(u[:, :r].copy(), tol) * s[:r]))
+    return kept[1]
 
 
 def _choi_columns(stack: np.ndarray) -> np.ndarray:

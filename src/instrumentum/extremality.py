@@ -354,7 +354,11 @@ def witness_decompose(
         action_distance(k1, k2) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes)
     )
     if distance <= tol.eps_eq:
-        raise InstrumentumError("witness produced two identical instruments")
+        raise InstrumentumError(
+            f"witness produced two identical instruments: the halves lie {distance:.3e} apart, "
+            f"within eps_eq {tol.eps_eq:.3e}, so the witness moves the instrument by no more "
+            "than eps_eq"
+        )
     return plus, minus
 
 

@@ -5,11 +5,14 @@ each get one ``eigh``, which yields both the positivity verdict and the
 minimal factorization; a minimal Kraus set comes from one thin SVD of the
 Kraus operators, and no instrument-level operation forms or decomposes a
 ``(dim_out * dim_in)``-sided matrix.  Kraus sets that are minimal by
-construction are not decomposed again, and a Kraus set keeps its thin SVDs,
-so no later call on it decomposes it again either.
+construction are not decomposed again, and a Kraus set keeps its thin SVDs
+and the last minimal cut of each, so no later call on it decomposes or cuts
+it again either.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -39,8 +42,10 @@ from instrumentum import (
     verify_dilation,
     witness_decompose,
 )
+from instrumentum import matkernel
 from instrumentum.compat import _naimark_fiber
 
+from conftest import _count_package_calls
 from helpers import PAULI, basis_pvm, rand_instrument, rand_povm, rand_state, rand_unitary
 
 RNG_SEED = 5
@@ -236,29 +241,45 @@ def test_no_choi_sided_decomposition(decompositions, name):
 
 KEPT_OPERATIONS = {
     "minimal_stinespring": minimal_stinespring,
+    "verify_dilation": None,  # takes a dilation, made in _kept_case
     "instrument_extremal": instrument_extremal,
     "witness_decompose": None,  # takes a witness, made in _kept_case
     "compat_channel": compat_channel,
     "lueders_factorization": lueders_factorization,
     "measurement_model": measurement_model,
+    "model_intertwiner": None,  # takes a model, made in _kept_case
     "refine_rank1": refine_rank1,
 }
 
 
 def _kept_case(name):
-    """A maker of fresh, equal 3 -> 3 instruments for operation ``name``, and the call on one."""
-    if name != "witness_decompose":
+    """A maker of fresh, equal 3 -> 3 instruments for operation ``name``, and the call on one.
+
+    The dilation, witness or model an operation takes is made from an equal
+    instrument, not the one called.
+    """
+    if name == "witness_decompose":
 
         def make():
-            return rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2, 1, 2))
+            return _unitary_mixture(np.random.default_rng(RNG_SEED), 3, 3, 2)
 
-        return make, KEPT_OPERATIONS[name]
+        witness = instrument_extremal(make()).witness
+        return make, lambda m: witness_decompose(m, witness)
 
     def make():
-        return _unitary_mixture(np.random.default_rng(RNG_SEED), 3, 3, 2)
+        return rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2, 1, 2))
 
-    witness = instrument_extremal(make()).witness  # from an equal instrument, not the one called
-    return make, lambda m: witness_decompose(m, witness)
+    if name == "verify_dilation":
+        dilation = minimal_stinespring(make())
+        return make, lambda m: verify_dilation(m, dilation)
+    if name == "model_intertwiner":
+        model = measurement_model(make())
+        return make, lambda m: model_intertwiner(model, m)
+    return make, KEPT_OPERATIONS[name]
+
+
+def test_kept_cases_cover_every_l2_operation():
+    assert sorted(KEPT_OPERATIONS) == sorted(L2_OPERATIONS)
 
 
 def _kraus_svds(decompositions, m):
@@ -289,8 +310,11 @@ def _same_bytes(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("name", sorted(KEPT_OPERATIONS))
-def test_a_second_call_decomposes_no_kraus_set_again(decompositions, name):
+@pytest.mark.parametrize(
+    "name", sorted(set(KEPT_OPERATIONS) - {"verify_dilation"})  # it decomposes no Kraus set
+)
+def test_a_second_call_decomposes_no_kraus_set_again(monkeypatch, decompositions, name):
+    _count_package_calls(monkeypatch, decompositions, matkernel, ("_fix_phases",))
     make, call = _kept_case(name)
     m = make()
     decompositions.clear()
@@ -299,6 +323,10 @@ def test_a_second_call_decomposes_no_kraus_set_again(decompositions, name):
     decompositions.clear()
     call(m)
     assert _kraus_svds(decompositions, m) == 0
+    # no minimal set is cut again: the only phases fixed are those of the call's own
+    # eigendecompositions, the witness's factors of I +- D(i), two per outcome
+    assert decompositions.number("_fix_phases") == decompositions.number("eigh")
+    assert decompositions.number("eigh") == (6 if name == "witness_decompose" else 0)
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_OPERATIONS))
@@ -319,6 +347,14 @@ def _tolerance_pair_case():
     return KrausSet(2, 2, (np.diag([1.0, 1e-4]), np.diag([1e-4, -1.0]) * 1e-4))
 
 
+_FIELDS = {"dim_in", "dim_out", "ops", "stack"}
+
+
+def _kept_cuts(k) -> dict:
+    """The minimal cuts a Kraus set keeps, by kind."""
+    return vars(k).get("_cuts", {})
+
+
 @pytest.mark.parametrize("factor", [minimal_kraus, _naimark_fiber], ids=lambda f: f.__name__)
 def test_each_call_cuts_under_its_own_tolerances(factor):
     keep, cut = Tolerances(), Tolerances(sv_rel_cutoff=1e-6)
@@ -326,8 +362,39 @@ def test_each_call_cuts_under_its_own_tolerances(factor):
     assert len(fresh[keep]) == 2 and len(fresh[cut]) == 1
     for order in ((keep, cut), (cut, keep)):
         k = _tolerance_pair_case()
-        for tol in order + order:
-            assert _same_bytes(factor(k, tol), fresh[tol])
+        for tol in order * 3:
+            result = factor(k, tol)
+            assert _same_bytes(result, fresh[tol])
+            assert len(_kept_cuts(k)) == 1  # the last cut only, whatever came before
+            # only sv_rel_cutoff enters the cut: a repeat call under it returns the kept object
+            assert factor(k, Tolerances(eps_eq=1e-6, sv_rel_cutoff=tol.sv_rel_cutoff)) is result
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["nonempty", "empty"])
+def test_kept_cuts_are_read_only(empty):
+    k = rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2,)).outcome(0)
+    if empty:
+        k = KrausSet(3, 3, ())
+    for kept in (minimal_kraus(k).stack, _naimark_fiber(k, Tolerances())):
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda k: pickle.loads(pickle.dumps(k))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_kraus_set_keeps_no_cut(duplicate):
+    k = _tolerance_pair_case()
+    kept = minimal_kraus(k), _naimark_fiber(k, Tolerances())
+    assert len(_kept_cuts(k)) == 2  # one of each kind
+    twin = duplicate(k)
+    assert set(vars(twin)) == _FIELDS  # neither the SVDs nor the cuts
+    again = minimal_kraus(twin), _naimark_fiber(twin, Tolerances())
+    assert again[0] is not kept[0] and again[1] is not kept[1]
+    assert _same_bytes(again, kept)
 
 
 def test_kept_decompositions_are_read_only_and_unchanged():

@@ -1,5 +1,7 @@
 """Extremality verdicts, witnesses, and the correlation-matrix specialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from instrumentum import (
     InstrumentumError,
     KrausSet,
     Povm,
+    Tolerances,
     apply_heisenberg,
+    associate_povm,
     channel_extremal,
     correlation_extremal,
     correlation_witness_split,
@@ -21,7 +25,13 @@ from instrumentum import (
     witness_decompose,
 )
 
-from helpers import action_distance, basis_pvm, depolarizing_kraus, rand_unitary
+from helpers import (
+    action_distance,
+    basis_pvm,
+    depolarizing_kraus,
+    near_cut_instrument,
+    rand_unitary,
+)
 
 
 def mixed_trivial():
@@ -129,6 +139,22 @@ class TestWitness:
         m = mixed_trivial()
         with pytest.raises(InstrumentumError, match="annihilate"):
             witness_decompose(m, tuple(np.eye(2) for _ in range(2)))
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_a_split_within_eps_eq_is_refused_with_its_distance(self, seed):
+        # the minimal Kraus set of the first effect keeps its eigenvalue 1e-10, and the
+        # witness moves the instrument along it only: each half lies 1e-10 from it
+        p = associate_povm(near_cut_instrument(seed, 1e-10))
+        report = povm_extremal(p)
+        verdict = (report.is_extreme, report.span_rank, report.required_rank, report.marginal)
+        assert verdict == (False, 7, 8, False)
+        message = "the halves lie 2.000e-10 apart, within eps_eq 1.000e-09"
+        with pytest.raises(InstrumentumError, match=re.escape(message)):
+            witness_decompose(trivial_from_povm(p), report.witness)
+        # under a smaller eps_eq the same witness splits it, into halves that far apart
+        tol = Tolerances(eps_eq=1e-10)
+        plus, minus = witness_decompose(trivial_from_povm(p), report.witness, tol)
+        assert action_distance(plus, minus) == pytest.approx(2e-10, rel=1e-4)
 
     def test_decompose_block_count(self):
         with pytest.raises(ValueError, match="blocks"):
