@@ -546,8 +546,9 @@ def build_parser() -> _Parser:
     p = command("posterior", _cmd_posterior, "Outcome distribution and post-measurement states.")
     p.add_argument("file", help="instrument document")
     p.add_argument("--state", required=True, metavar="FILE", help="input state document")
-    p.add_argument("--outcome", metavar="LABEL", help="posterior state for one outcome")
-    p.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--outcome", metavar="LABEL", help="posterior state for one outcome")
+    query.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
 
     p = command("compose", _cmd_compose, "Sequential composition of two instruments.")
     p.add_argument("first", help="first instrument document")

@@ -259,17 +259,17 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> list:
     ``psi_i`` (``n_i x dim_in``) is the minimal Kraus set of ``c -> c * M(i)``,
     whose Kraus operators are the rows of the ``A_k(i)``; ``phi_i`` (``dim_out
     * n'_i x dim_in``, output-major) stacks the rows of the minimal Kraus set
-    of ``A(i)``.  Each is read off one kept SVD.  ``psi_i = S U^dag`` has
-    orthogonal rows, so ``C_i psi_i = phi_i`` is solved by ``C_i = phi_i
-    psi_i^dag S^-2``, read-only and unchecked.
+    of ``A(i)``.  Each is a minimal cut that ``cpmaps._minimal_cut`` keeps
+    with its singular values.  ``psi_i = S U^dag`` has orthogonal rows, so
+    ``C_i psi_i = phi_i`` is solved by ``C_i = phi_i psi_i^dag S^-2``,
+    read-only and unchecked.
     """
     fibers = []
     for _, kraus in m.outcomes:
-        psi = _naimark_fiber(kraus, tol)
+        psi, s = _minimal_cut(kraus, "fiber", tol)
         phi = minimal_kraus(kraus, tol).stack.transpose(1, 0, 2).reshape(-1, m.dim_in)
         c_i = phi @ dagger(psi)
-        if len(psi):
-            c_i /= kraus._row_svd[1][: len(psi)] ** 2
+        c_i /= s**2
         c_i.setflags(write=False)  # the derived channels and vectors read them
         fibers.append((psi, phi, c_i))
     return fibers
@@ -278,21 +278,12 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> list:
 def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
     """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``.
 
-    Its operators are the rows ``dagger(w)`` of the minimal factor ``w`` read
-    off the kept SVD of the conjugated rows, as ``minimal_kraus`` of the rows
-    would give them.  The result is read-only; a non-empty set's is kept on
-    ``kraus`` under the ``sv_rel_cutoff`` of ``tol``, as ``minimal_kraus``
-    keeps its own, and the empty set's is a new empty array.
+    Its operators are the rows ``dagger(w)`` of the minimal factor ``w`` of
+    the conjugated rows, as ``minimal_kraus`` of the rows would give them.
+    The result is read-only and kept on ``kraus`` under the ``sv_rel_cutoff``
+    of ``tol``, as ``minimal_kraus`` keeps its own (``cpmaps._minimal_cut``).
     """
-    if not len(kraus):
-        return _read_only(np.zeros((0, kraus.dim_in), dtype=np.complex128))
-    return _minimal_cut(kraus, "fiber", kraus._row_svd, tol, lambda w: _read_only(dagger(w)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, made read-only in place."""
-    a.setflags(write=False)
-    return a
+    return _minimal_cut(kraus, "fiber", tol)[0]
 
 
 def _block_product(isometries: tuple, dim_out: int, right: np.ndarray) -> np.ndarray:

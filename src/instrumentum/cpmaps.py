@@ -28,7 +28,6 @@ factor of the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -80,18 +79,16 @@ class KrausSet:
     a sequence of ``dim_out x dim_in`` matrices or one such 3-D array.  The
     empty set is the canonical representation of the zero map.
 
-    Being immutable, a Kraus set keeps the two thin SVDs behind its minimal
-    factorizations, each formed on first need: ``_choi_svd`` of its Choi
-    columns (``minimal_kraus``) and ``_row_svd`` of its conjugated Kraus rows
-    (``compat``'s Naimark fiber).  Each is a read-only pair ``(u, s)``.  It
-    also keeps, in ``_cuts``, the last rank cut of each, with the
-    ``sv_rel_cutoff`` it was made under (the only cutoff the cut reads): the
-    minimal Kraus set of ``minimal_kraus`` and the read-only Naimark fiber.
-    A cut under another cutoff replaces the kept one, so a Kraus set holds at
-    most one cut per SVD.  The first ``u`` is at most the size of ``stack``, the second at
-    most that plus ``dim_in ** 2`` entries, each cut at most the size of its
-    ``u``, and only Kraus sets that reach such a call keep them; a copy or an
-    unpickled Kraus set keeps none.
+    Being immutable, a Kraus set keeps, in ``_cuts``, the last minimal cut of
+    each kind that ``_minimal_cut`` makes, with the ``sv_rel_cutoff`` it was
+    made under (the only cutoff the cut reads) and its kept singular values:
+    the minimal Kraus set of ``minimal_kraus`` and the read-only Naimark
+    fiber of ``compat``.  It keeps no SVD: a cut under another cutoff
+    decomposes again and replaces the kept one, so a Kraus set holds at most
+    one cut per kind.  The minimal set is at most the size of ``stack``, the
+    fiber at most that and at most ``dim_in ** 2`` entries, with one singular
+    value per kept operator or row; only Kraus sets that reach such a call
+    keep them, and a copy or an unpickled Kraus set keeps none.
     """
 
     dim_in: int
@@ -124,16 +121,6 @@ class KrausSet:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    @cached_property
-    def _choi_svd(self) -> tuple:
-        """``(u, s)`` of the thin SVD of ``_choi_columns(stack)``, read-only."""
-        return _thin_svd(_choi_columns(self.stack))
-
-    @cached_property
-    def _row_svd(self) -> tuple:
-        """``(u, s)`` of the thin SVD of the conjugated Kraus rows ``conj(R)^T``, read-only."""
-        return _thin_svd(self.stack.reshape(-1, self.dim_in).conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,45 +185,46 @@ def minimal_kraus(k: KrausSet, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     to rounding, elsewhere up to a unitary remixing.  An empty or all-zero
     family gives the empty set.
 
-    The SVD is made once per Kraus set and kept (``KrausSet._choi_svd``), and
-    so is the last minimal set cut from it, under its ``sv_rel_cutoff``: a
-    repeat call under that cutoff may return the same read-only object, and
-    a call under another cutoff cuts again and keeps that result instead.
-    Calls under different tolerances, in any order, return what they would on
-    a fresh Kraus set.
+    The result and its singular values are kept on ``k`` under the
+    ``sv_rel_cutoff`` of ``tol`` (see ``_minimal_cut``): a repeat call under
+    that cutoff returns the same read-only object, and a call under another
+    cutoff decomposes again and keeps that result instead.  Calls under
+    different tolerances, in any order, return what they would on a fresh
+    Kraus set.
     """
-    if not len(k):
-        return KrausSet(k.dim_in, k.dim_out, ())
-    return _minimal_cut(
-        k, "minimal", k._choi_svd, tol, lambda w: _kraus_of_factor(w, k.dim_in, k.dim_out)
-    )
+    return _minimal_cut(k, "minimal", tol)[0]
 
 
-def _thin_svd(a: np.ndarray) -> tuple:
-    """``(u, s)`` of the thin SVD of ``a``, both read-only, to be kept."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    u.setflags(write=False)
-    s.setflags(write=False)
-    return u, s
+def _minimal_cut(k: KrausSet, kind: str, tol: Tolerances) -> tuple:
+    """``(value, s)``: ``k``'s minimal factor of ``kind`` and its singular values, kept on ``k``.
 
-
-def _minimal_cut(k: KrausSet, kind: str, svd: tuple, tol: Tolerances, form):
-    """``form(w)`` for the minimal factor ``w`` of the kept SVD ``svd`` of ``k``, kept on ``k``.
-
-    ``w`` holds the columns ``s_j u_j`` of ``svd = (u, s)`` with ``s_j^2``
-    above the rank cut, and ``herm_eig``'s phase rule fixes each ``u_j``; it
-    works in place, so on a copy, and the kept ``u`` is never written.  The
-    cut reads only ``sv_rel_cutoff``, so its result is kept in ``k._cuts``
-    under ``kind`` with that cutoff: a repeat call returns the kept object,
-    and a call under another cutoff replaces it.
+    The factor is read off the thin SVD ``U S V^dag`` of the Choi columns
+    ``_choi_columns(stack)`` for ``"minimal"``, whose value is the minimal
+    Kraus set, and of the conjugated Kraus rows ``conj(R)^T`` for
+    ``"fiber"``, whose value is ``compat``'s Naimark fiber ``dagger(w)``, the
+    minimal Kraus set of the rows, read-only.  ``w`` holds the columns
+    ``s_j u_j`` with ``s_j^2`` above the rank cut, each ``u_j`` under
+    ``herm_eig``'s phase rule; ``s`` is the read-only ``s_j`` kept.  The cut
+    reads only ``sv_rel_cutoff``, so ``k._cuts`` keeps the result under
+    ``kind`` with that cutoff: a repeat call returns the kept pair, and a
+    call under another cutoff decomposes again and replaces it.
     """
-    cuts = vars(k).setdefault("_cuts", {})  # formed on first need, as the SVDs are
+    cuts = vars(k).setdefault("_cuts", {})  # formed on first need
     kept = cuts.get(kind)
     if kept is None or kept[0] != tol.sv_rel_cutoff:
-        u, s = svd
-        r = _kept(s * s, tol)
-        kept = cuts[kind] = (tol.sv_rel_cutoff, form(_fix_phases(u[:, :r].copy(), tol) * s[:r]))
-    return kept[1]
+        minimal = kind == "minimal"
+        a = _choi_columns(k.stack) if minimal else k.stack.reshape(-1, k.dim_in).conj().T
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        s = s[: _kept(s * s, tol)]
+        s.setflags(write=False)
+        w = _fix_phases(u[:, : len(s)], tol) * s  # u is this call's own, so fixed in place
+        if minimal:
+            value = _kraus_of_factor(w, k.dim_in, k.dim_out)
+        else:
+            value = dagger(w)
+            value.setflags(write=False)
+        kept = cuts[kind] = (tol.sv_rel_cutoff, value, s)
+    return kept[1:]
 
 
 def _choi_columns(stack: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, _rebuilt, action_distance, minimal_kraus
+from .cpmaps import KrausSet, _minimal_cut, _rebuilt, action_distance, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
@@ -357,9 +357,11 @@ def model_intertwiner(
     Solves ``(I (x) W) Y psi = U (psi (x) xi)`` under the pointer
     compatibility ``P'_j W = W P_j``, block by block as ``img psi^dag S^-2``,
     as the rows ``psi`` of block ``i`` are the conjugated columns ``U S`` of
-    outcome ``i``'s kept Choi SVD.  Raises when ``||U^dag U - I||_F > eps_eq *
-    sqrt(side)`` or the model does not realize ``m`` within ``eps_eq *
-    sqrt(dim)``; a non-unit ``xi`` shows as the isometry defect of ``W``.
+    the minimal cut of outcome ``i``'s Choi columns, kept with its singular
+    values ``S`` (``cpmaps._minimal_cut``).  Raises when ``||U^dag U - I||_F
+    > eps_eq * sqrt(side)`` or the model does not realize ``m`` within
+    ``eps_eq * sqrt(dim)``; a non-unit ``xi`` shows as the isometry defect of
+    ``W``.
     """
     require_valid(m, tol)
     if m.dim_out != m.dim_in or model.system_dim != m.dim_in:
@@ -386,7 +388,8 @@ def model_intertwiner(
         # columns over (s, n) of the block components of Y h_n and U(h_n (x) xi)
         psi = y_blocks[:, fibers, :].transpose(1, 0, 2).reshape(n_i, d * d)
         img = v_blocks[:, pointer, :].transpose(1, 0, 2).reshape(pointer.stop - pointer.start, d * d)
-        w[pointer, fibers] = img @ dagger(psi) / kraus._choi_svd[1][:n_i] ** 2
+        s = _minimal_cut(kraus, "minimal", tol)[1]  # kept by _stinespring's cut
+        w[pointer, fibers] = img @ dagger(psi) / s**2
     residual = max(float(np.linalg.norm(w @ y - v)) for y, v in zip(y_blocks, v_blocks))
     iso_defect = float(np.linalg.norm(w.conj().T @ w - np.eye(total)))
     threshold = tol.eps_eq * float(np.sqrt(d * total))

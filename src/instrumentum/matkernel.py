@@ -202,9 +202,10 @@ def _factor(sym: np.ndarray, tol: Tolerances) -> _Factor:
 def _kept(values: np.ndarray, tol: Tolerances) -> int:
     """The rank cut: how many descending ``values`` exceed ``sv_rel_cutoff * values[0]``.
 
-    ``values`` are eigenvalues, or the squares ``s * s`` of singular values.
+    ``values`` are eigenvalues, or the squares ``s * s`` of singular values;
+    none are kept of none.
     """
-    return int(np.count_nonzero(values > tol.sv_rel_cutoff * float(values[0])))
+    return int(np.count_nonzero(values > tol.sv_rel_cutoff * values[:1]))
 
 
 def _psd_verdict(lo: float, hi: float, tol: Tolerances) -> bool:

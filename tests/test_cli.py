@@ -184,6 +184,13 @@ class TestPosterior:
         assert code == 0
         assert report["probability"] == pytest.approx(1.0)
 
+    def test_outcome_and_subset_together_is_a_usage_error(self, run, luders_file, state_file):
+        argv = ("posterior", luders_file, "--state", state_file, "--outcome", "0", "--subset", "0,1")
+        code, report, err = run(*argv)
+        assert code == 1
+        assert report is None
+        assert err == "error: argument --subset: not allowed with argument --outcome\n"
+
     def test_unknown_outcome_exits_one(self, run, luders_file, state_file):
         code, _, err = run("posterior", luders_file, "--state", state_file, "--outcome", "9")
         assert code == 1

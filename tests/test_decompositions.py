@@ -5,9 +5,9 @@ each get one ``eigh``, which yields both the positivity verdict and the
 minimal factorization; a minimal Kraus set comes from one thin SVD of the
 Kraus operators, and no instrument-level operation forms or decomposes a
 ``(dim_out * dim_in)``-sided matrix.  Kraus sets that are minimal by
-construction are not decomposed again, and a Kraus set keeps its thin SVDs
-and the last minimal cut of each, so no later call on it decomposes or cuts
-it again either.
+construction are not decomposed again, and a Kraus set keeps the last
+minimal cut of each kind with its singular values, so no later call on it
+under the same cutoff decomposes or cuts it again either.
 """
 
 import copy
@@ -44,6 +44,7 @@ from instrumentum import (
 )
 from instrumentum import matkernel
 from instrumentum.compat import _naimark_fiber
+from instrumentum.cpmaps import _choi_columns, _minimal_cut
 
 from conftest import _count_package_calls
 from helpers import PAULI, basis_pvm, rand_instrument, rand_povm, rand_state, rand_unitary
@@ -397,16 +398,57 @@ def test_a_copied_kraus_set_keeps_no_cut(duplicate):
     assert _same_bytes(again, kept)
 
 
-def test_kept_decompositions_are_read_only_and_unchanged():
-    m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2, 1, 2))
-    kept = [(k._choi_svd, k._row_svd) for _, k in m.outcomes]
-    before = [[a.copy() for svd in pair for a in svd] for pair in kept]
-    for tol in (Tolerances(), Tolerances().scaled(1000), Tolerances()):
-        for _, kraus in m.outcomes:
-            minimal_kraus(kraus, tol)
-        compat_channel(m, tol)
-    for (_, kraus), pair, copies in zip(m.outcomes, kept, before):
-        assert kraus._choi_svd is pair[0] and kraus._row_svd is pair[1]  # not formed again
-        arrays = [a for svd in pair for a in svd]
-        assert not any(a.flags.writeable for a in arrays)
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, copies))
+def _cut_matrix(k, kind):
+    """The matrix a minimal cut of ``kind`` decomposes: Choi columns or conjugated Kraus rows."""
+    return _choi_columns(k.stack) if kind == "minimal" else k.stack.reshape(-1, k.dim_in).conj().T
+
+
+@pytest.mark.parametrize("kind", ["minimal", "fiber"])
+def test_a_kraus_set_keeps_its_cut_and_singular_values_and_no_svd(decompositions, kind):
+    k = _tolerance_pair_case()
+    shape = _cut_matrix(k, kind).shape
+    _, want, _ = np.linalg.svd(_cut_matrix(k, kind), full_matrices=False)
+    keep, cut = Tolerances(), Tolerances(sv_rel_cutoff=1e-6)
+    for tol, rank in ((keep, 2), (cut, 1), (keep, 2)):  # each a new cutoff for the kept cut
+        decompositions.clear()
+        value, s = _minimal_cut(k, kind, tol)
+        assert decompositions.number("svd") == decompositions.number("svd", shape) == 1
+        decompositions.clear()
+        again = _minimal_cut(k, kind, tol)
+        assert decompositions.number("svd") == 0
+        assert again[0] is value and again[1] is s
+        assert value is (minimal_kraus(k, tol) if kind == "minimal" else _naimark_fiber(k, tol))
+        assert not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[...] = 0.0
+        assert s.dtype == want.dtype and s.tobytes() == want[:rank].tobytes()
+        assert set(_kept_cuts(k)) == {kind}
+
+
+def _zero_written(m):
+    """``m`` with each empty outcome written as two zero operators instead."""
+    zeros = np.zeros((2, m.dim_out, m.dim_in))
+    return DiscreteInstrument(
+        m.dim_in, m.dim_out, tuple((label, k if len(k) else zeros) for label, k in m.outcomes)
+    )
+
+
+@pytest.mark.parametrize("name", L2_OPERATIONS)
+def test_an_all_zero_outcome_gives_what_an_empty_one_does(name):
+    # a minimal cut of rank 0 from a non-empty Kraus set, and the empty set's own
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        m = rand_instrument(rng, 3, 3, (2, 0, 1))
+        ops = [rand_unitary(rng, 3) / np.sqrt(6) for _ in range(6)]
+        mixture = DiscreteInstrument(3, 3, ((0, ops[:3]), (1, ()), (2, ops[3:])))
+        empty = _l2_calls(m, mixture)[name]()
+        zero = _l2_calls(_zero_written(m), _zero_written(mixture))[name]()
+        if name == "lueders_factorization":
+            # the identity error is read off the QR of the pooled Kraus stack, zeros and all,
+            # so it may differ in the last bit
+            assert abs(zero[1].max_identity_error - empty[1].max_identity_error) <= 1e-15
+            zero, empty = (
+                (phi, dataclasses.replace(report, max_identity_error=0.0))
+                for phi, report in (zero, empty)
+            )
+        assert _same_bytes(zero, empty), seed

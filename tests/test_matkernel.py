@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from instrumentum import DEFAULT_TOL, InstrumentumError, KrausSet, Tolerances, minimal_kraus
-from instrumentum.compat import _naimark_fiber
+from instrumentum import DEFAULT_TOL, InstrumentumError, Tolerances
 from instrumentum.matkernel import (
     _fix_phases,
+    _kept,
     as_matrix,
     herm_defect,
     herm_eig,
@@ -120,16 +120,26 @@ class TestFixPhases:
                 assert _fix_phases(got, tol) is got  # in place
                 assert got.tobytes() == want.tobytes(), (rows, cols)
 
-    def test_kept_singular_vectors_are_not_written(self):
+    def test_a_column_slice_is_fixed_in_place_as_a_copy_would_be(self):
+        # the minimal cut fixes the leading columns of its own thin SVD's u, a strided view
         rng = np.random.default_rng(5)
-        k = KrausSet(3, 2, rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3)))
-        kept = [k._choi_svd[0], k._row_svd[0]]
-        before = [u.tobytes() for u in kept]
-        for tol in (DEFAULT_TOL, DEFAULT_TOL.scaled(1e3)):
-            minimal_kraus(k, tol)
-            _naimark_fiber(k, tol)
-        assert [u.tobytes() for u in kept] == before
-        assert not any(u.flags.writeable for u in kept)
+        u = np.linalg.svd(rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))[0]
+        for r in range(u.shape[1] + 1):
+            for tol in (DEFAULT_TOL, DEFAULT_TOL.scaled(1e3)):
+                got = u.copy()
+                want = _fix_phases(got[:, :r].copy(), tol)
+                assert _fix_phases(got[:, :r], tol).tobytes() == want.tobytes()
+                assert got[:, :r].tobytes() == want.tobytes()
+                assert got[:, r:].tobytes() == u[:, r:].tobytes()  # the rest is not written
+
+
+def test_the_rank_cut_keeps_none_of_no_values():
+    # the minimal cut of an empty Kraus set cuts the empty spectrum of its SVD
+    assert _kept(np.zeros(0), DEFAULT_TOL) == 0
+    assert _kept(np.zeros(3), DEFAULT_TOL) == 0
+    values = np.array([4.0, 4e-9, 4e-11, 0.0])
+    assert _kept(values, DEFAULT_TOL) == 2
+    assert _kept(values, Tolerances(sv_rel_cutoff=1e-8)) == 1
 
 
 class TestRank:

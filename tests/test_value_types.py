@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from instrumentum import (
+    DEFAULT_TOL,
     BiInstrument,
     ChoiMatrix,
     CompatCoefficients,
@@ -29,10 +30,12 @@ from instrumentum import (
     instrument_extremal,
     lueders,
     measurement_model,
+    minimal_kraus,
     minimal_stinespring,
     posterior_state,
     trivial_from_povm,
 )
+from instrumentum.compat import _naimark_fiber
 
 from helpers import basis_pvm
 
@@ -104,6 +107,8 @@ def _arrays(value) -> list:
         return [a for f in dataclasses.fields(value) for a in _arrays(getattr(value, f.name))]
     if isinstance(value, tuple):
         return [a for part in value for a in _arrays(part)]
+    if isinstance(value, dict):  # the minimal cuts a Kraus set keeps, by kind
+        return _arrays(tuple(value.values()))
     return []
 
 
@@ -120,7 +125,7 @@ def _form_kept(value) -> None:
         if isinstance(holder, DiscreteInstrument):
             holder._normalization
         elif isinstance(holder, KrausSet):
-            holder._choi_svd, holder._row_svd
+            minimal_kraus(holder), _naimark_fiber(holder, DEFAULT_TOL)
 
 
 def _kept(value) -> tuple:
