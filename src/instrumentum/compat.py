@@ -32,9 +32,8 @@ import numpy as np
 
 from .cpmaps import (
     KrausSet,
-    _difference_core,
+    _difference,
     _effect,
-    _largest_block,
     _minimal_cut,
     _rebuilt,
     action_distance,
@@ -240,7 +239,7 @@ def compat_channel(
         iso_defect = float(np.linalg.norm(dagger(c_i) @ c_i - np.eye(n_i)))
         # psi^dag T_i(.) psi against the outcome map
         pair = (c_i.reshape(m.dim_out, -1, n_i).transpose(1, 0, 2) @ psi, kraus.stack)
-        recon = _largest_block(*_difference_core(pair, pair), m.dim_in)
+        recon = _difference(pair, pair, m.dim_in)[0]
         max_residual = max(max_residual, solve_residual, iso_defect, recon)
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return CompatChannelDecomposition(
@@ -273,17 +272,6 @@ def _decompose(m: DiscreteInstrument, tol: Tolerances) -> list:
         c_i.setflags(write=False)  # the derived channels and vectors read them
         fibers.append((psi, phi, c_i))
     return fibers
-
-
-def _naimark_fiber(kraus: KrausSet, tol: Tolerances) -> np.ndarray:
-    """``psi_i`` (``n_i x dim_in``): the minimal Kraus set of the Kraus rows of ``kraus``.
-
-    Its operators are the rows ``dagger(w)`` of the minimal factor ``w`` of
-    the conjugated rows, as ``minimal_kraus`` of the rows would give them.
-    The result is read-only and kept on ``kraus`` under the ``sv_rel_cutoff``
-    of ``tol``, as ``minimal_kraus`` keeps its own (``cpmaps._minimal_cut``).
-    """
-    return _minimal_cut(kraus, "fiber", tol)[0]
 
 
 def _block_product(isometries: tuple, dim_out: int, right: np.ndarray) -> np.ndarray:
@@ -325,7 +313,7 @@ def lueders_factorization(
 
     phi = KrausSet(dim, m.dim_out, _block_product(isometries, m.dim_out, u @ vh))
     pair = (phi.stack @ root, _pooled(m, subset).stack)  # root Phi(.) root against M(X, .)
-    max_err = _largest_block(*_difference_core(pair, pair), dim)
+    max_err = _difference(pair, pair, dim)[0]
     unit_defect = float(np.linalg.norm(_effect(phi) - np.eye(dim)))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim)))
     passed = max_err <= threshold and unit_defect <= threshold
@@ -362,8 +350,7 @@ def pvm_compat(
         # B -> M(i) T(B) - M(i, B) has left operators C_k M(i)^dag and right operators C_k;
         # T(B) M(i) - M(i, B) is its adjoint at B^dag, so its block norms are the same
         left = (ops @ dagger(effect), kraus.stack)
-        core = _difference_core(left, (ops, kraus.stack))
-        max_err = max(max_err, _largest_block(*core, m.dim_in))
+        max_err = max(max_err, _difference(left, (ops, kraus.stack), m.dim_in)[0])
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return conjugated, PvmCompatReport(max_err <= threshold, max_err)
 
@@ -406,7 +393,7 @@ def rank1_nuclear_extract(
             defect = float(np.linalg.norm(apply_schrodinger(kraus, rho) - weight * sigma))
             max_probe_error = max(max_probe_error, defect)
     # from the instrument's own fibers: nuclear() would re-check p's effects as outside input
-    fibers = [_naimark_fiber(kraus, tol) for _, kraus in m.outcomes]
+    fibers = [_minimal_cut(kraus, "fiber", tol)[0] for _, kraus in m.outcomes]
     rebuilt = _nuclear(dim_in, dim_out, m.labels, fibers, [_factor(s, tol).w for s in states])
     rebuild_error = max(
         action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)

@@ -270,50 +270,46 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
-def _difference_core(left: tuple, right: tuple) -> tuple:
-    """Thin factors of a difference of two-sided Choi matrices, ``q_l @ core @ dagger(q_r)``.
+def _difference(left: tuple, right: tuple, dim_in: int) -> tuple:
+    """``(largest block norm, ||D||_F)`` for a difference ``D`` of two-sided Choi matrices.
 
     ``left = (a, b)`` and ``right = (c, d)`` are Kraus stacks with
-    ``len(a) == len(c)`` and ``len(b) == len(d)``; the difference is
+    ``len(a) == len(c)`` and ``len(b) == len(d)``; ``D`` is
     ``W(a) W(c)^dag - W(b) W(d)^dag`` in the notation of ``_choi_columns``,
-    the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k b_k^dag B d_k``.
-    With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``
-    the core is ``r_l J r_r^dag`` with ``J = diag(1, .., 1, -1, .., -1)``, at
-    most ``N x N`` for ``N = len(a) + len(b)``.  Pass the same tuple twice
-    for a one-sided (ordinary) difference; it is factored once.
+    the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k b_k^dag B d_k``,
+    and a block is ``dim_in``-sided.  Pass the same tuple twice for a
+    one-sided (ordinary) difference; it is factored once.
+
+    With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``,
+    ``D = q_l M q_r^dag`` for the core ``M = r_l J r_r^dag`` with ``J = diag(1,
+    .., 1, -1, .., -1)``, at most ``N x N`` for ``N = len(a) + len(b)``, and
+    ``||D||_F = ||M||_F``.  With ``q_s`` the rows of block row ``s`` and
+    ``G_s = q_s^dag q_s``, ``||block(s, t)||_F^2 = tr(M^dag G_s M G_t)``: a
+    trace of a product of two positive matrices, the first scaled by the
+    core, so the result is small exactly when the core is and keeps its
+    absolute accuracy when the maps nearly agree.  Costs ``O(dim_out *
+    dim_in * N^2)``; ``D`` is never formed.
     """
 
     def thin_qr(stacks):
         return np.linalg.qr(_choi_columns(np.concatenate(stacks)))
 
-    q_l, r_l = thin_qr(left)
-    q_r, r_r = (q_l, r_l) if right is left else thin_qr(right)
-    j_r_dag = dagger(r_r)  # a fresh array, so r_r is left intact
-    j_r_dag[len(left[0]) :] *= -1.0
-    return q_l, r_l @ j_r_dag, q_r
-
-
-def _largest_block(q_l: np.ndarray, core: np.ndarray, q_r: np.ndarray, dim_in: int) -> float:
-    """Largest Frobenius norm of a ``dim_in``-sided block of ``q_l @ core @ dagger(q_r)``.
-
-    With ``q_s`` the rows of block row ``s`` and ``G_s = q_s^dag q_s``,
-    ``||block(s, t)||_F^2 = tr(core^dag G_s core G_t)``: a trace of a product
-    of two positive matrices, the first scaled by the core, so the result is
-    small exactly when the core is and keeps its absolute accuracy when the
-    maps nearly agree.  Costs ``O(dim_out * dim_in * N^2)``.
-    """
-
     def block_grams(q):
         blocks = q.reshape(q.shape[0] // dim_in, dim_in, q.shape[1])  # [s] = q_s
         return dagger(blocks) @ blocks
 
+    q_l, r_l = thin_qr(left)
+    q_r, r_r = (q_l, r_l) if right is left else thin_qr(right)
+    j_r_dag = dagger(r_r)  # a fresh array, so r_r is left intact
+    j_r_dag[len(left[0]) :] *= -1.0
+    core = r_l @ j_r_dag
     g_l = block_grams(q_l)
     g_r = g_l if q_r is q_l else block_grams(q_r)
     h = dagger(core) @ g_l @ core
     # tr(H_s G_t) = <H_s, G_t> for Hermitian G_t: one product over the flattened blocks
     side = core.shape[1] ** 2
     squares = (h.reshape(len(h), side) @ dagger(g_r.reshape(len(g_r), side))).real
-    return float(np.sqrt(max(float(squares.max()), 0.0)))
+    return float(np.sqrt(max(float(squares.max()), 0.0))), float(np.linalg.norm(core))
 
 
 def action_distance(k1: KrausSet, k2: KrausSet) -> float:
@@ -321,25 +317,24 @@ def action_distance(k1: KrausSet, k2: KrausSet) -> float:
 
     Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
     ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
-    By Choi's theorem that difference is ``W1 W1^dag - W2 W2^dag = Q M Q^dag``
-    for the thin QR ``[W1 W2] = Q [R1 R2]`` and the ``N x N`` core
-    ``M = R1 R1^dag - R2 R2^dag`` (``N = len(k1) + len(k2)``), so every block
-    norm is ``||Q_s M Q_t^dag||_F^2 = tr(M^dag G_s M G_t)`` with
-    ``G_s = Q_s^dag Q_s``; the Choi matrices are never formed.
+    It is the first value of ``_difference``, the one map-difference
+    routine, which reads every block norm off an ``N x N`` core
+    (``N = len(k1) + len(k2)``) and never forms the Choi matrices.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
     pair = (k1.stack, k2.stack)
-    return _largest_block(*_difference_core(pair, pair), k1.dim_in)
+    return _difference(pair, pair, k1.dim_in)[0]
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
     """Unitary ``u`` relating two minimal Kraus sets of the same map, if one exists.
 
-    When ``choi(k1)`` and ``choi(k2)`` agree within ``eps_eq`` the returned
-    matrix satisfies ``k2.ops[l] = sum_k u[l, k] * k1.ops[k]`` and is unitary;
-    otherwise returns None.  Both inputs must be linearly independent
-    families, and the maps must share dimensions.
+    When ``choi(k1)`` and ``choi(k2)`` agree within ``eps_eq * max(1,
+    ||choi(k1)||_F)`` in the Frobenius norm, which ``_difference`` returns
+    second, the returned matrix satisfies ``k2.ops[l] = sum_k u[l, k] *
+    k1.ops[k]`` and is unitary; otherwise returns None.  Both inputs must be
+    linearly independent families, and the maps must share dimensions.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
@@ -352,9 +347,9 @@ def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
         return None
     if not k1.ops:
         return np.zeros((0, 0), dtype=np.complex128)
-    # ||choi(k1) - choi(k2)|| is the norm of the core; ||choi(k1)|| = ||W1^dag W1||
+    # ||choi(k1) - choi(k2)||_F from _difference; ||choi(k1)||_F = ||W1^dag W1||_F
     pair = (k1.stack, k2.stack)
-    difference = float(np.linalg.norm(_difference_core(pair, pair)[1]))
+    difference = _difference(pair, pair, k1.dim_in)[1]
     if difference > tol.eps_eq * max(1.0, float(np.linalg.norm(dagger(m1) @ m1))):
         return None
     u, *_ = np.linalg.lstsq(m1, m2, rcond=None)

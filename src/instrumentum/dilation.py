@@ -232,30 +232,25 @@ def minimal_stinespring(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
     Block ``i`` of the isometry holds the minimal Kraus set of outcome ``i``.
     """
     require_valid(m, tol)
-    return _stinespring(m, tol)
+    return _dilation(m, [minimal_kraus(kraus, tol) for _, kraus in m.outcomes])
 
 
-def _stinespring(m: DiscreteInstrument, tol: Tolerances) -> StinespringDilation:
-    """``minimal_stinespring`` of an instrument already known to be normalized."""
-    minimal = tuple((label, minimal_kraus(kraus, tol)) for label, kraus in m.outcomes)
-    return _dilation(DiscreteInstrument(m.dim_in, m.dim_out, minimal))
-
-
-def _dilation(m: DiscreteInstrument) -> StinespringDilation:
-    """The dilation whose block ``i`` holds the Kraus set of outcome ``i``, minimal when those are."""
-    fibers = np.concatenate([ks.stack for _, ks in m.outcomes])  # [f, s, m] = A_k(i)[s, m]
+def _dilation(m: DiscreteInstrument, blocks: list) -> StinespringDilation:
+    """The dilation of ``m`` whose block ``i`` holds the Kraus set ``blocks[i]``."""
+    fibers = np.concatenate([ks.stack for ks in blocks])  # [f, s, m] = A_k(i)[s, m]
     return StinespringDilation(
         dim_in=m.dim_in,
         dim_out=m.dim_out,
         labels=m.labels,
-        block_dims=tuple(len(ks) for _, ks in m.outcomes),
+        block_dims=tuple(len(ks) for ks in blocks),
         isometry=fibers.transpose(1, 0, 2).reshape(-1, m.dim_in),
     )
 
 
 def naimark(p: Povm, tol: Tolerances = DEFAULT_TOL) -> StinespringDilation:
     """Dilation of a POVM: ``M(i) = Y^dag P_i Y`` with one-dimensional output space."""
-    return _dilation(trivial_from_povm(p, tol))  # its Kraus sets are minimal by construction
+    t = trivial_from_povm(p, tol)
+    return _dilation(t, [kraus for _, kraus in t.outcomes])  # minimal by construction
 
 
 def verify_dilation(
@@ -294,8 +289,11 @@ def measurement_model(
 
     The ancilla is the fiber space of the minimal dilation, prepared in the
     basis vector ``xi_index``; the unitary sends ``h_n (x) xi`` to ``Y h_n``
-    and is completed deterministically on the remaining slots.
+    and is completed deterministically on the remaining slots.  ``xi_index``
+    is read like a dimension (``matkernel._integer``), so a boolean, a float
+    or a string raises ``ValueError``.
     """
+    xi_index = _integer(xi_index, "xi_index values", minimum=0)
     if m.dim_out != m.dim_in:
         raise InstrumentumError(
             f"a measurement model needs matching dimensions, got {m.dim_in} -> {m.dim_out}"
@@ -372,23 +370,20 @@ def model_intertwiner(
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
     if defect > tol.eps_eq * float(np.sqrt(len(u))):
         raise InstrumentumError(f"model matrix is not unitary: defect {defect:.3e}")
-    dil = _stinespring(m, tol)
+    cuts = [_minimal_cut(kraus, "minimal", tol) for _, kraus in m.outcomes]
+    dil = _dilation(m, [minimal for minimal, _ in cuts])
     d = m.dim_in
     total = dil.total_fibers
     anc = model.ancilla_dim
     y_blocks = dil.isometry.reshape(d, total, d)  # [s, f, n]
     v_blocks = _coupled(model)  # [s, a, n]
     w = np.zeros((anc, total), dtype=np.complex128)
-    for i, (_, kraus) in enumerate(m.outcomes):
+    for i, (_, s) in enumerate(cuts):
         fibers = dil.block_slice(i)
         pointer = model.block_slice(i)
-        n_i = fibers.stop - fibers.start
-        if n_i == 0:
-            continue
         # columns over (s, n) of the block components of Y h_n and U(h_n (x) xi)
-        psi = y_blocks[:, fibers, :].transpose(1, 0, 2).reshape(n_i, d * d)
+        psi = y_blocks[:, fibers, :].transpose(1, 0, 2).reshape(len(s), d * d)
         img = v_blocks[:, pointer, :].transpose(1, 0, 2).reshape(pointer.stop - pointer.start, d * d)
-        s = _minimal_cut(kraus, "minimal", tol)[1]  # kept by _stinespring's cut
         w[pointer, fibers] = img @ dagger(psi) / s**2
     residual = max(float(np.linalg.norm(w @ y - v)) for y, v in zip(y_blocks, v_blocks))
     iso_defect = float(np.linalg.norm(w.conj().T @ w - np.eye(total)))
@@ -441,12 +436,16 @@ def standard_model(
     a_op = require_hermitian(a_op, tol, name="system observable")
     b_op = require_hermitian(b_op, tol, name="probe generator")
     xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
+    _require_finite(xi, "xi")
     anc = b_op.shape[0]
     if xi.size != anc:
         raise ValueError(f"xi has length {xi.size}, expected {anc}")
     if abs(float(np.vdot(xi, xi).real) - 1.0) > tol.eps_eq:
         raise InstrumentumError("probe vector is not normalized")
-    blocks = [tuple(int(r) for r in block) for block in pointer]
+    coupling = float(coupling)
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling!r}")
+    blocks = [tuple(_integer(r, "pointer indices", minimum=0) for r in block) for block in pointer]
     flat = sorted(r for block in blocks for r in block)
     if flat != list(range(anc)):
         raise ValueError("pointer blocks must partition the ancilla basis indices")
@@ -463,7 +462,7 @@ def standard_model(
     projections = np.array([vectors[:, c] @ dagger(vectors[:, c]) for c in clusters])
     # row a is xi(a) = exp(i * distinct[a] * coupling * b_op) xi, from one decomposition of b_op
     b_values, b_vectors = _descending_eigh(b_op, tol)
-    phases = np.exp(1j * np.outer(distinct * float(coupling), b_values))
+    phases = np.exp(1j * np.outer(distinct * coupling, b_values))
     shifted = (phases * (dagger(b_vectors) @ xi)) @ b_vectors.T
     kernel = np.array([np.sum(np.abs(shifted[:, list(block)]) ** 2, axis=1) for block in blocks])
     effects = np.tensordot(kernel, projections, axes=(1, 0))

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import FormatError
 from .instruments import DiscreteInstrument, Povm, _label_fault, _label_repr
+from .matkernel import _integer
 
 __all__ = ["Document", "load", "save", "matrix_to_json", "label_to_json"]
 
@@ -243,11 +244,25 @@ def _decode_matrix(payload, path):
     return matrix, meta
 
 
+def _matrix(a, path: str) -> np.ndarray:
+    """``_complex(a)``, refused unless a 2-D array with no empty axis, as ``load`` requires."""
+    a = _complex(a)
+    if a.ndim != 2 or not a.size:
+        raise FormatError(f"{path}: expected a nonempty 2-D array, got shape {a.shape}")
+    return a
+
+
+def _dimension(n, path: str) -> int:
+    return _wrap_construction(path, lambda: _integer(n, "dimensions"))
+
+
 def _encode_matrix(value, meta):
-    payload = {"matrix": _complex(value)}
-    for key in ("dim_in", "dim_out", "label"):
+    payload = {"matrix": _matrix(value, "payload.matrix")}
+    for key in ("dim_in", "dim_out"):
         if key in meta:
-            payload[key] = label_to_json(meta[key]) if key == "label" else int(meta[key])
+            payload[key] = _dimension(meta[key], f"payload.{key}")
+    if "label" in meta:
+        payload["label"] = label_to_json(meta["label"])
     return payload
 
 
@@ -362,10 +377,15 @@ def _decode_states(payload, path):
 
 
 def _encode_states(value, meta):
+    if not value:
+        raise FormatError("payload.states: must not be empty")
+    paths = [f"payload.states[{i}].matrix" for i in range(len(value))]
+    rows = [(label, _matrix(matrix, path)) for (label, matrix), path in zip(value, paths)]
     dim = meta.get("dim")
-    if dim is None:
-        dim = int(np.asarray(value[0][1]).shape[0])
-    rows = ((label, _complex(matrix)) for label, matrix in value)
+    dim = len(rows[0][1]) if dim is None else _dimension(dim, "payload.dim")
+    for (_, matrix), path in zip(rows, paths):
+        if matrix.shape != (dim, dim):
+            raise FormatError(f"{path}: expected shape {(dim, dim)}, got {matrix.shape}")
     return {"dim": dim, "states": _labelled(rows, "matrix")}
 
 
@@ -377,29 +397,18 @@ def _encode_report(value, meta):
     return dict(value)
 
 
-_DECODERS = {
-    "matrix": _decode_matrix,
-    "povm": _decode_povm,
-    "instrument": _decode_instrument,
-    "dilation": _decode_dilation,
-    "model": _decode_model,
-    "coefficients": _decode_coefficients,
-    "states": _decode_states,
-    "report": _decode_report,
+_CODECS = {  # kind: (decode, encode)
+    "matrix": (_decode_matrix, _encode_matrix),
+    "povm": (_decode_povm, _encode_povm),
+    "instrument": (_decode_instrument, _encode_instrument),
+    "dilation": (_decode_dilation, _encode_dilation),
+    "model": (_decode_model, _encode_model),
+    "coefficients": (_decode_coefficients, _encode_coefficients),
+    "states": (_decode_states, _encode_states),
+    "report": (_decode_report, _encode_report),
 }
 
-KINDS = tuple(_DECODERS)
-
-_ENCODERS = {
-    "matrix": _encode_matrix,
-    "povm": _encode_povm,
-    "instrument": _encode_instrument,
-    "dilation": _encode_dilation,
-    "model": _encode_model,
-    "coefficients": _encode_coefficients,
-    "states": _encode_states,
-    "report": _encode_report,
-}
+KINDS = tuple(_CODECS)
 
 
 def load(path) -> Document:
@@ -422,12 +431,16 @@ def load(path) -> Document:
     payload = raw.get("payload")
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: payload: expected an object")
-    value, meta = _DECODERS[kind](payload, "payload")
+    value, meta = _CODECS[kind][0](payload, "payload")
     return Document(kind=kind, value=value, meta=meta, version=VERSION)
 
 
 def save(doc: Document, path) -> None:
     """Write a document; floats use shortest-round-trip decimals.
+
+    A ``matrix`` or ``states`` document whose arrays or dimensions ``load``
+    would refuse raises FormatError; the other kinds' constructors have
+    already checked theirs.
 
     The bytes are those of ``json.dump(body, indent=2, allow_nan=False)``
     and a newline, with every array in its ``matrix_to_json`` form.  The
@@ -436,7 +449,7 @@ def save(doc: Document, path) -> None:
     """
     if doc.kind not in KINDS:
         raise FormatError(f"unknown document kind {doc.kind!r}")
-    payload = _ENCODERS[doc.kind](doc.value, doc.meta)
+    payload = _CODECS[doc.kind][1](doc.value, doc.meta)
     body = {"kind": doc.kind, "version": VERSION, "payload": payload}
     pieces, arrays = _skeleton(body, doc.kind != "report")
     for array in arrays:
@@ -484,9 +497,7 @@ def _write_array(write, pairs: np.ndarray, newline: str) -> None:
         write("[]")
         return
     inner = newline + "  "
-    if pairs.ndim == 1:
-        write(f"[{inner}%r,{inner}%r{newline}]" % tuple(pairs.tolist()))
-    elif pairs.ndim == 2:
+    if pairs.ndim == 2:
         entry = f"[{inner}  %r,{inner}  %r{inner}]"
         row = f"[{inner}" + f",{inner}".join([entry] * len(pairs)) + f"{newline}]"
         write(row % tuple(pairs.ravel().tolist()))

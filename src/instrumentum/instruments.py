@@ -108,14 +108,7 @@ def _label_repr(label) -> str:
     error message can name a label of any depth without recursing past the
     interpreter's limit.
     """
-    if isinstance(label, (tuple, list)):
-        for part in label:
-            if isinstance(part, (tuple, list)):
-                return _LABEL_REPR.repr(label)
-    try:
-        return repr(label)  # a flat label: no recursion, and several times faster than reprlib
-    except ValueError:  # an integer too long for the grammar, alone or in a flat array
-        return _LABEL_REPR.repr(label)
+    return _LABEL_REPR.repr(label)
 
 
 def _check_labels(labels) -> None:

@@ -29,7 +29,7 @@ from instrumentum import (
     trivial_from_povm,
     validate,
 )
-from instrumentum.compat import _naimark_fiber
+from instrumentum.cpmaps import _minimal_cut
 
 from helpers import (
     basis_pvm,
@@ -338,7 +338,7 @@ def _fiber_solves(m, tol, lstsq):
     """Per outcome ``(psi_i, phi_i, C_i)``; ``C_i`` solves ``C_i psi_i = phi_i`` by ``lstsq``."""
     solves = []
     for _, kraus in m.outcomes:
-        psi = _naimark_fiber(kraus, tol)
+        psi = _minimal_cut(kraus, "fiber", tol)[0]
         phi = minimal_kraus(kraus, tol).stack.transpose(1, 0, 2).reshape(-1, m.dim_in)
         c = lstsq(psi.T, phi.T, rcond=None)[0].T if len(psi) else np.zeros((len(phi), 0))
         solves.append((psi, phi, c))
@@ -469,7 +469,7 @@ class TestFiberSolvesMatchLeastSquares:
             dec = compat_channel(m, tol)
             isometries, passed = _compat_reference(m, tol, lstsq)
             assert dec.passed == passed, name
-            conditions = [_condition(_naimark_fiber(k, tol)) for _, k in m.outcomes]
+            conditions = [_condition(_minimal_cut(k, "fiber", tol)[0]) for _, k in m.outcomes]
             bound = max(1e-12, 1e-14 * max(conditions))
             for got, want in zip(dec.isometries, isometries):
                 assert got.shape == want.shape, name
@@ -483,7 +483,7 @@ class TestFiberSolvesMatchLeastSquares:
                 assert np.max(np.abs(channel.stack - stack)) <= bound, (name, subset)
 
             if all(np.linalg.norm(e @ e - e) <= 1e-10 for _, e in associate_povm(m, tol).effects):
-                if sum(len(_naimark_fiber(k, tol)) for _, k in m.outcomes) != m.dim_in:
+                if sum(len(_minimal_cut(k, "fiber", tol)[0]) for _, k in m.outcomes) != m.dim_in:
                     with pytest.raises(InstrumentumError, match="Naimark fiber keeps"):
                         pvm_compat(m, tol)  # an eigenvalue at the cut, as in near-cut-6-1e-10
                 else:

@@ -18,7 +18,7 @@ from instrumentum import (
     kraus_from_choi,
     minimal_kraus,
 )
-from instrumentum.cpmaps import _difference_core, _largest_block
+from instrumentum.cpmaps import _difference
 from instrumentum.matkernel import numeric_rank
 
 from helpers import (
@@ -406,7 +406,7 @@ class TestActionDistance:
                 )
                 for u in matrix_units(4)
             )
-        got = _largest_block(*_difference_core((a, b), (c, d)), 3)
+        got = _difference((a, b), (c, d), 3)[0]
         assert worst["ac"] == pytest.approx(worst["ca"], rel=1e-14)
         assert got == pytest.approx(worst["ac"], rel=1e-13)
 
@@ -416,3 +416,30 @@ class TestActionDistance:
         want = kraus_action_distance(k, zero)
         for got in (action_distance(k, zero), action_distance(zero, k)):
             assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize(
+    "counts, dims",
+    [
+        ((2, 3), (3, 2)),
+        ((4, 1), (2, 3)),
+        ((0, 3), (2, 3)),
+        ((3, 0), (3, 2)),
+        ((0, 0), (2, 2)),
+        ((7, 5), (2, 2)),  # 12 operators against Choi matrices 4 x 4
+    ],
+    ids=["random", "random-wide", "empty-left", "empty-right", "both-empty", "more-than-choi-side"],
+)
+def test_difference_norm_is_that_of_the_choi_difference(counts, dims):
+    rng = np.random.default_rng(104)
+    dim_in, dim_out = dims
+    shapes = [(n, dim_out, dim_in) for n in counts]
+    k1, k2 = (
+        KrausSet(dim_in, dim_out, rng.standard_normal(s) + 1j * rng.standard_normal(s))
+        for s in shapes
+    )
+    pair = (k1.stack, k2.stack)
+    largest, frobenius = _difference(pair, pair, dim_in)
+    want = np.linalg.norm(choi(k1).matrix - choi(k2).matrix)
+    assert abs(frobenius - want) <= 1e-13 * want
+    assert largest == action_distance(k1, k2)

@@ -43,7 +43,6 @@ from instrumentum import (
     witness_decompose,
 )
 from instrumentum import matkernel
-from instrumentum.compat import _naimark_fiber
 from instrumentum.cpmaps import _choi_columns, _minimal_cut
 
 from conftest import _count_package_calls
@@ -356,7 +355,11 @@ def _kept_cuts(k) -> dict:
     return vars(k).get("_cuts", {})
 
 
-@pytest.mark.parametrize("factor", [minimal_kraus, _naimark_fiber], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "factor",
+    [minimal_kraus, lambda k, tol: _minimal_cut(k, "fiber", tol)[0]],
+    ids=["minimal_kraus", "fiber"],
+)
 def test_each_call_cuts_under_its_own_tolerances(factor):
     keep, cut = Tolerances(), Tolerances(sv_rel_cutoff=1e-6)
     fresh = {tol: factor(_tolerance_pair_case(), tol) for tol in (keep, cut)}
@@ -376,7 +379,7 @@ def test_kept_cuts_are_read_only(empty):
     k = rand_instrument(np.random.default_rng(RNG_SEED), 3, 3, (2,)).outcome(0)
     if empty:
         k = KrausSet(3, 3, ())
-    for kept in (minimal_kraus(k).stack, _naimark_fiber(k, Tolerances())):
+    for kept in (minimal_kraus(k).stack, _minimal_cut(k, "fiber", Tolerances())[0]):
         assert not kept.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             kept[...] = 0.0
@@ -389,11 +392,11 @@ def test_kept_cuts_are_read_only(empty):
 )
 def test_a_copied_kraus_set_keeps_no_cut(duplicate):
     k = _tolerance_pair_case()
-    kept = minimal_kraus(k), _naimark_fiber(k, Tolerances())
+    kept = minimal_kraus(k), _minimal_cut(k, "fiber", Tolerances())[0]
     assert len(_kept_cuts(k)) == 2  # one of each kind
     twin = duplicate(k)
     assert set(vars(twin)) == _FIELDS  # neither the SVDs nor the cuts
-    again = minimal_kraus(twin), _naimark_fiber(twin, Tolerances())
+    again = minimal_kraus(twin), _minimal_cut(twin, "fiber", Tolerances())[0]
     assert again[0] is not kept[0] and again[1] is not kept[1]
     assert _same_bytes(again, kept)
 
@@ -417,7 +420,9 @@ def test_a_kraus_set_keeps_its_cut_and_singular_values_and_no_svd(decompositions
         again = _minimal_cut(k, kind, tol)
         assert decompositions.number("svd") == 0
         assert again[0] is value and again[1] is s
-        assert value is (minimal_kraus(k, tol) if kind == "minimal" else _naimark_fiber(k, tol))
+        assert value is (
+            minimal_kraus(k, tol) if kind == "minimal" else _minimal_cut(k, "fiber", tol)[0]
+        )
         assert not s.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             s[...] = 0.0

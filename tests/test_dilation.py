@@ -1,5 +1,7 @@
 """Stinespring dilations, Naimark extensions, and measurement models."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,19 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             measurement_model(m, xi_index=7)
 
+    @pytest.mark.parametrize("xi_index", [True, 1.0, "1", -1], ids=repr)
+    def test_xi_index_must_be_a_non_negative_integer(self, xi_index):
+        # True would index xi as a boolean mask, and 1.0 would reach a slice as a bare TypeError
+        m = lueders(basis_pvm(2, ((0,), (1,))))
+        message = f"xi_index values must be non-negative integers, got {xi_index!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            measurement_model(m, xi_index=xi_index)
+
+    def test_numpy_integer_xi_index(self):
+        m = lueders(basis_pvm(2, ((0,), (1,))))
+        model = measurement_model(m, xi_index=np.int64(1))
+        assert model.xi.tolist() == measurement_model(m, xi_index=1).xi.tolist() == [0, 1]
+
     def test_rejects_non_finite_xi(self):
         # NaN fails every comparison, so the fixed normalization cutoff alone would pass it
         with pytest.raises(ValueError, match="xi contains NaN or Inf entries"):
@@ -278,6 +293,34 @@ class TestStandardModel:
         assert validate(m).passed
         with pytest.raises(InstrumentumError, match="not normalized"):
             standard_model(*args, direction * np.sqrt(1 + 1.1 * DEFAULT_TOL.eps_eq), pointer)
+
+    @pytest.mark.parametrize("pointer", [((0, 1.7),), ((0,), (True,)), ((0,), ("1",))], ids=str)
+    def test_pointer_indices_must_be_integers(self, pointer):
+        # int() would read 1.7 and True as 1
+        args = (np.diag([0.0, 1.0]), PAULI["Y"], np.pi / 2, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="^pointer indices must be non-negative integers"):
+            standard_model(*args, pointer)
+
+    def test_numpy_pointer_indices(self):
+        args = (np.diag([0.0, 1.0]), PAULI["Y"], np.pi / 2, np.array([1.0, 0.0]))
+        _, _, m = standard_model(*args, (np.array([0]), np.array([1])))
+        _, _, want = standard_model(*args, ((0,), (1,)))
+        assert action_distance(m, want) == 0.0
+
+    @pytest.mark.parametrize(
+        "xi, coupling, message",
+        [
+            ([np.nan, 0.0], np.pi / 2, "xi contains NaN or Inf entries"),
+            ([np.inf, 0.0], np.pi / 2, "xi contains NaN or Inf entries"),
+            ([1.0, 0.0], np.nan, "coupling must be finite, got nan"),
+            ([1.0, 0.0], np.inf, "coupling must be finite, got inf"),
+        ],
+        ids=str,
+    )
+    def test_non_finite_inputs_are_named(self, xi, coupling, message):
+        # a NaN fails every comparison, so the normalization check alone would let it through
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            standard_model(np.diag([0.0, 1.0]), PAULI["Y"], coupling, np.array(xi), ((0,), (1,)))
 
     def test_custom_labels(self):
         povm, kernel, inst = standard_model(

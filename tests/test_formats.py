@@ -361,6 +361,58 @@ class TestSaveBytes:
         with pytest.raises(TypeError, match="not JSON serializable"):
             save(Document("report", {"x": np.eye(2)}), tmp_path / "doc.json")
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (Document("matrix", 1.0), r"payload\.matrix: .* got shape \(\)"),
+            (Document("matrix", [1.0, 2.0]), r"payload\.matrix: .* got shape \(2,\)"),
+            (Document("matrix", np.zeros((1, 2, 2))), r"payload\.matrix: .* got shape \(1, 2, 2\)"),
+            (Document("matrix", np.zeros((0, 0))), r"payload\.matrix: .* got shape \(0, 0\)"),
+            (Document("matrix", np.zeros((2, 0))), r"payload\.matrix: .* got shape \(2, 0\)"),
+            (Document("matrix", np.eye(2), {"dim_in": 0}), r"payload\.dim_in: .* got 0"),
+            (Document("matrix", np.eye(2), {"dim_out": -1}), r"payload\.dim_out: .* got -1"),
+            (Document("matrix", np.eye(2), {"dim_in": True}), r"payload\.dim_in: .* got True"),
+            (Document("matrix", np.eye(2), {"dim_in": 1.5}), r"payload\.dim_in: .* got 1\.5"),
+            (Document("states", (), {"dim": 2}), r"payload\.states: must not be empty"),
+            (
+                Document("states", (("a", np.eye(2)), ("b", np.eye(3))), {"dim": 2}),
+                r"payload\.states\[1\]\.matrix: expected shape \(2, 2\), got \(3, 3\)",
+            ),
+            (Document("states", (("a", [1.0, 0.0]),), {"dim": 2}), r"states\[0\]\.matrix: .*"),
+            (Document("states", (("a", np.eye(1)),), {"dim": 0}), r"payload\.dim: .* got 0"),
+        ],
+        ids=[
+            "0-D",
+            "1-D",
+            "3-D",
+            "empty",
+            "no-columns",
+            "dim_in-0",
+            "dim_out-negative",
+            "dim_in-boolean",
+            "dim_in-float",
+            "no-states",
+            "state-not-dim-sided",
+            "state-1-D",
+            "states-dim-0",
+        ],
+    )
+    def test_what_load_refuses_is_not_written(self, tmp_path, doc, message):
+        with pytest.raises(FormatError, match=message):
+            save(doc, tmp_path / "doc.json")
+        assert not (tmp_path / "doc.json").exists()
+        # the same document spelled by hand is refused by load
+        (tmp_path / "hand.json").write_text(json.dumps(json_form(doc)))
+        with pytest.raises(FormatError):
+            load(tmp_path / "hand.json")
+
+    def test_states_take_their_dimension_from_the_first_state(self, tmp_path):
+        states = (("a", np.eye(2) / 2), ("b", np.diag([1.0, 0.0])))
+        assert roundtrip(Document("states", states), tmp_path).meta == {"dim": 2}
+        with pytest.raises(FormatError, match=r"states\[2\]\.matrix: expected shape \(2, 2\)"):
+            save(Document("states", (*states, ("c", np.eye(3) / 3))), tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()
+
     def test_peak_memory_of_a_256_by_256_matrix(self, tmp_path):
         # the document is 3.7 MB of text; save writes it one row at a time (building the nested
         # lists first peaked at 9.0 MB), and load peaks at json's parse tree (14.1 MB)

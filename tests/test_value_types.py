@@ -35,7 +35,7 @@ from instrumentum import (
     posterior_state,
     trivial_from_povm,
 )
-from instrumentum.compat import _naimark_fiber
+from instrumentum.cpmaps import _minimal_cut
 
 from helpers import basis_pvm
 
@@ -125,7 +125,7 @@ def _form_kept(value) -> None:
         if isinstance(holder, DiscreteInstrument):
             holder._normalization
         elif isinstance(holder, KrausSet):
-            minimal_kraus(holder), _naimark_fiber(holder, DEFAULT_TOL)
+            minimal_kraus(holder), _minimal_cut(holder, "fiber", DEFAULT_TOL)
 
 
 def _kept(value) -> tuple:
