@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -47,7 +48,19 @@ class _UsageError(Exception):
     pass
 
 
+# A token that float() reads as a negative number.  argparse's own test takes only "-1" and
+# "-.5" for numbers, so "--coupling -1e-3" or "--coupling -inf" would lack their value.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)(e[-+]?\d[\d_]*)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # the attribute argparse (3.10 to 3.13) asks whether a token is a negative number
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 

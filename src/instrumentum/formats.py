@@ -226,6 +226,14 @@ def _labelled(rows, *keys) -> list:
     return [{"label": label_to_json(label), **dict(zip(keys, values))} for label, *values in rows]
 
 
+def _family_json(rows, path: str, key: str) -> list:
+    """``_labelled(rows, key)`` for the family at ``path``; refused, as by ``load``, when empty."""
+    entries = _labelled(rows, key)
+    if not entries:
+        raise FormatError(f"{path}: must not be empty")
+    return entries
+
+
 def _wrap_construction(path: str, builder):
     try:
         return builder()
@@ -276,7 +284,7 @@ def _decode_povm(payload, path):
 
 def _encode_povm(value, meta):
     rows = ((label, _complex(matrix)) for label, matrix in value.effects)
-    return {"dim": value.dim, "effects": _labelled(rows, "matrix")}
+    return {"dim": value.dim, "effects": _family_json(rows, "payload.effects", "matrix")}
 
 
 def _decode_instrument(payload, path):
@@ -290,7 +298,8 @@ def _decode_instrument(payload, path):
 
 def _encode_instrument(value, meta):
     rows = ((label, _complex(kraus.stack)) for label, kraus in value.outcomes)
-    return {"dim_in": value.dim_in, "dim_out": value.dim_out, "outcomes": _labelled(rows, "kraus")}
+    outcomes = _family_json(rows, "payload.outcomes", "kraus")
+    return {"dim_in": value.dim_in, "dim_out": value.dim_out, "outcomes": outcomes}
 
 
 def _parse_blocks(payload, path):
@@ -320,7 +329,9 @@ def _encode_dilation(value, meta):
     return {
         "dim_in": value.dim_in,
         "dim_out": value.dim_out,
-        "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
+        "outcomes": _family_json(
+            zip(value.labels, value.block_dims), "payload.outcomes", "block_dim"
+        ),
         "isometry": _complex(value.isometry),
     }
 
@@ -343,7 +354,9 @@ def _decode_model(payload, path):
 def _encode_model(value, meta):
     return {
         "system_dim": value.system_dim,
-        "outcomes": _labelled(zip(value.labels, value.block_dims), "block_dim"),
+        "outcomes": _family_json(
+            zip(value.labels, value.block_dims), "payload.outcomes", "block_dim"
+        ),
         "xi": _complex(value.xi),
         "unitary": _complex(value.unitary),
     }
@@ -361,7 +374,7 @@ def _decode_coefficients(payload, path):
 
 def _encode_coefficients(value, meta):
     rows = ((label, _complex(tensor)) for label, tensor in value.outcomes)
-    return {"dim_k": value.dim_k, "outcomes": _labelled(rows, "tensor")}
+    return {"dim_k": value.dim_k, "outcomes": _family_json(rows, "payload.outcomes", "tensor")}
 
 
 def _decode_states(payload, path):
@@ -377,16 +390,15 @@ def _decode_states(payload, path):
 
 
 def _encode_states(value, meta):
-    if not value:
-        raise FormatError("payload.states: must not be empty")
     paths = [f"payload.states[{i}].matrix" for i in range(len(value))]
     rows = [(label, _matrix(matrix, path)) for (label, matrix), path in zip(value, paths)]
+    states = _family_json(rows, "payload.states", "matrix")
     dim = meta.get("dim")
     dim = len(rows[0][1]) if dim is None else _dimension(dim, "payload.dim")
     for (_, matrix), path in zip(rows, paths):
         if matrix.shape != (dim, dim):
             raise FormatError(f"{path}: expected shape {(dim, dim)}, got {matrix.shape}")
-    return {"dim": dim, "states": _labelled(rows, "matrix")}
+    return {"dim": dim, "states": states}
 
 
 def _decode_report(payload, path):
@@ -438,9 +450,10 @@ def load(path) -> Document:
 def save(doc: Document, path) -> None:
     """Write a document; floats use shortest-round-trip decimals.
 
-    A ``matrix`` or ``states`` document whose arrays or dimensions ``load``
-    would refuse raises FormatError; the other kinds' constructors have
-    already checked theirs.
+    A document that ``load`` would refuse raises FormatError and writes
+    nothing: a ``matrix`` or ``states`` document with arrays or dimensions
+    outside ``load``'s rules, which no constructor checks, and a document
+    with no outcomes, effects or states, which the constructors allow.
 
     The bytes are those of ``json.dump(body, indent=2, allow_nan=False)``
     and a newline, with every array in its ``matrix_to_json`` form.  The

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .cpmaps import KrausSet, _effect, _kraus_of_factor, _rebuilt, minimal_kraus
+from .cpmaps import KrausSet, _effect, _kraus_of_factor, _rebuilt, _running_sum, minimal_kraus
 from .errors import InstrumentumError
 from .matkernel import (
     DEFAULT_TOL,
@@ -200,7 +200,9 @@ class DiscreteInstrument:
 
     ``outcomes`` is an ordered tuple of ``(label, KrausSet)`` pairs; each
     Kraus set maps the input space (dimension ``dim_in``) to the output
-    space (dimension ``dim_out``).
+    space (dimension ``dim_out``).  Formed on first need, the instrument
+    keeps its effects ``M(i, I)``, as one read-only ``(len(self), dim_in,
+    dim_in)`` stack in outcome order, and its normalization defect.
     """
 
     dim_in: int
@@ -237,15 +239,18 @@ class DiscreteInstrument:
 
     @cached_property
     def _normalization(self) -> tuple:
-        """The read-only effects ``M(i, I)`` in outcome order and ``||sum_i M(i, I) - I||_F``.
+        """The effects ``M(i, I)`` and the defect ``||sum_i M(i, I) - I||_F``.
 
-        Formed on first need and kept, as the instrument is immutable; the
-        verdict depends on the caller's ``Tolerances`` and is not kept.
+        The effects are one read-only ``(len(self), dim_in, dim_in)`` stack in
+        outcome order.  Formed on first need and kept, as the instrument is
+        immutable; the verdict depends on the caller's ``Tolerances`` and is
+        not kept.
         """
-        effects = tuple(_effect(kraus) for _, kraus in self.outcomes)
-        for e in effects:
-            e.setflags(write=False)
-        total = sum(effects, np.zeros((self.dim_in, self.dim_in), dtype=np.complex128))
+        effects = np.empty((len(self.outcomes), self.dim_in, self.dim_in), dtype=np.complex128)
+        for i, (_, kraus) in enumerate(self.outcomes):
+            effects[i] = _effect(kraus)
+        effects.setflags(write=False)
+        total = _running_sum(effects)
         return effects, float(np.linalg.norm(total - np.eye(self.dim_in)))
 
 
@@ -297,11 +302,11 @@ def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Instrument
     return InstrumentValidation(defect <= threshold, defect, threshold, counts)
 
 
-def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple:
+def require_valid(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Raise when ``m`` fails normalization; else return its effects ``M(i, I)``.
 
-    The effects are the instrument's own read-only arrays, in outcome order,
-    so callers need not form them again.
+    The effects are the instrument's own read-only ``(len(m), dim_in,
+    dim_in)`` stack, in outcome order, so callers need not form them again.
     """
     report = validate(m, tol)
     if not report.passed:
@@ -500,14 +505,15 @@ def margins(b: BiInstrument, tol: Tolerances = DEFAULT_TOL) -> tuple[Povm, Povm]
     The first margin sums effects over the second label, the second margin
     over the first.
     """
-    p = associate_povm(b, tol)
-    zero = np.zeros((b.dim_in, b.dim_in), dtype=np.complex128)
-    # the factor label sets are distinct, so each keys its margin in order
-    first, second = dict.fromkeys(b.first_labels, zero), dict.fromkeys(b.second_labels, zero)
-    for (lab1, lab2), matrix in p.effects:
-        first[lab1] = first[lab1] + matrix
-        second[lab2] = second[lab2] + matrix
-    return Povm(b.dim_in, tuple(first.items())), Povm(b.dim_in, tuple(second.items()))
+    effects = require_valid(b, tol)
+    out = []
+    for side, labels in enumerate((b.first_labels, b.second_labels)):
+        index = {label: i for i, label in enumerate(labels)}  # the factor labels are distinct
+        total = np.zeros((len(labels), b.dim_in, b.dim_in), dtype=np.complex128)
+        # unbuffered: each effect is added onto its margin's running sum in outcome order
+        np.add.at(total, [index[label[side]] for label in b.labels], effects)
+        out.append(Povm(b.dim_in, tuple(zip(labels, total))))
+    return tuple(out)
 
 
 def refine_rank1(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrument:

@@ -78,17 +78,22 @@ DEFAULT_TOL = Tolerances()
 
 def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a read-only 2-D complex128 array, rejecting non-finite entries."""
-    out = np.array(a, dtype=np.complex128, order="C")
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {out.shape}")
-    _require_finite(out.view(np.float64), name)
+    out = _checked_matrix(np.array(a, dtype=np.complex128, order="C"), name)
     out.setflags(write=False)
     return out
 
 
+def _checked_matrix(a: np.ndarray, name: str) -> np.ndarray:
+    """The C-ordered complex128 array ``a``; raises unless it is 2-D and finite."""
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    _require_finite(a.view(np.float64), name)
+    return a
+
+
 def _require_finite(a: np.ndarray, name: str) -> None:
     """Raise ``ValueError`` when the array ``a`` holds a NaN or Inf entry."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
 
 
@@ -122,21 +127,20 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a, name="kron factor"), as_matrix(b, name="kron factor"))
 
 
-def herm_defect(a) -> float:
-    """Frobenius distance from ``a`` to its conjugate transpose."""
-    a = np.asarray(a)
-    return float(np.linalg.norm(a - a.conj().T))
-
-
 def require_hermitian(a, tol: Tolerances = DEFAULT_TOL, *, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``eps_herm`` and return the symmetrized matrix."""
-    a = as_matrix(a, name=name)
+    """Validate Hermiticity within ``eps_herm`` and return the symmetrized matrix.
+
+    ``a`` is checked as ``as_matrix`` checks it but not copied: the
+    symmetrized result is a new read-only C-ordered array.
+    """
+    a = _checked_matrix(np.asarray(a, dtype=np.complex128, order="C"), name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    defect = herm_defect(a)
+    adjoint = a.conj().T
+    defect = float(np.linalg.norm(a - adjoint))
     if defect > tol.eps_herm * max(1.0, float(np.linalg.norm(a))):
         raise InstrumentumError(f"{name} is not Hermitian: defect {defect:.3e}")
-    sym = (a + a.conj().T) / 2.0
+    sym = (a + adjoint) / 2.0
     sym.setflags(write=False)
     return sym
 

@@ -35,7 +35,7 @@ def _check_state(rho, dim: int, tol: Tolerances) -> np.ndarray:
         raise ValueError(f"state has shape {rho.shape}, expected {(dim, dim)}")
     if not _is_psd(rho, tol):
         raise InstrumentumError("input state is not positive semidefinite")
-    trace = float(np.trace(rho).real)
+    trace = float(rho.trace().real)
     if abs(trace - 1.0) > tol.eps_eq * max(1.0, float(np.sqrt(dim))):
         raise InstrumentumError(f"input state has trace {trace!r}")
     return rho
@@ -47,7 +47,8 @@ def outcome_distribution(
     """Probabilities ``tr[rho M(i)]`` of all outcomes, in label order."""
     effects = require_valid(m, tol)
     rho = _check_state(rho, m.dim_in, tol)
-    return tuple((label, float(np.trace(rho @ e).real)) for label, e in zip(m.labels, effects))
+    probabilities = np.trace(rho @ effects, axis1=1, axis2=2).real
+    return tuple(zip(m.labels, probabilities.tolist()))
 
 
 def posterior_state(
@@ -84,7 +85,7 @@ def _conditioned(m: DiscreteInstrument, rho, subset, zero, tol: Tolerances) -> t
     for label, kraus in m.outcomes:
         if label in subset:
             raw += _schrodinger(kraus, rho)
-    weight = float(np.trace(raw).real)
+    weight = float(raw.trace().real)
     if weight <= tol.eps_eq:
         raise InstrumentumError(zero())
     state = (raw + dagger(raw)) / (2.0 * weight)
@@ -105,11 +106,11 @@ def conditional_expectation(
     b = as_matrix(b, name="observable")
     if b.shape != (m.dim_out, m.dim_out):
         raise ValueError(f"observable has shape {b.shape}, expected {(m.dim_out, m.dim_out)}")
-    out = []
-    for label, kraus in m.outcomes:
-        raw = _schrodinger(kraus, rho)
-        weight = float(np.trace(raw).real)
-        if weight <= tol.eps_eq:
-            continue
-        out.append((label, complex(np.trace(raw @ b) / weight)))
-    return tuple(out)
+    raw = np.array([_schrodinger(kraus, rho) for _, kraus in m.outcomes])
+    weights = np.trace(raw, axis1=1, axis2=2).real
+    fired = weights > tol.eps_eq
+    # divided in numpy, as complex / float in Python rounds differently, and only where
+    # fired, so that a zero weight raises no warning
+    values = np.trace(raw[fired] @ b, axis1=1, axis2=2) / weights[fired]
+    labels = [label for label, keep in zip(m.labels, fired.tolist()) if keep]
+    return tuple(zip(labels, values.tolist()))

@@ -357,6 +357,20 @@ class TestModels:
         assert code == 0, err
         assert np.allclose(np.sum(report["kernel"], axis=0), (1 + 1e-6) ** 2, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "spelling", [("--coupling", "{}"), ("--coupling={}",)], ids=["apart", "joined"]
+    )
+    def test_negative_coupling_in_any_float_spelling(self, run, probe_files, spelling):
+        def model(coupling):
+            coupling_args = (arg.format(coupling) for arg in spelling)
+            return run("standard-model", *probe_files, "--pointer", "0;1", *coupling_args)
+
+        code, report, err = model("-1e-3")
+        assert code == 0, err
+        assert report == model("-0.001")[1]
+        code, report, err = model("-inf")
+        assert (code, report, err) == (1, None, "error: coupling must be finite, got -inf\n")
+
     def test_bad_pointer_spec(self, run, tmp_path):
         a_path = tmp_path / "a.json"
         save(Document(kind="matrix", value=np.eye(2, dtype=complex)), a_path)

@@ -14,6 +14,7 @@ from instrumentum import (
     KrausSet,
     MeasurementModel,
     Povm,
+    StinespringDilation,
     lueders,
     load,
     measurement_model,
@@ -405,6 +406,31 @@ class TestSaveBytes:
         (tmp_path / "hand.json").write_text(json.dumps(json_form(doc)))
         with pytest.raises(FormatError):
             load(tmp_path / "hand.json")
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (Document("instrument", DiscreteInstrument(2, 2, ())), "payload.outcomes"),
+            (Document("povm", Povm(2, ())), "payload.effects"),
+            (Document("coefficients", CompatCoefficients(2, ())), "payload.outcomes"),
+            (
+                Document("dilation", StinespringDilation(2, 2, (), (), np.zeros((0, 2)))),
+                "payload.outcomes",
+            ),
+        ],
+        ids=["instrument", "povm", "coefficients", "dilation"],
+    )
+    def test_an_empty_family_is_refused_with_loads_message(self, tmp_path, doc, path):
+        # the constructors allow no outcomes, but load refuses a document without any
+        message = f"{path}: must not be empty"
+        with pytest.raises(FormatError) as saved:
+            save(doc, tmp_path / "doc.json")
+        assert str(saved.value) == message
+        assert not (tmp_path / "doc.json").exists()
+        (tmp_path / "hand.json").write_text(json.dumps(json_form(doc)))
+        with pytest.raises(FormatError) as loaded:
+            load(tmp_path / "hand.json")
+        assert str(loaded.value) == message
 
     def test_states_take_their_dimension_from_the_first_state(self, tmp_path):
         states = (("a", np.eye(2) / 2), ("b", np.diag([1.0, 0.0])))

@@ -22,6 +22,8 @@ from instrumentum import (
     validate,
 )
 
+from instrumentum.cpmaps import _effect
+
 from helpers import (
     action_distance,
     basis_pvm,
@@ -199,6 +201,33 @@ class TestCompose:
         for label in m2.labels:
             expected = apply_heisenberg(t1, associate_povm(m2).effect(label))
             assert np.allclose(second.effect(label), expected)
+
+    def test_margins_are_the_loop_over_outcomes_to_the_bit(self, corpus):
+        def margins_loop(b):
+            zero = np.zeros((b.dim_in, b.dim_in), dtype=np.complex128)
+            first = dict.fromkeys(b.first_labels, zero)
+            second = dict.fromkeys(b.second_labels, zero)
+            for (lab1, lab2), kraus in b.outcomes:
+                effect = _effect(kraus)
+                first[lab1], second[lab2] = first[lab1] + effect, second[lab2] + effect
+            return tuple(first.items()), tuple(second.items())
+
+        composed = [
+            compose_sequential(m1, m2)
+            for m1 in corpus.values()
+            for m2 in corpus.values()
+            if m1.dim_out == m2.dim_in
+        ]
+        # the Lueders instrument twice, off-diagonal zero outcomes left out and the rest reversed,
+        # with a first label no outcome carries: a strict subset of the product set, out of order
+        z = qubit_z_luders()
+        kept = [(label, k) for label, k in compose_sequential(z, z).outcomes if label[0] == label[1]]
+        composed.append(BiInstrument(2, 2, kept[::-1], (0, 1, "unused"), (0, 1)))
+        for b in composed:
+            for got, expected in zip(margins(b), margins_loop(b)):
+                assert [(lab, e.tobytes()) for lab, e in got.effects] == [
+                    (lab, e.tobytes()) for lab, e in expected
+                ]
 
     def test_products_follow_first_then_second_operator(self):
         rng = np.random.default_rng(53)

@@ -8,7 +8,6 @@ from instrumentum.matkernel import (
     _fix_phases,
     _kept,
     as_matrix,
-    herm_defect,
     herm_eig,
     herm_exp,
     isometry_complete,
@@ -199,7 +198,7 @@ class TestRequireHermitian:
     def test_symmetrizes(self):
         a = np.array([[1.0, 1.0 + 1e-12j], [1.0 - 1e-12j, 2.0]])
         out = require_hermitian(a)
-        assert herm_defect(out) == 0.0
+        assert np.linalg.norm(out - out.conj().T) == 0.0  # no Hermiticity defect left
 
     def test_relative_scale(self):
         # a large matrix with a proportionally small defect is still accepted
@@ -209,6 +208,43 @@ class TestRequireHermitian:
     def test_non_square_is_a_shape_error(self):
         with pytest.raises(ValueError, match="must be square"):
             require_hermitian(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("layout", ["complex", "fortran", "real", "integer", "strided", "reversed"])
+    def test_reads_the_input_in_place_and_returns_a_new_array(self, layout):
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = g + g.conj().T
+        a = {
+            "complex": h,
+            "fortran": np.asfortranarray(h),
+            "real": h.real.copy(),
+            "integer": np.round(4 * h.real).astype(np.int64),
+            "strided": np.repeat(h, 2, axis=1)[:, ::2],  # a view, every other column
+            "reversed": h[::-1, ::-1],
+        }[layout]
+        snapshot = a.copy()
+        out = require_hermitian(a)
+        assert out is not a and not np.shares_memory(out, a)
+        assert a.flags.writeable and a.tobytes() == snapshot.tobytes()
+        assert out.dtype == np.complex128 and out.flags.c_contiguous and not out.flags.writeable
+        c = np.array(a, dtype=np.complex128)
+        assert out.tobytes() == ((c + c.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "a, error, message",
+        [
+            ([1.0, 2.0], ValueError, "state must be 2-dimensional, got shape (2,)"),
+            (np.ones((2, 3)), ValueError, "state must be square, got shape (2, 3)"),
+            ([[np.nan, 0], [0, 1]], ValueError, "state contains NaN or Inf entries"),
+            ([[1j * np.inf, 0], [0, 1]], ValueError, "state contains NaN or Inf entries"),
+            ([[0, 1], [0, 0]], InstrumentumError, "state is not Hermitian: defect 1.414e+00"),
+        ],
+        ids=["1-D", "non-square", "nan", "complex-inf", "non-hermitian"],
+    )
+    def test_rejects_as_as_matrix_does(self, a, error, message):
+        with pytest.raises(error) as caught:
+            require_hermitian(a, name="state")
+        assert str(caught.value) == message
 
 
 class TestIsometryComplete:

@@ -1,5 +1,7 @@
 """Outcome statistics and conditioned states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from instrumentum import (
     posterior_state,
 )
 
-from instrumentum.matkernel import dagger, require_hermitian
+from instrumentum.cpmaps import _effect
+from instrumentum.matkernel import DEFAULT_TOL, dagger, require_hermitian
 
 from helpers import basis_pvm, rand_state
 
@@ -164,3 +167,48 @@ def test_posterior_is_the_per_outcome_sum_to_the_bit(corpus):
             result = posterior_state(m, rho, label)
             assert result.probability == weight, (name, label)
             assert result.state.tobytes() == state.tobytes(), (name, label)
+
+
+def distribution_loop(m, rho):
+    """``outcome_distribution`` as a loop over the outcomes, one product and one trace each."""
+    rho = require_hermitian(rho)
+    return tuple((label, float(np.trace(rho @ _effect(k)).real)) for label, k in m.outcomes)
+
+
+def expectation_loop(m, rho, b):
+    """``conditional_expectation`` as a loop over the outcomes, dividing one value at a time."""
+    rho, b = require_hermitian(rho), np.asarray(b, dtype=np.complex128)
+    out = []
+    for label, kraus in m.outcomes:
+        raw = apply_schrodinger(kraus, rho)
+        weight = float(np.trace(raw).real)
+        if weight > DEFAULT_TOL.eps_eq:
+            out.append((label, complex(np.trace(raw @ b) / weight)))
+    return tuple(out)
+
+
+def bits(pairs):
+    """``(label, value)`` pairs with the parts of each float or complex value in hex."""
+    return [(label, complex(value).real.hex(), complex(value).imag.hex()) for label, value in pairs]
+
+
+def test_stacked_queries_are_the_per_outcome_loops_to_the_bit(corpus):
+    rng = np.random.default_rng(31)
+    cases = [
+        (name, m, rand_state(rng, m.dim_in, rank)) for name, m in corpus.items() for rank in (1, None)
+    ]
+    # an outcome that cannot fire: its zero weight is skipped with no 0 / 0
+    cases.append(("zero-probability", z_luders(), np.diag([1.0, 0.0]).astype(complex)))
+    shapes = {name: m for name, m, _ in cases}
+    assert any(len(k) == 0 for _, k in shapes["zero-outcome"].outcomes)  # an empty Kraus set
+    assert shapes["trivial-mixed"].dim_out == 1
+    for name, m, rho in cases:
+        b = rng.standard_normal((m.dim_out, m.dim_out, 2)) @ [1.0, 1j]
+        b = b + dagger(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist, expect = outcome_distribution(m, rho), conditional_expectation(m, rho, b)
+        assert bits(dist) == bits(distribution_loop(m, rho)), name
+        assert bits(expect) == bits(expectation_loop(m, rho, b)), name
+        assert all(type(p) is float for _, p in dist) and all(type(v) is complex for _, v in expect)
+    assert len(expect) == 1 and expect[0][0] == 0  # the zero-probability outcome is omitted

@@ -184,14 +184,17 @@ def test_kept_defect_carries_no_verdict(order):
 
 def test_kept_effects_are_read_only_and_never_handed_out_writable():
     m = slightly_denormalized()
-    (kept,) = require_valid(m, LOOSE)
+    kept = require_valid(m, LOOSE)  # the stack of the one outcome's effect
+    assert kept.shape == (1, 2, 2)
     snapshot = kept.copy()
-    assert not kept.flags.writeable
+    assert not kept.flags.writeable and not kept[0].flags.writeable
     with pytest.raises(ValueError):
-        kept[0, 0] = 0.0
+        kept[0, 0, 0] = 0.0
+    with pytest.raises(ValueError):
+        kept[0][0, 0] = 0.0
     ((_, povm_effect),) = associate_povm(m, LOOSE).effects
     assert not np.shares_memory(povm_effect, kept)
     ((_, p),) = outcome_distribution(m, RHO, LOOSE)
     assert type(p) is float
-    (again,) = require_valid(m, LOOSE)
+    again = require_valid(m, LOOSE)
     assert again is kept and again.tobytes() == snapshot.tobytes()
