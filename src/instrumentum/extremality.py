@@ -22,14 +22,19 @@ the singular values of its complex matrix in the standard basis.
   the rows of coordinates of ``|m_i><m_i|``, one block of the Gram rank; its
   witness ``B`` has ``<m_i| B m_i> = 0`` for every ``i``.
 
-The span rank and ``marginal`` come from the singular values of ``R`` alone.
-With more columns than rows (``sum_i n(i)^2 > dim_in^2``, Choi's bound, or
-``r^2 > n``, Li and Tam's) the count decides the verdict, and the witness is
-the kernel vector of the first ``rows + 1`` columns.  Otherwise a rank below
-the column count takes one thin SVD, and the witness is the first projection
-``P e_j`` of a unit vector onto the kernel that passes the residual test.
-Either way the witness has its entry of largest modulus positive, so it does
-not depend on the kernel basis LAPACK returns.
+The span rank and ``marginal`` are those of the span-rank rule on the
+singular values of ``R``.  A Cholesky certificate on the Gram of ``R`` on its
+short side (``matkernel._full_span_rank``) reports full rank, not marginal,
+without them; only when it fails are the singular values taken.  With more
+columns than rows (``sum_i n(i)^2 > dim_in^2``, Choi's bound, or ``r^2 > n``,
+Li and Tam's) the count decides the verdict, and the witness is the kernel
+vector of the first ``rows + 1`` columns; there, when it costs less, the
+Gram comes from the Choi blocks of each outcome (``_choi_gram``) and no
+other column of ``R`` is formed unless the certificate fails.  Otherwise a
+rank below the column count takes one thin SVD, and the witness is the first
+projection ``P e_j`` of a unit vector onto the kernel that passes the
+residual test.  Either way the witness has its entry of largest modulus
+positive, so it does not depend on the kernel basis LAPACK returns.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
     _factor,
+    _full_span_rank,
     _span_rank,
     dagger,
     require_hermitian,
@@ -67,17 +73,19 @@ __all__ = [
 class ExtremalityReport:
     """Verdict of the linear-independence criterion for an instrument.
 
-    ``span_rank`` is the rank of the family ``{A_k(i)^dag A_l(i)}``, from
-    the singular values of the criterion in real Hermitian coordinates, and
-    ``required_rank`` its cardinality ``sum_i n(i)^2``; the instrument is
-    extreme exactly when the two agree, so never when ``required_rank >
-    dim_in^2``.  ``witness`` (present only when not extreme) holds one
+    ``span_rank`` is the rank of the family ``{A_k(i)^dag A_l(i)}`` by the
+    span-rank rule on the singular values of the criterion in real Hermitian
+    coordinates, read off a Cholesky certificate on its Gram where that
+    shows full rank, and ``required_rank`` its cardinality ``sum_i
+    n(i)^2``; the instrument is extreme exactly when the two agree, so never
+    when ``required_rank > dim_in^2``.  ``witness`` (present only when not extreme) holds one
     read-only Hermitian block per outcome, normalized to unit operator norm,
     annihilating the family: above that count the kernel vector of the first
     ``dim_in^2 + 1`` columns, below it the first projection of a unit vector
     onto the kernel that passes the residual test, its largest coordinate
     positive.  ``marginal`` flags verdicts where the smallest retained
-    singular value sits within a factor ten of the rank cutoff.
+    singular value sits within a factor ten of the rank cutoff; a certified
+    full rank has every value past ten times the cutoff, so is not marginal.
     """
 
     is_extreme: bool
@@ -177,26 +185,56 @@ def _pairs(block_dims: tuple) -> tuple:
     return tuple(plan)
 
 
-def _criterion_matrix(blocks: list, dim_in: int) -> np.ndarray:
+def _criterion_matrix(blocks: list, dim_in: int, columns: int | None = None) -> np.ndarray:
     """The real matrix ``R`` of the criterion for the minimal Kraus sets ``blocks``.
 
     Column ``j`` of the block of outcome ``i`` holds the coordinates of
     ``sum_{k,l} H_j[k, l] A_k(i)^dag A_l(i)`` for the ``j``-th basis element
     ``H_j``; the map commutes with the adjoint, so ``R`` is real.  It is
-    written as ``R^T`` over slices of the pairs of ``_pairs``.
+    written as ``R^T`` over slices of the pairs of ``_pairs``.  With
+    ``columns`` only the first ``columns`` columns are formed, from the same
+    slices as the whole, so they hold the same bytes.
     """
     stack = np.concatenate([ks.stack for ks in blocks])
     adjoints = dagger(stack)
     k, l, rows, anti, scale = _pairs(tuple(len(ks) for ks in blocks))
-    rt = np.empty((sum(len(ks) ** 2 for ks in blocks), dim_in * dim_in))
+    columns = sum(len(ks) ** 2 for ks in blocks) if columns is None else columns
+    rt = np.empty((columns, dim_in * dim_in))
     step = max(1, _SLICE_ENTRIES // (dim_in * dim_in))
-    for start in range(0, len(k), step):
+    # a pair's real row rises with the pair and its imaginary row lies past it, so the
+    # first columns come from the leading pairs
+    for start in range(0, int(np.searchsorted(rows, columns)), step):
         part = slice(start, start + step)
         c = _coordinates(adjoints[k[part]] @ stack[l[part]])
-        rt[rows[part]] = c.real * scale[part]
-        off = anti[part] >= 0
-        rt[anti[part][off]] = -_SQRT2 * c.imag[off]
+        real, imag = rows[part], anti[part]
+        kept = real < columns
+        rt[real[kept]] = (c.real * scale[part])[kept]
+        kept = (imag >= 0) & (imag < columns)
+        rt[imag[kept]] = -_SQRT2 * c.imag[kept]
     return rt.T
+
+
+def _choi_gram(blocks: list, dim_in: int, dim_out: int) -> np.ndarray:
+    """The Gram ``R R^T`` of the criterion in matrix units, formed without ``R``.
+
+    ``R R^T`` is the matrix of ``L L^dag`` for ``L: D -> sum_{k,l} D[k, l]
+    A_k^dag A_l``, written in Hermitian coordinates; in matrix units it is
+    ``sum_i sum_{s,t} C_st(i) (x) conj(C_st(i))`` with ``C_st = B_s^dag B_t``,
+    ``B_s`` the ``n(i) x dim_in`` matrix of output row ``s`` of every Kraus
+    operator.  The ``C_st`` are the blocks of the Choi matrix ``S^dag S`` of
+    the Kraus rows ``S``, and one product ``Cp Cp^dag``, with ``Cp[(a, c),
+    (s, t)] = C_st[a, c]``, forms the realignment of the sum.  Per outcome
+    that costs about ``dim_in^4 dim_out^2`` and holds no ``n(i)^2`` term.
+    """
+    d = dim_in
+    parts = []
+    for ks in filter(len, blocks):
+        rows = ks.stack.reshape(len(ks), dim_out * d)  # S[k, (s, a)] = A_k[s, a]
+        choi = (rows.conj().T @ rows).reshape(dim_out, d, dim_out, d)  # C_st[a, c] at [s, a, t, c]
+        parts.append(choi.transpose(1, 3, 0, 2).reshape(d * d, dim_out * dim_out))
+    cp = np.concatenate(parts, axis=1)
+    realigned = cp @ cp.conj().T  # [(a, c), (a', c')]: sum C_st[a, c] conj(C_st[a', c'])
+    return realigned.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def _singular_values(r: np.ndarray) -> np.ndarray:
@@ -222,22 +260,37 @@ def _op_norm(blocks) -> float:
     return max((float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in blocks)
 
 
-def _rank_and_witness(r: np.ndarray, block_dims, n: int, tol: Tolerances) -> tuple:
+def _rank_and_witness(
+    r: np.ndarray, block_dims, n: int, tol: Tolerances, gram=None, whole=None
+) -> tuple:
     """The extremality criterion on the real ``r``: its rank, ``marginal`` flag, and witness.
 
     The columns of ``r`` fall into blocks of the ``k * k`` Hermitian
-    coordinates of the sizes ``k`` of ``block_dims``.  The witness is None
-    when the columns are independent.  Otherwise the candidates are, with
-    more columns than rows, the kernel vector of the first ``rows + 1``
-    columns (the last column of the complete QR factor of their transpose),
-    zero-padded, and else the projections ``P e_j = e_j - V_r V_r^T e_j`` in
-    order of ``j``.  The witness is the first candidate that, with its
-    largest entry positive and scaled to unit operator norm, leaves a
-    residual ``||r v|| <= eps_eq * max(1, n)``: a tuple of read-only blocks.
-    Raises when no candidate qualifies.
+    coordinates of the sizes ``k`` of ``block_dims``.  ``r`` is the whole
+    criterion, or with more columns than rows its first ``rows + 1`` columns,
+    which then come with ``gram``, the Gram of the whole on its short side in
+    any orthonormal basis, and ``whole``, which forms the whole.  The rank and
+    ``marginal`` are ``_span_rank``'s on the singular values of the whole; when
+    the Gram certifies full rank (``_full_span_rank``) they are read off it and
+    no SVD runs.
+
+    The witness is None when the columns are independent.  Otherwise the
+    candidates are, with more columns than rows, the kernel vector of the
+    first ``rows + 1`` columns (the last column of the complete QR factor of
+    their transpose), zero-padded, and else the projections ``P e_j = e_j -
+    V_r V_r^T e_j`` in order of ``j``.  The witness is the first candidate
+    that, with its largest entry positive and scaled to unit operator norm,
+    leaves a residual ``||r v|| <= eps_eq * max(1, n)``: a tuple of read-only
+    blocks.  Raises when no candidate qualifies.
     """
-    rows, cols = r.shape
-    rank, marginal = _span_rank(_singular_values(r), r.shape, tol)
+    rows = r.shape[0]
+    shape = rows, cols = rows, sum(k * k for k in block_dims)
+    if gram is None:
+        gram = r.T @ r if cols <= rows else r @ r.T
+    if _full_span_rank(gram, shape, tol):
+        rank, marginal = min(shape), False
+    else:
+        rank, marginal = _span_rank(_singular_values(r if whole is None else whole()), shape, tol)
     if cols > rows:  # dependent by the count: Choi, Theorem 5; Li and Tam
         q = np.linalg.qr(r[:, : rows + 1].T, mode="complete")[0][:, -1]
         candidates = [np.concatenate((q, np.zeros(cols - rows - 1)))]
@@ -251,7 +304,8 @@ def _rank_and_witness(r: np.ndarray, block_dims, n: int, tol: Tolerances) -> tup
         v = v * np.sign(v[np.argmax(np.abs(v))])
         blocks = [_hermitian(x, k) for x, k in zip(np.split(v, cuts), block_dims)]
         op_norm = _op_norm(blocks)
-        if op_norm > 0.0 and np.linalg.norm(r @ v) <= tol.eps_eq * max(1.0, float(n)) * op_norm:
+        residual = np.linalg.norm(r @ v[: r.shape[1]])  # v is zero past the columns of r
+        if op_norm > 0.0 and residual <= tol.eps_eq * max(1.0, float(n)) * op_norm:
             for b in blocks:
                 b /= op_norm
                 b.setflags(write=False)
@@ -266,12 +320,24 @@ def instrument_extremal(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def _extremal(m: DiscreteInstrument, blocks: list, tol: Tolerances) -> ExtremalityReport:
-    """``instrument_extremal`` of a normalized ``m`` whose minimal Kraus sets are ``blocks``."""
+    """``instrument_extremal`` of a normalized ``m`` whose minimal Kraus sets are ``blocks``.
+
+    Past ``rows + 1`` columns, where only the witness columns of ``R`` are
+    needed, the Gram comes from the Choi blocks (``_choi_gram``) when that
+    costs less than forming ``R``: about ``4 dim_out^2`` against ``n(i)^2``
+    per outcome, each times ``dim_in^4``.
+    """
     block_dims = tuple(len(ks) for ks in blocks)
-    r = _criterion_matrix(blocks, m.dim_in)
-    rank, marginal, witness = _rank_and_witness(r, block_dims, m.dim_in, tol)
+    rows, cols = m.dim_in**2, sum(k * k for k in block_dims)
+    if cols > rows + 1 and cols > 4 * m.dim_out**2 * np.count_nonzero(block_dims):
+        r = _criterion_matrix(blocks, m.dim_in, rows + 1)
+        gram = _choi_gram(blocks, m.dim_in, m.dim_out)
+        whole = functools.partial(_criterion_matrix, blocks, m.dim_in)
+    else:
+        r, gram, whole = _criterion_matrix(blocks, m.dim_in), None, None
+    rank, marginal, witness = _rank_and_witness(r, block_dims, m.dim_in, tol, gram, whole)
     return ExtremalityReport(  # required_rank: the column count sum_i n(i)^2
-        witness is None, rank, r.shape[1], marginal, m.labels, block_dims, witness
+        witness is None, rank, cols, marginal, m.labels, block_dims, witness
     )
 
 

@@ -14,6 +14,7 @@ label sets round-trip through files unchanged.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -239,19 +240,20 @@ class DiscreteInstrument:
 
     @cached_property
     def _normalization(self) -> tuple:
-        """The effects ``M(i, I)`` and the defect ``||sum_i M(i, I) - I||_F``.
+        """The effects ``M(i, I)``, the defect ``||sum_i M(i, I) - I||_F`` and the Kraus counts.
 
         The effects are one read-only ``(len(self), dim_in, dim_in)`` stack in
-        outcome order.  Formed on first need and kept, as the instrument is
-        immutable; the verdict depends on the caller's ``Tolerances`` and is
-        not kept.
+        outcome order; the counts are ``validate``'s ``(label, kraus count)``
+        pairs.  Formed on first need and kept, as the instrument is immutable;
+        the verdict depends on the caller's ``Tolerances`` and is not kept.
         """
         effects = np.empty((len(self.outcomes), self.dim_in, self.dim_in), dtype=np.complex128)
         for i, (_, kraus) in enumerate(self.outcomes):
             effects[i] = _effect(kraus)
         effects.setflags(write=False)
         total = _running_sum(effects)
-        return effects, float(np.linalg.norm(total - np.eye(self.dim_in)))
+        counts = tuple((label, len(kraus)) for label, kraus in self.outcomes)
+        return effects, float(np.linalg.norm(total - np.eye(self.dim_in))), counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +298,8 @@ def validate(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Instrument
     The defect is the Frobenius norm of ``sum_i M(i, I) - I``; the check
     passes when it does not exceed ``eps_eq * sqrt(dim_in)``.
     """
-    defect = m._normalization[1]
-    threshold = tol.eps_eq * float(np.sqrt(m.dim_in))
-    counts = tuple((label, len(kraus)) for label, kraus in m.outcomes)
+    _, defect, counts = m._normalization
+    threshold = tol.eps_eq * math.sqrt(m.dim_in)
     return InstrumentValidation(defect <= threshold, defect, threshold, counts)
 
 

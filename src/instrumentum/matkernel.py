@@ -51,10 +51,12 @@ class Tolerances:
         ``numeric_rank``, the span ranks of ``verify_dilation``, the
         minimality test of ``kraus_equivalent``, the effect rank of
         ``rank1_nuclear_extract``, extremality's ``span_rank`` and
-        ``marginal`` (on the singular values of its real criterion matrix;
-        more columns than rows decide the verdict by the count, with no
-        cut), the Gram rank of ``correlation_extremal`` and the ``rank`` of
-        CLI ``choi``.
+        ``marginal`` (on the singular values of its real criterion matrix,
+        taken only when a Cholesky certificate on the criterion's Gram,
+        shifted by four times the square of ten times an upper bound of the
+        cutoff, fails; more columns than rows decide the verdict by the
+        count, with no cut), the Gram rank of ``correlation_extremal`` and
+        the ``rank`` of CLI ``choi``.
     """
 
     eps_herm: float = 1e-9
@@ -227,6 +229,29 @@ def _span_rank(s: np.ndarray, shape, tol: Tolerances) -> tuple[int, bool]:
     cut = tol.sv_rel_cutoff * float(s[0]) * max(shape)
     rank = int(np.count_nonzero(s > cut))
     return rank, rank > 0 and float(s[rank - 1]) <= 10.0 * cut
+
+
+def _full_span_rank(gram: np.ndarray, shape, tol: Tolerances) -> bool:
+    """Whether ``_span_rank`` keeps every singular value of a ``shape`` matrix and flags none.
+
+    ``gram`` is the matrix's Gram on its short side, ``a^T a`` or ``a a^T``
+    (side ``min(shape)``), in any orthonormal basis.  Its Frobenius norm is at
+    least ``s_0 ** 2``, so ``cut = sv_rel_cutoff * sqrt(||gram||_F) *
+    max(rows, cols)`` is at least the rule's cutoff.  A Cholesky factor of
+    ``gram - (4 (10 cut) ** 2 + slack) I`` exists only when every singular
+    value exceeds ``20 cut``, ``slack`` covering the rounding of the Gram and
+    of the factorization; then the rule reports rank ``min(shape)``, not
+    marginal, and this returns True.  False decides nothing: the caller takes
+    the singular values.
+    """
+    norm = float(np.linalg.norm(gram))
+    cut = tol.sv_rel_cutoff * np.sqrt(norm) * max(shape)
+    slack = 4.0 * max(shape) * np.sqrt(min(shape)) * np.finfo(float).eps * norm
+    try:
+        np.linalg.cholesky(gram - (4.0 * (10.0 * cut) ** 2 + slack) * np.eye(len(gram)))
+    except np.linalg.LinAlgError:  # not positive definite: no certificate
+        return False
+    return True
 
 
 def _rank(a: np.ndarray, tol: Tolerances) -> int:

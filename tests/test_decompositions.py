@@ -3,11 +3,13 @@
 A given Choi matrix, an effect, an output state and a correlation matrix
 each get one ``eigh``, which yields both the positivity verdict and the
 minimal factorization; a minimal Kraus set comes from one thin SVD of the
-Kraus operators, and no instrument-level operation forms or decomposes a
-``(dim_out * dim_in)``-sided matrix.  Kraus sets that are minimal by
-construction are not decomposed again, and a Kraus set keeps the last
-minimal cut of each kind with its singular values, so no later call on it
-under the same cutoff decomposes or cuts it again either.
+Kraus operators, and no instrument-level operation decomposes a ``(dim_out
+* dim_in)``-sided matrix (extremality above Choi's count forms the Choi
+blocks of an outcome, for the Gram of its criterion, but decomposes none).
+Kraus sets that are minimal by construction are not decomposed again, and a
+Kraus set keeps the last minimal cut of each kind with its singular values,
+so no later call on it under the same cutoff decomposes or cuts it again
+either.
 """
 
 import copy
@@ -46,7 +48,15 @@ from instrumentum import matkernel
 from instrumentum.cpmaps import _choi_columns, _minimal_cut
 
 from conftest import _count_package_calls
-from helpers import PAULI, basis_pvm, rand_instrument, rand_povm, rand_state, rand_unitary
+from helpers import (
+    PAULI,
+    basis_pvm,
+    full_rank_channel,
+    rand_instrument,
+    rand_povm,
+    rand_state,
+    rand_unitary,
+)
 
 RNG_SEED = 5
 
@@ -147,6 +157,19 @@ def test_correlation_extremal_decomposes_its_input_once(decompositions):
     assert decompositions.number("eigh") == decompositions.number("eigh", (4, 4)) == 1
     assert decompositions.number("svd", (4, 4)) == 0
     assert decompositions.number("eigvalsh", (4, 4)) == 0
+
+
+def test_full_rank_extremal_takes_no_svd_of_its_criterion(decompositions):
+    # 4096 criterion columns against 64 rows: full span rank is certified from the Gram,
+    # so the one SVD is the minimal Kraus set's, and the one QR that of the witness columns
+    m = full_rank_channel(8)
+    decompositions.clear()
+    instrument_extremal(m)
+    assert decompositions.number("svd") == decompositions.number("svd", (64, 64)) == 1
+    assert decompositions.number("qr") == decompositions.number("qr", (65, 64)) == 1
+    decompositions.clear()
+    instrument_extremal(m)  # the minimal Kraus set is kept
+    assert decompositions.number("svd") == 0
 
 
 def test_standard_model_decomposes_each_operator_once(decompositions):

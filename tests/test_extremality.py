@@ -25,11 +25,17 @@ from instrumentum import (
     witness_decompose,
 )
 
+from instrumentum import extremality
+from instrumentum.extremality import _choi_gram, _criterion_matrix, _rank_and_witness
+from instrumentum.matkernel import _full_span_rank
+
 from helpers import (
     action_distance,
     basis_pvm,
     depolarizing_kraus,
+    full_rank_channel,
     near_cut_instrument,
+    rand_instrument,
     rand_unitary,
 )
 
@@ -390,3 +396,148 @@ class TestCanonicalWitness:
         # those columns is the symmetric coordinate, and the witness is sigma_x
         witness = correlation_extremal(np.eye(2)).witness
         assert np.allclose(witness, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+
+
+def leading_values(shape):
+    """All singular values but the smallest of a ``seeded_criterion``: 1 down to 0.5."""
+    return np.linspace(1.0, 0.5, min(shape) - 1)
+
+
+def seeded_criterion(seed, shape, smallest):
+    """A real ``shape`` matrix with the singular values ``leading_values`` and last ``smallest``."""
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    left = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    s = np.append(leading_values(shape), smallest)
+    return (left[:, : len(s)] * s) @ right[: len(s)]
+
+
+def certificate_shift(shape, tol, singular_values):
+    """The shift the Gram certificate subtracts: ``4 (10 cut)^2`` plus its rounding slack."""
+    norm = np.sqrt(np.sum(np.asarray(singular_values) ** 4))  # ||G||_F
+    cut = tol.sv_rel_cutoff * np.sqrt(norm) * max(shape)
+    slack = 4.0 * max(shape) * np.sqrt(min(shape)) * np.finfo(float).eps * norm
+    return 4.0 * (10.0 * cut) ** 2 + slack
+
+
+def oracle_span_rank(r, tol):
+    """The span-rank rule restated on ``np.linalg.svd``: the rank and ``marginal``."""
+    s = np.linalg.svd(r, compute_uv=False)
+    cut = tol.sv_rel_cutoff * s[0] * max(r.shape)
+    rank = int(np.sum(s > cut))
+    return rank, bool(rank > 0 and s[rank - 1] <= 10.0 * cut)
+
+
+def oracle_count_witness(r, block_dims):
+    """The witness of a wide ``r``: the kernel of its first ``rows + 1`` columns, by ``svd``."""
+    rows, cols = r.shape
+    v = np.zeros(cols)
+    v[: rows + 1] = np.linalg.svd(r[:, : rows + 1])[2][-1]
+    v *= np.sign(v[np.argmax(np.abs(v))])
+    parts = np.split(v, np.cumsum([k * k for k in block_dims])[:-1])
+    herm = [sum(x * h for x, h in zip(p, hermitian_basis(k))) for p, k in zip(parts, block_dims)]
+    op_norm = max(np.max(np.abs(np.linalg.eigvalsh(b))) for b in herm)
+    return [b / op_norm for b in herm]
+
+
+class TestSpanCertificate:
+    """Full span rank is certified by a Cholesky factor of the criterion's Gram, else by its SVD."""
+
+    TOL = Tolerances(sv_rel_cutoff=1e-6)  # a shift far above the rounding of the Gram
+
+    @pytest.mark.parametrize("shape, block_dims", (((9, 4), (2,)), ((4, 8), (2, 2))))
+    @pytest.mark.parametrize("side", (1.1, 0.9))
+    def test_both_sides_of_the_shift_match_the_svd_oracle(
+        self, monkeypatch, shape, block_dims, side
+    ):
+        smallest = np.sqrt(side * certificate_shift(shape, self.TOL, leading_values(shape)))
+        r = seeded_criterion(41, shape, smallest)
+        fallbacks = []
+        original = extremality._singular_values
+        monkeypatch.setattr(
+            extremality, "_singular_values", lambda a: fallbacks.append(a) or original(a)
+        )
+        rank, marginal, witness = _rank_and_witness(r, block_dims, 2, self.TOL)
+        assert len(fallbacks) == (side < 1.0)  # certified above the shift, the SVD below it
+        assert (rank, marginal) == oracle_span_rank(r, self.TOL) == (min(shape), False)
+        if shape[1] <= shape[0]:
+            assert witness is None
+        else:
+            for got, want in zip(witness, oracle_count_witness(r, block_dims)):
+                assert np.allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", ((9, 4), (4, 8), (16, 17)))
+    def test_a_certificate_is_never_wrong(self, shape):
+        certified = 0
+        for tol in (Tolerances(), self.TOL):
+            for smallest in np.geomspace(1e-12, 1.0, 61):
+                r = seeded_criterion(7, shape, smallest)
+                gram = r.T @ r if shape[1] <= shape[0] else r @ r.T
+                if _full_span_rank(gram, shape, tol):
+                    certified += 1
+                    assert oracle_span_rank(r, tol) == (min(shape), False)
+        assert 0 < certified < 2 * 61
+
+    @pytest.mark.parametrize(
+        "dim_in, dim_out, fibers",
+        (
+            (3, 2, (1, 3, 0)),  # n(i) below and above dim_out, and a zero outcome
+            (4, 2, (5, 2)),
+            (3, 1, (2, 3)),  # dim_out = 1, as povm_extremal has it
+            (1, 3, (2, 1)),  # dim_in = 1
+        ),
+    )
+    def test_gram_from_the_choi_blocks_has_the_squared_singular_values(
+        self, dim_in, dim_out, fibers
+    ):
+        m = rand_instrument(np.random.default_rng(11), dim_in, dim_out, fibers)
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        s = np.linalg.svd(criterion_matrix(blocks, dim_in), compute_uv=False)
+        want = np.zeros(dim_in**2)
+        want[: len(s)] = s**2
+        got = np.linalg.eigvalsh(_choi_gram(blocks, dim_in, dim_out))[::-1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+    @pytest.mark.parametrize("columns", (1, 5, 17, 34))
+    def test_leading_columns_are_bytes_of_the_whole(self, columns):
+        m = rand_instrument(np.random.default_rng(3), 4, 3, (3, 0, 5))
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        whole = _criterion_matrix(blocks, 4)
+        assert whole.shape == (16, 34)
+        head = _criterion_matrix(blocks, 4, columns)
+        assert head.shape == (16, columns)
+        assert head.tobytes("A") == whole[:, :columns].tobytes("A")
+
+    def test_gram_route_decides_above_the_count_with_the_whole_criterions_bytes(self):
+        m = full_rank_channel(3)  # 81 columns against 9 rows: the Gram from the Choi blocks
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        r = _criterion_matrix(blocks, 3)
+        report = instrument_extremal(m)
+        want = oracle_span_rank(r, Tolerances())
+        assert (report.span_rank, report.marginal) == want == (9, False)
+        assert np.allclose(report.witness[0], oracle_count_witness(r, (9,))[0], atol=1e-10)
+        # its witness is the one of the whole criterion, byte for byte
+        whole = _rank_and_witness(r, (9,), 3, Tolerances())[2]
+        assert report.witness[0].tobytes() == whole[0].tobytes()
+
+    def test_gram_route_falls_back_to_the_whole_criterion(self, monkeypatch):
+        # three thirds of each half of C^6: the products span only block-diagonal operators,
+        # 2 * 9 of 36, with 6 * 9 columns
+        half = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
+        p = Povm(6, tuple((i, (half if i < 3 else np.eye(6) - half) / 3) for i in range(6)))
+        fallbacks = []
+        original = extremality._singular_values
+        monkeypatch.setattr(
+            extremality, "_singular_values", lambda a: fallbacks.append(a.shape) or original(a)
+        )
+        report = povm_extremal(p)
+        assert fallbacks == [(36, 54)]
+        t = trivial_from_povm(p)
+        r = _criterion_matrix([k for _, k in t.outcomes], 6)
+        want = oracle_span_rank(r, Tolerances())
+        assert (report.span_rank, report.marginal) == want == (18, False)
+        assert not report.is_extreme
+        # the leading columns have a kernel of more than one dimension: check the residual
+        v = [np.trace(h @ b).real for b in report.witness for h in hermitian_basis(len(b))]
+        assert np.linalg.norm(r @ np.array(v)) <= 1e-12

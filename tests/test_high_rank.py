@@ -96,3 +96,18 @@ def test_full_rank_channel_memory_peak(d, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+# tracemalloc peak of instrument_extremal alone on a fresh full-rank channel at d = 10: its
+# criterion R (100 x 10^4 reals) is 7.6 MiB, and with more columns than rows only its first
+# rows + 1 columns are formed, the span rank coming from a Gram of side d^2 (1.7 MiB peak)
+def test_full_rank_extremal_forms_no_whole_criterion():
+    m = full_rank_channel(10)
+    tracemalloc.start()
+    try:
+        report = instrument_extremal(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.is_extreme, report.span_rank, report.marginal) == (False, 100, False)
+    assert peak <= 4 * 2**20
