@@ -636,6 +636,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

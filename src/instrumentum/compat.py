@@ -34,9 +34,9 @@ from .cpmaps import (
     KrausSet,
     _difference,
     _effect,
+    _largest_distance,
     _minimal_cut,
     _rebuilt,
-    action_distance,
     apply_schrodinger,
     minimal_kraus,
 )
@@ -231,16 +231,17 @@ def compat_channel(
     require_valid(m, tol)
     fibers = _decompose(m, tol)
     max_residual = 0.0
+    pairs = []
     for (psi, phi, c_i), (_, kraus) in zip(fibers, m.outcomes):
         n_i = len(psi)
         if n_i == 0:
             continue
         solve_residual = float(np.linalg.norm(c_i @ psi - phi))
         iso_defect = float(np.linalg.norm(dagger(c_i) @ c_i - np.eye(n_i)))
+        max_residual = max(max_residual, solve_residual, iso_defect)
         # psi^dag T_i(.) psi against the outcome map
-        pair = (c_i.reshape(m.dim_out, -1, n_i).transpose(1, 0, 2) @ psi, kraus.stack)
-        recon = _difference(pair, pair, m.dim_in)[0]
-        max_residual = max(max_residual, solve_residual, iso_defect, recon)
+        pairs.append((c_i.reshape(m.dim_out, -1, n_i).transpose(1, 0, 2) @ psi, kraus.stack))
+    max_residual = max(max_residual, _largest_distance(pairs, m.dim_in))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return CompatChannelDecomposition(
         dim_in=m.dim_in,
@@ -313,7 +314,7 @@ def lueders_factorization(
 
     phi = KrausSet(dim, m.dim_out, _block_product(isometries, m.dim_out, u @ vh))
     pair = (phi.stack @ root, _pooled(m, subset).stack)  # root Phi(.) root against M(X, .)
-    max_err = _difference(pair, pair, dim)[0]
+    max_err = _largest_distance([pair], dim)
     unit_defect = float(np.linalg.norm(_effect(phi) - np.eye(dim)))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim)))
     passed = max_err <= threshold and unit_defect <= threshold
@@ -345,12 +346,13 @@ def pvm_compat(
         raise InstrumentumError("dilation of a projection valued measure should be unitary")
     ops = _block_product(isometries, m.dim_out, fibers)
     conjugated = KrausSet(m.dim_in, m.dim_out, ops)
-    max_err = 0.0
-    for (_, effect), (_, kraus) in zip(p.effects, m.outcomes):
-        # B -> M(i) T(B) - M(i, B) has left operators C_k M(i)^dag and right operators C_k;
-        # T(B) M(i) - M(i, B) is its adjoint at B^dag, so its block norms are the same
-        left = (ops @ dagger(effect), kraus.stack)
-        max_err = max(max_err, _difference(left, (ops, kraus.stack), m.dim_in)[0])
+    # B -> M(i) T(B) - M(i, B) has left operators C_k M(i)^dag and right operators C_k;
+    # T(B) M(i) - M(i, B) is its adjoint at B^dag, so its block norms are the same
+    pairs = [
+        ((ops @ dagger(effect), kraus.stack), (ops, kraus.stack))
+        for (_, effect), (_, kraus) in zip(p.effects, m.outcomes)
+    ]
+    max_err = max(largest for largest, _ in _difference(pairs, m.dim_in))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return conjugated, PvmCompatReport(max_err <= threshold, max_err)
 
@@ -395,9 +397,8 @@ def rank1_nuclear_extract(
     # from the instrument's own fibers: nuclear() would re-check p's effects as outside input
     fibers = [_minimal_cut(kraus, "fiber", tol)[0] for _, kraus in m.outcomes]
     rebuilt = _nuclear(dim_in, dim_out, m.labels, fibers, [_factor(s, tol).w for s in states])
-    rebuild_error = max(
-        action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)
-    )
+    pairs = [(k1.stack, k2.stack) for (_, k1), (_, k2) in zip(m.outcomes, rebuilt.outcomes)]
+    rebuild_error = _largest_distance(pairs, dim_in)
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim_in)))
     passed = max_probe_error <= threshold and rebuild_error <= threshold
     if max_probe_error > threshold:

@@ -270,15 +270,19 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
-def _difference(left: tuple, right: tuple, dim_in: int) -> tuple:
-    """``(largest block norm, ||D||_F)`` for a difference ``D`` of two-sided Choi matrices.
+_SLAB_ENTRIES = 1 << 15  # padded Choi-column and block-Gram entries of one stacked QR
 
-    ``left = (a, b)`` and ``right = (c, d)`` are Kraus stacks with
-    ``len(a) == len(c)`` and ``len(b) == len(d)``; ``D`` is
-    ``W(a) W(c)^dag - W(b) W(d)^dag`` in the notation of ``_choi_columns``,
-    the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k b_k^dag B d_k``,
-    and a block is ``dim_in``-sided.  Pass the same tuple twice for a
-    one-sided (ordinary) difference; it is factored once.
+
+def _difference(pairs: list, dim_in: int) -> list:
+    """``(largest block norm, ||D||_F)`` of each difference ``D`` of two-sided Choi matrices.
+
+    Each of ``pairs`` is ``(left, right)`` with ``left = (a, b)`` and ``right
+    = (c, d)`` Kraus stacks, ``len(a) == len(c)`` and ``len(b) == len(d)``;
+    ``D`` is ``W(a) W(c)^dag - W(b) W(d)^dag`` in the notation of
+    ``_choi_columns``, the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k
+    b_k^dag B d_k``, and a block is ``dim_in``-sided.  Pass the same tuple
+    twice for a one-sided (ordinary) difference; it is factored once.  The
+    values come back in the order of ``pairs``.
 
     With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``,
     ``D = q_l M q_r^dag`` for the core ``M = r_l J r_r^dag`` with ``J = diag(1,
@@ -289,27 +293,78 @@ def _difference(left: tuple, right: tuple, dim_in: int) -> tuple:
     core, so the result is small exactly when the core is and keeps its
     absolute accuracy when the maps nearly agree.  Costs ``O(dim_out *
     dim_in * N^2)``; ``D`` is never formed.
+
+    The pairs share their QRs: taken in order of ``N``, they are cut into
+    slabs, and each slab's columns are zero-padded to its largest ``N`` and
+    factored by one stacked ``np.linalg.qr`` (the right columns of every pair
+    too, when some pair is two-sided).  Padding only adds zero rows and
+    columns to a core, so each value is the pair's own, to rounding.  A slab
+    holds at most ``_SLAB_ENTRIES`` padded columns and block Grams, or one
+    pair that is larger alone, so stacking never holds more than the largest
+    pair does alone or the budget; a lone matrix is factored as it stands.
     """
+    if not pairs:
+        return []
+    dim_out = pairs[0][0][0].shape[1]
+    rows = dim_out * dim_in
+    two_sided = any(right is not left for left, right in pairs)
+    widths = [len(a) + len(b) for (a, b), _ in pairs]
 
-    def thin_qr(stacks):
-        return np.linalg.qr(_choi_columns(np.concatenate(stacks)))
+    def entries(width):  # one pair's padded columns and block Grams, on each side factored
+        return (1 + two_sided) * (rows * width + dim_out * min(rows, width) ** 2)
 
-    def block_grams(q):
-        blocks = q.reshape(q.shape[0] // dim_in, dim_in, q.shape[1])  # [s] = q_s
-        return dagger(blocks) @ blocks
+    slabs = [[]]
+    for i in sorted(range(len(pairs)), key=widths.__getitem__):
+        if slabs[-1] and (len(slabs[-1]) + 1) * entries(widths[i]) > _SLAB_ENTRIES:
+            slabs.append([])
+        slabs[-1].append(i)
+    values = [None] * len(pairs)
+    for slab in slabs:
+        for i, value in zip(slab, _slab_difference([pairs[i] for i in slab], two_sided, dim_in)):
+            values[i] = value
+    return values
 
-    q_l, r_l = thin_qr(left)
-    q_r, r_r = (q_l, r_l) if right is left else thin_qr(right)
+
+def _slab_difference(pairs: list, two_sided: bool, dim_in: int) -> list:
+    """``_difference`` of one slab of pairs, from one stacked QR."""
+    n, dim_out = len(pairs), pairs[0][0][0].shape[1]
+    rows = dim_out * dim_in
+    width = max(len(a) + len(b) for (a, b), _ in pairs)
+    sides = [left for left, _ in pairs] + ([right for _, right in pairs] if two_sided else [])
+    q, r = np.linalg.qr(_padded_columns(sides, width, rows))  # the columns are freed here
+    k = min(rows, width)
+    r = r.reshape(len(sides), k, width)
+    blocks = q.reshape(len(sides), dim_out, dim_in, k)  # [j, s] = q_s of side j
+    grams = dagger(blocks) @ blocks
+    r_l, g_l = r[:n], grams[:n]
+    r_r, g_r = (r[n:], grams[n:]) if two_sided else (r_l, g_l)
     j_r_dag = dagger(r_r)  # a fresh array, so r_r is left intact
-    j_r_dag[len(left[0]) :] *= -1.0
+    for signs, ((a, _), _) in zip(j_r_dag, pairs):
+        signs[len(a) :] *= -1.0
     core = r_l @ j_r_dag
-    g_l = block_grams(q_l)
-    g_r = g_l if q_r is q_l else block_grams(q_r)
-    h = dagger(core) @ g_l @ core
+    h = dagger(core)[:, None] @ g_l @ core[:, None]
     # tr(H_s G_t) = <H_s, G_t> for Hermitian G_t: one product over the flattened blocks
-    side = core.shape[1] ** 2
-    squares = (h.reshape(len(h), side) @ dagger(g_r.reshape(len(g_r), side))).real
-    return float(np.sqrt(max(float(squares.max()), 0.0))), float(np.linalg.norm(core))
+    side = k * k
+    squares = (h.reshape(n, dim_out, side) @ dagger(g_r.reshape(n, dim_out, side))).real
+    return [
+        (float(np.sqrt(max(float(sq.max()), 0.0))), float(np.linalg.norm(m)))
+        for sq, m in zip(squares, core)
+    ]
+
+
+def _padded_columns(sides: list, width: int, rows: int) -> np.ndarray:
+    """The Choi columns ``[W(a) W(b)]`` of each side ``(a, b)``, zero-padded to ``width``.
+
+    Stacked along a first axis, except that a lone side's matrix comes as it stands.
+    """
+    padded = np.zeros((len(sides), width, rows), dtype=np.complex128)  # [j, k] = column k of side j
+    for columns, stacks in zip(padded, sides):
+        offset = 0
+        for stack in stacks:
+            np.conjugate(stack.reshape(len(stack), rows), out=columns[offset : offset + len(stack)])
+            offset += len(stack)
+    matrices = padded.transpose(0, 2, 1)
+    return matrices if len(matrices) > 1 else matrices[0]
 
 
 def action_distance(k1: KrausSet, k2: KrausSet) -> float:
@@ -318,13 +373,21 @@ def action_distance(k1: KrausSet, k2: KrausSet) -> float:
     Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
     ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
     It is the first value of ``_difference``, the one map-difference
-    routine, which reads every block norm off an ``N x N`` core
-    (``N = len(k1) + len(k2)``) and never forms the Choi matrices.
+    routine, here on one pair: it reads every block norm off an ``N x N``
+    core (``N = len(k1) + len(k2)``) and never forms the Choi matrices.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
-    pair = (k1.stack, k2.stack)
-    return _difference(pair, pair, k1.dim_in)[0]
+    return _largest_distance([(k1.stack, k2.stack)], k1.dim_in)
+
+
+def _largest_distance(pairs: list, dim_in: int) -> float:
+    """The largest ``action_distance`` over ``(a, b)`` pairs of Kraus stacks, from one ``_difference``.
+
+    The stacks all act between the same spaces, which the caller knows; an
+    empty list gives 0.
+    """
+    return max((largest for largest, _ in _difference([(p, p) for p in pairs], dim_in)), default=0.0)
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
@@ -349,7 +412,7 @@ def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
         return np.zeros((0, 0), dtype=np.complex128)
     # ||choi(k1) - choi(k2)||_F from _difference; ||choi(k1)||_F = ||W1^dag W1||_F
     pair = (k1.stack, k2.stack)
-    difference = _difference(pair, pair, k1.dim_in)[1]
+    difference = _difference([(pair, pair)], k1.dim_in)[0][1]
     if difference > tol.eps_eq * max(1.0, float(np.linalg.norm(dagger(m1) @ m1))):
         return None
     u, *_ = np.linalg.lstsq(m1, m2, rcond=None)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, _minimal_cut, _rebuilt, action_distance, minimal_kraus
+from .cpmaps import KrausSet, _largest_distance, _minimal_cut, _rebuilt, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import (
     DiscreteInstrument,
@@ -267,13 +267,13 @@ def verify_dilation(
     if (d.dim_in, d.dim_out) != (m.dim_in, m.dim_out) or d.labels != m.labels:
         raise ValueError("dilation and instrument disagree on dimensions or labels")
     iso_defect = float(np.linalg.norm(d.isometry.conj().T @ d.isometry - np.eye(m.dim_in)))
-    max_err = 0.0
+    pairs = []
     span_ranks = []
     for (_, kraus), z in zip(m.outcomes, d._fiber_blocks()):
-        dilated = KrausSet(m.dim_in, m.dim_out, z.transpose(1, 0, 2))
-        max_err = max(max_err, action_distance(kraus, dilated))
-        fiber_matrix = dilated.stack.reshape(len(dilated), m.dim_out * m.dim_in)
-        span_ranks.append(_rank(fiber_matrix, tol))
+        dilated = z.transpose(1, 0, 2)  # [k, s, m], a view of the isometry
+        pairs.append((kraus.stack, dilated))
+        span_ranks.append(_rank(dilated.reshape(len(dilated), m.dim_out * m.dim_in), tol))
+    max_err = _largest_distance(pairs, m.dim_in)
     passed = (
         iso_defect <= tol.eps_eq * float(np.sqrt(m.dim_in))
         and max_err <= tol.eps_eq * max(1.0, float(m.dim_out))
@@ -288,8 +288,10 @@ def measurement_model(
     """Realize ``m`` (with ``dim_out == dim_in``) by a unitary on system (x) fibers.
 
     The ancilla is the fiber space of the minimal dilation, prepared in the
-    basis vector ``xi_index``; the unitary sends ``h_n (x) xi`` to ``Y h_n``
-    and is completed deterministically on the remaining slots.  ``xi_index``
+    basis vector ``xi_index``; the unitary sends ``h_n (x) xi`` to ``Y h_n``,
+    and its remaining slots take, in order, the trailing columns of the
+    complete Householder QR of ``Y`` (``isometry_complete``).  The model is
+    checked against ``m`` by one ``_difference`` call over all outcomes.  ``xi_index``
     is read like a dimension (``matkernel._integer``), so a boolean, a float
     or a string raises ``ValueError``.
     """
@@ -303,13 +305,12 @@ def measurement_model(
     if not 0 <= xi_index < total:
         raise ValueError(f"xi_index {xi_index} outside the fiber space of dimension {total}")
     d = m.dim_in
-    completed = isometry_complete(dil.isometry, tol)
     side = d * total
-    unitary = np.zeros((side, side), dtype=np.complex128)
     given = np.zeros(side, dtype=bool)
     given[xi_index::total] = True  # the slots h_n (x) xi, in order of n
-    unitary[:, given] = completed[:, :d]
-    unitary[:, ~given] = completed[:, d:]
+    order = np.empty(side, dtype=np.intp)  # the column of the completion each slot takes
+    order[given] = np.arange(d)
+    order[~given] = np.arange(d, side)
     xi = np.zeros(total, dtype=np.complex128)
     xi[xi_index] = 1.0
     model = MeasurementModel(
@@ -317,12 +318,11 @@ def measurement_model(
         labels=dil.labels,
         block_dims=dil.block_dims,
         xi=xi,
-        unitary=unitary,
+        unitary=isometry_complete(dil.isometry, tol)[:, order],  # the completion is freed here
     )
     realized = realized_instrument(model)
-    err = max(
-        action_distance(k1, k2) for (_, k1), (_, k2) in zip(m.outcomes, realized.outcomes)
-    )
+    pairs = [(k1.stack, k2.stack) for (_, k1), (_, k2) in zip(m.outcomes, realized.outcomes)]
+    err = _largest_distance(pairs, d)
     if err > tol.eps_eq * max(1.0, float(d)):
         raise InstrumentumError(f"model construction failed to reproduce the instrument: {err:.3e}")
     return model

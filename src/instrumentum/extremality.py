@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import KrausSet, action_distance, minimal_kraus
+from .cpmaps import KrausSet, _largest_distance, minimal_kraus
 from .errors import InstrumentumError
 from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
 from .matkernel import (
@@ -416,9 +416,8 @@ def witness_decompose(
 
     plus = build(1.0)
     minus = build(-1.0)
-    distance = max(
-        action_distance(k1, k2) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes)
-    )
+    pairs = [(k1.stack, k2.stack) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes)]
+    distance = _largest_distance(pairs, m.dim_in)
     if distance <= tol.eps_eq:
         raise InstrumentumError(
             f"witness produced two identical instruments: the halves lie {distance:.3e} apart, "

@@ -298,9 +298,10 @@ def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Extend orthonormal columns ``v`` to a full unitary.
 
     The leading columns of the result are ``v`` exactly; the later columns
-    are the trailing right-singular vectors of ``v^dag``, an orthonormal
-    basis of its kernel.  ``v`` has full column rank, so no rank cutoff is
-    involved.  An empty ``v`` completes to the identity.
+    are the trailing columns of the complete Householder QR of ``v``, an
+    orthonormal basis of the complement of its range.  ``v`` has full column
+    rank, so no rank cutoff is involved.  An empty ``v`` completes to the
+    identity.
     """
     v = as_matrix(v, name="isometry columns")
     rows, cols = v.shape
@@ -309,8 +310,9 @@ def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     gram_defect = float(np.linalg.norm(v.conj().T @ v - np.eye(cols)))
     if gram_defect > tol.eps_eq * max(1.0, np.sqrt(cols)):
         raise InstrumentumError(f"columns are not orthonormal: defect {gram_defect:.3e}")
-    vh = np.linalg.svd(dagger(v))[2]
-    return np.hstack((v, dagger(vh[cols:])))
+    completed = np.linalg.qr(v, mode="complete")[0]
+    completed[:, :cols] = v
+    return completed
 
 
 def herm_exp(a, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

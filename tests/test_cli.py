@@ -20,6 +20,7 @@ from instrumentum import (
     verify_dilation,
     witness_decompose,
 )
+from instrumentum import cli
 from instrumentum.cli import main
 
 from helpers import PAULI, basis_pvm, depolarizing_kraus, near_cut_instrument
@@ -673,3 +674,30 @@ class TestTolerancesAndUsage:
         main(["extremal", luders_file])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (
+                MemoryError(
+                    "Unable to allocate 4.00 GiB for an array with shape (16384, 16384) "
+                    "and data type complex128"
+                ),
+                "out of memory: Unable to allocate 4.00 GiB for an array with shape "
+                "(16384, 16384) and data type complex128",
+            ),
+            (MemoryError(), "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_exits_one_with_one_line(self, run, luders_file, monkeypatch, error, message):
+        def exhausted(args, tol):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_choi", exhausted)
+        code, report, err = run("choi", luders_file)
+        assert (code, report) == (1, None)
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err

@@ -18,6 +18,7 @@ from instrumentum import (
     kraus_from_choi,
     minimal_kraus,
 )
+from instrumentum import cpmaps
 from instrumentum.cpmaps import _difference
 from instrumentum.matkernel import numeric_rank
 
@@ -406,7 +407,7 @@ class TestActionDistance:
                 )
                 for u in matrix_units(4)
             )
-        got = _difference((a, b), (c, d), 3)[0]
+        got = _difference([((a, b), (c, d))], 3)[0][0]
         assert worst["ac"] == pytest.approx(worst["ca"], rel=1e-14)
         assert got == pytest.approx(worst["ac"], rel=1e-13)
 
@@ -439,7 +440,89 @@ def test_difference_norm_is_that_of_the_choi_difference(counts, dims):
         for s in shapes
     )
     pair = (k1.stack, k2.stack)
-    largest, frobenius = _difference(pair, pair, dim_in)
+    (largest, frobenius), = _difference([(pair, pair)], dim_in)
     want = np.linalg.norm(choi(k1).matrix - choi(k2).matrix)
     assert abs(frobenius - want) <= 1e-13 * want
     assert largest == action_distance(k1, k2)
+
+
+def dense_difference(pair, dim_in):
+    """``(largest block norm, ||D||_F)`` of a pair of ``_difference``, from ``D`` itself."""
+    (a, b), (c, d) = pair
+
+    def w(x):
+        return x.reshape(len(x), x.shape[1] * dim_in).conj().T
+
+    diff = w(a) @ w(c).conj().T - w(b) @ w(d).conj().T
+    dim_out = len(diff) // dim_in
+    blocks = diff.reshape(dim_out, dim_in, dim_out, dim_in)
+    return float(np.linalg.norm(blocks, axis=(1, 3)).max()), float(np.linalg.norm(diff))
+
+
+def _ops(rng, n, dims):
+    dim_in, dim_out = dims
+    shape = (n, dim_out, dim_in)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _one_sided(rng, counts, dims):
+    left = (_ops(rng, counts[0], dims), _ops(rng, counts[1], dims))
+    return left, left
+
+
+def _pvm_compat_form(rng, counts, dims):
+    """``((C M^dag, A), (C, A))``: ``B -> M T(B) - M(i, B)`` as ``pvm_compat`` checks it."""
+    ops, kraus = _ops(rng, counts[0], dims), _ops(rng, counts[1], dims)
+    effect = _ops(rng, 1, (dims[0], dims[0]))[0]
+    return (ops @ effect.conj().T, kraus), (ops, kraus)
+
+
+class TestStackedDifference:
+    """One ``_difference`` call over many pairs gives each pair's values alone."""
+
+    @pytest.mark.parametrize(
+        "form, dims, counts",
+        [
+            (_one_sided, (3, 2), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2))),
+            (_pvm_compat_form, (3, 3), ((2, 2), (0, 3), (3, 1), (0, 0))),
+            (_one_sided, (2, 2), ((7, 5), (1, 1), (3, 0))),  # 12 columns against a Choi side of 4
+            (_pvm_compat_form, (2, 2), ((6, 4), (1, 0))),
+        ],
+        ids=["mixed-widths", "two-sided", "wider-than-choi-side", "two-sided-wide"],
+    )
+    def test_each_pair_as_alone(self, decompositions, form, dims, counts):
+        rng = np.random.default_rng(105)
+        pairs = [form(rng, n, dims) for n in counts]
+        decompositions.clear()
+        values = _difference(pairs, dims[0])
+        assert decompositions.number("qr") == 1
+        assert len(values) == len(pairs)
+        for pair, got in zip(pairs, values):
+            alone = _difference([pair], dims[0])[0]
+            want = dense_difference(pair, dims[0])
+            for g, a, w in zip(got, alone, want):
+                assert abs(g - a) <= 1e-15 * a
+                assert abs(g - w) <= 1e-13 * max(w, 1.0)
+            if not sum(len(s) for s in pair[0]):
+                assert got == (0.0, 0.0)
+
+    def test_slabs_stay_under_the_entry_budget(self, decompositions):
+        # at d = 8 (Choi side 64) a pair of width 8 counts 64 * 8 + 8 * 8**2 = 1024 padded
+        # entries, and one of width 64 counts 64 * 64 + 8 * 64**2, over the budget alone
+        rng = np.random.default_rng(106)
+        dims = (8, 8)
+        per_slab = cpmaps._SLAB_ENTRIES // 1024
+        assert 64 * 64 + 8 * 64**2 > cpmaps._SLAB_ENTRIES and 1 < per_slab < 40
+        pairs = [_one_sided(rng, (32, 32), dims)] + [_one_sided(rng, (4, 4), dims) for _ in range(40)]
+        decompositions.clear()
+        values = _difference(pairs, 8)
+        shapes = [np.shape(a) for name, a, _ in decompositions if name == "qr"]
+        # in order of width: the narrow pairs in full slabs, then the wide one as it stands
+        assert shapes == [(per_slab, 64, 8), (40 - per_slab, 64, 8), (64, 64)]
+        for pair, got in zip(pairs, values):
+            alone = _difference([pair], 8)[0]
+            assert all(abs(g - a) <= 1e-15 * a for g, a in zip(got, alone))
+        assert values[0] == _difference(pairs[:1], 8)[0]  # a lone pair is factored as it stands
+
+    def test_no_pairs(self):
+        assert _difference([], 3) == []

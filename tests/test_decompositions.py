@@ -38,6 +38,8 @@ from instrumentum import (
     naimark,
     nuclear,
     posterior_state,
+    pvm_compat,
+    rank1_nuclear_extract,
     refine_rank1,
     standard_model,
     trivial_from_povm,
@@ -56,6 +58,8 @@ from helpers import (
     rand_povm,
     rand_state,
     rand_unitary,
+    rank1_povm,
+    rotate_povm,
 )
 
 RNG_SEED = 5
@@ -258,8 +262,50 @@ def test_no_choi_sided_decomposition(decompositions, name):
         if n in ("svd", "qr") and any(np.shape(part) == (36, 36) for part in out)
     ]
     # the model's unitary acts on system (x) ancilla, 6 * 6 = 36 sided here as well:
-    # completing the 36 x 6 dilation isometry to it takes one SVD of the 6 x 36 adjoint
-    assert sided == ([(6, 36)] if name == "measurement_model" else [])
+    # completing the 36 x 6 dilation isometry to it takes one complete QR of the isometry
+    assert sided == ([(36, 6)] if name == "measurement_model" else [])
+
+
+def _checked_calls(rng):
+    """Calls on 3-outcome instruments of each operation that checks its result map by map."""
+    m = rand_instrument(rng, 3, 3, (2, 1, 2))
+    dilation = minimal_stinespring(m)
+    mixture = _unitary_mixture(rng, 3, 3, 2)
+    witness = instrument_extremal(mixture).witness
+    pvm_instrument = lueders(rotate_povm(basis_pvm(3, ((0,), (1,), (2,))), rand_unitary(rng, 3)))
+    p = rank1_povm(rng, 3, 3)
+    nuclear_instrument = nuclear(p, [rand_state(rng, 3, 1), rand_state(rng, 3), rand_state(rng, 3, 2)])
+    return {
+        "verify_dilation": lambda: verify_dilation(m, dilation),
+        "measurement_model": lambda: measurement_model(m),
+        "compat_channel": lambda: compat_channel(m),
+        "witness_decompose": lambda: witness_decompose(mixture, witness),
+        "pvm_compat": lambda: pvm_compat(pvm_instrument),
+        "rank1_nuclear_extract": lambda: rank1_nuclear_extract(nuclear_instrument),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "verify_dilation",
+        "measurement_model",
+        "compat_channel",
+        "witness_decompose",
+        "pvm_compat",
+        "rank1_nuclear_extract",
+    ],
+)
+def test_a_map_difference_check_is_one_qr(decompositions, name):
+    """All outcomes go to one stacked QR, two matrices per outcome for the two-sided check."""
+    call = _checked_calls(np.random.default_rng(RNG_SEED))[name]
+    decompositions.clear()
+    call()
+    stacked = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) == 3]
+    assert [shape[0] for shape in stacked] == [6 if name == "pvm_compat" else 3]
+    # besides it, only the model's completion: one complete QR of its 3 * 5 x 3 isometry
+    others = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) != 3]
+    assert others == ([(15, 3)] if name == "measurement_model" else [])
 
 
 KEPT_OPERATIONS = {

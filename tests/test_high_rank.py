@@ -10,7 +10,9 @@ channels of full Choi rank at d = 6 to 8 (``d^4`` Kraus products against
 bound) and a full-rank correlation matrix at n = 64.  On each the verdict
 follows the count, the span rank is numpy's, a witness splits its subject
 into valid, distinct halves, and memory stays within bounds far below those
-of a criterion with full singular vectors.
+of a criterion with full singular vectors.  A d = 16 instrument with one
+outcome of full Choi rank beside eight of rank one bounds the memory of the
+checks that compare all outcomes at once.
 """
 
 import tracemalloc
@@ -23,17 +25,22 @@ from instrumentum import (
     correlation_extremal,
     correlation_witness_split,
     instrument_extremal,
+    measurement_model,
+    minimal_stinespring,
     validate,
+    verify_dilation,
     witness_decompose,
 )
 
 from helpers import (
+    HIGH_RANK_SEED,
     action_distance,
     full_rank_channel,
     full_rank_correlation,
     kraus_action_distance,
     kraus_product_rank,
     projector_rank,
+    rand_instrument,
 )
 
 # (d, Kraus operators): full Choi rank at d = 6, 7, 8, and generic channels at and below the bound
@@ -111,3 +118,32 @@ def test_full_rank_extremal_forms_no_whole_criterion():
         tracemalloc.stop()
     assert (report.is_extreme, report.span_rank, report.marginal) == (False, 100, False)
     assert peak <= 4 * 2**20
+
+
+def _wide_instrument():
+    """A d = 16 instrument with one outcome of Choi rank 256 and eight of rank one."""
+    rng = np.random.default_rng([HIGH_RANK_SEED, 16, 9])
+    return rand_instrument(rng, 16, 16, (256,) + (1,) * 8)
+
+
+# tracemalloc peaks on the wide instrument: verify_dilation reads 54.0 MiB (55.0 MiB when each
+# outcome was checked by a _difference call of its own, 486 MiB with all nine outcomes zero-padded
+# to the wide one's 512 columns in one stacked QR); measurement_model reads 579.6 MiB (872.9 MiB
+# when its completion kept a second copy of the 4224-sided unitary beside the model's own)
+@pytest.mark.parametrize("name, bound_mib", (("verify_dilation", 55), ("measurement_model", 600)))
+def test_stacked_checks_keep_the_memory_peak(name, bound_mib):
+    m = _wide_instrument()
+    dilation = minimal_stinespring(m)
+    call = {
+        "verify_dilation": lambda: verify_dilation(m, dilation),
+        "measurement_model": lambda: measurement_model(m),
+    }[name]
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if name == "verify_dilation":
+        assert result.passed and result.block_span_ranks == (256,) + (1,) * 8
+    assert peak <= bound_mib * 2**20
