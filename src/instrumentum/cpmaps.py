@@ -270,7 +270,7 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
-_SLAB_ENTRIES = 1 << 15  # padded Choi-column and block-Gram entries of one stacked QR
+_SLAB_ENTRIES = 1 << 15  # a call's padded Choi columns and block Grams past which pairs go alone
 
 
 def _difference(pairs: list, dim_in: int) -> list:
@@ -294,46 +294,27 @@ def _difference(pairs: list, dim_in: int) -> list:
     absolute accuracy when the maps nearly agree.  Costs ``O(dim_out *
     dim_in * N^2)``; ``D`` is never formed.
 
-    The pairs share their QRs: taken in order of ``N``, they are cut into
-    slabs, and each slab's columns are zero-padded to its largest ``N`` and
-    factored by one stacked ``np.linalg.qr`` (the right columns of every pair
-    too, when some pair is two-sided).  Padding only adds zero rows and
-    columns to a core, so each value is the pair's own, to rounding.  A slab
-    holds at most ``_SLAB_ENTRIES`` padded columns and block Grams, or one
-    pair that is larger alone, so stacking never holds more than the largest
-    pair does alone or the budget; a lone matrix is factored as it stands.
+    One rule stacks the pairs.  When every pair padded to the widest ``N``
+    fits ``_SLAB_ENTRIES`` padded columns and block Grams, the whole call is
+    factored by one stacked ``np.linalg.qr`` (the right columns of every
+    pair too, when some pair is two-sided); padding only adds zero rows and
+    columns to a core, so each value is the pair's own, to rounding.
+    Otherwise each pair is factored alone, so a wide pair never pads the
+    others to its width and the call holds no more than its largest pair.
     """
-    if not pairs:
+    n = len(pairs)
+    if not n:
         return []
     dim_out = pairs[0][0][0].shape[1]
     rows = dim_out * dim_in
     two_sided = any(right is not left for left, right in pairs)
-    widths = [len(a) + len(b) for (a, b), _ in pairs]
-
-    def entries(width):  # one pair's padded columns and block Grams, on each side factored
-        return (1 + two_sided) * (rows * width + dim_out * min(rows, width) ** 2)
-
-    slabs = [[]]
-    for i in sorted(range(len(pairs)), key=widths.__getitem__):
-        if slabs[-1] and (len(slabs[-1]) + 1) * entries(widths[i]) > _SLAB_ENTRIES:
-            slabs.append([])
-        slabs[-1].append(i)
-    values = [None] * len(pairs)
-    for slab in slabs:
-        for i, value in zip(slab, _slab_difference([pairs[i] for i in slab], two_sided, dim_in)):
-            values[i] = value
-    return values
-
-
-def _slab_difference(pairs: list, two_sided: bool, dim_in: int) -> list:
-    """``_difference`` of one slab of pairs, from one stacked QR."""
-    n, dim_out = len(pairs), pairs[0][0][0].shape[1]
-    rows = dim_out * dim_in
     width = max(len(a) + len(b) for (a, b), _ in pairs)
+    entries = (1 + two_sided) * (rows * width + dim_out * min(rows, width) ** 2)  # per padded pair
+    if n > 1 and n * entries > _SLAB_ENTRIES:
+        return [value for pair in pairs for value in _difference([pair], dim_in)]
     sides = [left for left, _ in pairs] + ([right for _, right in pairs] if two_sided else [])
     q, r = np.linalg.qr(_padded_columns(sides, width, rows))  # the columns are freed here
     k = min(rows, width)
-    r = r.reshape(len(sides), k, width)
     blocks = q.reshape(len(sides), dim_out, dim_in, k)  # [j, s] = q_s of side j
     grams = dagger(blocks) @ blocks
     r_l, g_l = r[:n], grams[:n]
@@ -353,18 +334,14 @@ def _slab_difference(pairs: list, two_sided: bool, dim_in: int) -> list:
 
 
 def _padded_columns(sides: list, width: int, rows: int) -> np.ndarray:
-    """The Choi columns ``[W(a) W(b)]`` of each side ``(a, b)``, zero-padded to ``width``.
-
-    Stacked along a first axis, except that a lone side's matrix comes as it stands.
-    """
+    """The Choi columns ``[W(a) W(b)]`` of each side ``(a, b)``, padded to ``width``, stacked."""
     padded = np.zeros((len(sides), width, rows), dtype=np.complex128)  # [j, k] = column k of side j
     for columns, stacks in zip(padded, sides):
         offset = 0
         for stack in stacks:
             np.conjugate(stack.reshape(len(stack), rows), out=columns[offset : offset + len(stack)])
             offset += len(stack)
-    matrices = padded.transpose(0, 2, 1)
-    return matrices if len(matrices) > 1 else matrices[0]
+    return padded.transpose(0, 2, 1)
 
 
 def action_distance(k1: KrausSet, k2: KrausSet) -> float:

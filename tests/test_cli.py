@@ -638,6 +638,25 @@ class TestTolerancesAndUsage:
         assert code == 0, err
         assert report["command"] == command
 
+    @pytest.mark.parametrize("command", ["validate", "refine", "compat-build"])
+    def test_eps_eq_reaches_every_check(self, run, tmp_path, command):
+        inputs = defect_documents(tmp_path)[command]
+        code, report, err = run(command, *inputs, "--eps-eq", "1e-6")
+        assert code == 0, err
+        assert report["command"] == command
+
+    def test_threshold_flag_overrides_the_scale(self, run, tmp_path):
+        inputs = defect_documents(tmp_path)["validate"]
+        code, report, _ = run("validate", *inputs, "--tol-scale", "1000", "--eps-eq", "1e-9")
+        assert code == 2
+        assert report["threshold"] == pytest.approx(1e-9 * np.sqrt(2))
+
+    @pytest.mark.parametrize("name", ["eps_herm", "eps_psd", "eps_eq", "sv_rel_cutoff"])
+    def test_out_of_range_threshold_is_a_usage_error(self, run, luders_file, name):
+        code, report, err = run("validate", luders_file, "--" + name.replace("_", "-"), "0.5")
+        assert (code, report) == (1, None)
+        assert err == f"error: {name} must lie in (0, 1e-2), got 0.5\n"
+
     def test_env_scale(self, run, luders_file, monkeypatch):
         monkeypatch.setenv("INSTRUMENTUM_TOL", "100")
         code, report, _ = run("validate", luders_file)

@@ -158,6 +158,19 @@ class TestCompatChannel:
             assert np.allclose(total, np.eye(t.dim_in), atol=1e-9)
 
 
+    def test_generalized_vectors_reproduce_the_minimal_kraus_rows(self, corpus):
+        # conj(D_k^s(i)) = row (s, k) of C_i, and C_i psi_i stacks the rows of the minimal
+        # Kraus operators of outcome i
+        for name, m in corpus.items():
+            dec = compat_channel(m)
+            for vectors, (_, kraus) in zip(dec.generalized_vectors, m.outcomes):
+                psi = _minimal_cut(kraus, "fiber", DEFAULT_TOL)[0]
+                rows = vectors.conj() @ psi  # [k, s] = row s of the k-th minimal operator
+                want = minimal_kraus(kraus).stack
+                assert rows.shape == want.shape, name
+                assert np.max(np.abs(rows - want), initial=0.0) <= 1e-12, name
+
+
 class TestLuedersFactorization:
     def test_luders_through_itself(self):
         m = lueders(basis_pvm(2, ((0,), (1,))))

@@ -292,6 +292,15 @@ class TestKrausEquivalent:
         with pytest.raises(InstrumentumError, match="not minimal"):
             kraus_equivalent(KrausSet(2, 2, (a, a)), KrausSet(2, 2, (a, a)))
 
+    def test_rejects_mismatched_spaces(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="different spaces"):
+            kraus_equivalent(KrausSet(2, 2, (eye,)), KrausSet(2, 3, (np.eye(3, 2),)))
+
+    def test_empty_sets(self):
+        u = kraus_equivalent(KrausSet(2, 3, ()), KrausSet(2, 3, ()))
+        assert u.shape == (0, 0) and u.dtype == np.complex128
+
     def test_minimal_regeneration_is_equivalent(self):
         rng = np.random.default_rng(41)
         ops = tuple(
@@ -511,18 +520,20 @@ class TestStackedDifference:
         # entries, and one of width 64 counts 64 * 64 + 8 * 64**2, over the budget alone
         rng = np.random.default_rng(106)
         dims = (8, 8)
-        per_slab = cpmaps._SLAB_ENTRIES // 1024
-        assert 64 * 64 + 8 * 64**2 > cpmaps._SLAB_ENTRIES and 1 < per_slab < 40
-        pairs = [_one_sided(rng, (32, 32), dims)] + [_one_sided(rng, (4, 4), dims) for _ in range(40)]
+        per_call = cpmaps._SLAB_ENTRIES // 1024
+        assert 64 * 64 + 8 * 64**2 > cpmaps._SLAB_ENTRIES and 1 < per_call < 40
+        narrow = [_one_sided(rng, (4, 4), dims) for _ in range(40)]
+        decompositions.clear()
+        _difference(narrow[:per_call], 8)  # at the budget: the whole call in one QR
+        assert [np.shape(a) for _, a, _ in decompositions] == [(per_call, 64, 8)]
+        pairs = [_one_sided(rng, (32, 32), dims)] + narrow
         decompositions.clear()
         values = _difference(pairs, 8)
         shapes = [np.shape(a) for name, a, _ in decompositions if name == "qr"]
-        # in order of width: the narrow pairs in full slabs, then the wide one as it stands
-        assert shapes == [(per_slab, 64, 8), (40 - per_slab, 64, 8), (64, 64)]
+        # over the budget: each pair alone, in order, unpadded
+        assert shapes == [(1, 64, 64)] + [(1, 64, 8)] * 40
         for pair, got in zip(pairs, values):
-            alone = _difference([pair], 8)[0]
-            assert all(abs(g - a) <= 1e-15 * a for g, a in zip(got, alone))
-        assert values[0] == _difference(pairs[:1], 8)[0]  # a lone pair is factored as it stands
+            assert got == _difference([pair], 8)[0]
 
     def test_no_pairs(self):
         assert _difference([], 3) == []

@@ -88,7 +88,7 @@ def test_action_distance_factors_once(decompositions):
     m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (3, 2))
     decompositions.clear()
     action_distance(m.outcome(0), m.outcome(1))
-    assert decompositions.number("qr") == decompositions.number("qr", (6, 5)) == 1
+    assert decompositions.number("qr") == decompositions.number("qr", (1, 6, 5)) == 1
     assert len(decompositions) == 1
 
 

@@ -19,6 +19,7 @@ from instrumentum import (
     instrument_extremal,
     lueders,
     minimal_kraus,
+    nuclear,
     povm_extremal,
     trivial_from_povm,
     validate,
@@ -36,6 +37,7 @@ from helpers import (
     full_rank_channel,
     near_cut_instrument,
     rand_instrument,
+    rand_state,
     rand_unitary,
 )
 
@@ -541,3 +543,37 @@ class TestSpanCertificate:
         # the leading columns have a kernel of more than one dimension: check the residual
         v = [np.trace(h @ b).real for b in report.witness for h in hermitian_basis(len(b))]
         assert np.linalg.norm(r @ np.array(v)) <= 1e-12
+
+
+class TestWideCriterionReduction:
+    """A criterion more than four times wider than tall is reduced by QR before its SVD."""
+
+    def test_nuclear_instrument_takes_the_reduction(self, monkeypatch):
+        # each outcome of a basis POVM keeps one vector d and three state eigenvectors, so the
+        # 3 x 3 products of an outcome are multiples of |d><d|: 4 x 18, spanning 2 operators
+        rng = np.random.default_rng(29)
+        p = basis_pvm(2, ((0,), (1,)))
+        m = nuclear(p, (rand_state(rng, 3), rand_state(rng, 3)))
+        shapes = []
+        original = extremality._singular_values
+        monkeypatch.setattr(
+            extremality, "_singular_values", lambda a: shapes.append(a.shape) or original(a)
+        )
+        report = instrument_extremal(m)
+        assert shapes == [(4, 18)]  # the certificate failed, and 18 > 4 * 4
+        # the oracle: the rank of the |d><d| over the retained spectral vectors d of the effects
+        spectra = [np.linalg.eigh(e) for _, e in p.effects]
+        vectors = [v for values, basis in spectra for v in basis[:, values > 0.5].T]
+        projectors = np.array([np.outer(v, v.conj()).ravel() for v in vectors])
+        assert report.span_rank == np.linalg.matrix_rank(projectors) == 2
+        assert not report.is_extreme and report.required_rank == 18
+
+    @pytest.mark.parametrize("shape", ((2, 9), (3, 13), (4, 33), (5, 100), (3, 200)))
+    def test_singular_values_match_the_svd(self, decompositions, shape):
+        rng = np.random.default_rng(shape)
+        r = rng.standard_normal(shape)
+        decompositions.clear()
+        got = extremality._singular_values(r)
+        assert decompositions.number("qr") == -(-shape[1] // (8 * shape[0]))  # one per slab
+        want = np.linalg.svd(r, compute_uv=False)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -11,6 +11,7 @@ from instrumentum.matkernel import (
     herm_eig,
     herm_exp,
     isometry_complete,
+    kron,
     numeric_rank,
     psd_check,
     require_hermitian,
@@ -56,6 +57,18 @@ class TestAsMatrix:
         assert not out.flags.writeable
         src[0, 0] = 5.0
         assert out[0, 0] == 1.0
+
+
+class TestKron:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 2))
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="kron factor contains NaN or Inf"):
+            kron(np.eye(2), [[np.nan]])
 
 
 class TestHermEig:
