@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cpmaps import ChoiMatrix, choi, cp_check
+from .cpmaps import ChoiMatrix, KrausSet, choi, cp_check
 from .errors import FormatError, InstrumentumError
 from .formats import Document, _labelled, _parse_label, label_to_json, load, matrix_to_json, save
 from .instruments import (
@@ -462,7 +462,7 @@ def _cmd_choi(args, tol):
     if args.outcome is not None:
         kraus = m.outcome(_parse_cli_label(args.outcome))
     else:
-        kraus = _pooled(m)
+        kraus = KrausSet(m.dim_in, m.dim_out, _pooled(m))
     matrix = choi(kraus)
     rank = _rank(matrix.matrix, tol)
     _emit(

@@ -313,7 +313,7 @@ def lueders_factorization(
     root = dagger(vh[:r]) @ (s[:r, None] * vh[:r])
 
     phi = KrausSet(dim, m.dim_out, _block_product(isometries, m.dim_out, u @ vh))
-    pair = (phi.stack @ root, _pooled(m, subset).stack)  # root Phi(.) root against M(X, .)
+    pair = (phi.stack @ root, _pooled(m, subset))  # root Phi(.) root against M(X, .)
     max_err = _largest_distance([pair], dim)
     unit_defect = float(np.linalg.norm(_effect(phi) - np.eye(dim)))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(dim)))
@@ -330,13 +330,13 @@ def pvm_compat(
     block channel by it yields a channel ``T`` on the input space itself with
     ``M(i, B) = M(i) T(B) = T(B) M(i)``.
     """
-    p = associate_povm(m, tol)
-    for label, matrix in p.effects:
+    effects = tuple(zip(m.labels, require_valid(m, tol)))
+    for label, matrix in effects:
         _require_projection(label, matrix, tol)
     psis, _, isometries = zip(*_decompose(m, tol))
     fibers = np.concatenate(psis)
     if len(fibers) != m.dim_in:  # a fiber kept an eigenvalue that the projection's rank cuts
-        for (label, effect), psi in zip(p.effects, psis):
+        for (label, effect), psi in zip(effects, psis):
             rank = _rank(effect, tol)
             if len(psi) > rank:
                 raise InstrumentumError(
@@ -350,7 +350,7 @@ def pvm_compat(
     # T(B) M(i) - M(i, B) is its adjoint at B^dag, so its block norms are the same
     pairs = [
         ((ops @ dagger(effect), kraus.stack), (ops, kraus.stack))
-        for (_, effect), (_, kraus) in zip(p.effects, m.outcomes)
+        for (_, effect), (_, kraus) in zip(effects, m.outcomes)
     ]
     max_err = max(largest for largest, _ in _difference(pairs, m.dim_in))
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))

@@ -36,7 +36,7 @@ from .instruments import (
     Povm,
     _block_partition,
     _block_slice,
-    _family,
+    _check_labels,
     require_valid,
     trivial_from_povm,
 )
@@ -206,7 +206,7 @@ class MarkovKernel:
             raise ValueError(
                 f"kernel has shape {matrix.shape}, expected {(len(labels), eigenvalues.size)}"
             )
-        _family(zip(labels, matrix), lambda label, row: row)  # the rows K[j, :] by label
+        _check_labels(labels)
         matrix.setflags(write=False)
         eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -343,8 +343,7 @@ def _coupled(model: MeasurementModel) -> np.ndarray:
     """``[s, a, n] = <h_s (x) e_a | U (h_n (x) xi)>``, shape ``(d, ancilla, d)``."""
     d = model.system_dim
     anc = model.ancilla_dim
-    coupled = model.unitary @ np.kron(np.eye(d, dtype=np.complex128), model.xi.reshape(anc, 1))
-    return coupled.reshape(d, anc, d)
+    return (model.unitary.reshape(-1, anc) @ model.xi).reshape(d, anc, d)
 
 
 def model_intertwiner(
@@ -371,20 +370,19 @@ def model_intertwiner(
     if defect > tol.eps_eq * float(np.sqrt(len(u))):
         raise InstrumentumError(f"model matrix is not unitary: defect {defect:.3e}")
     cuts = [_minimal_cut(kraus, "minimal", tol) for _, kraus in m.outcomes]
-    dil = _dilation(m, [minimal for minimal, _ in cuts])
     d = m.dim_in
-    total = dil.total_fibers
-    anc = model.ancilla_dim
-    y_blocks = dil.isometry.reshape(d, total, d)  # [s, f, n]
+    y_blocks = np.concatenate([ks.stack.transpose(1, 0, 2) for ks, _ in cuts], axis=1)  # [s, f, n]
+    total = y_blocks.shape[1]
     v_blocks = _coupled(model)  # [s, a, n]
-    w = np.zeros((anc, total), dtype=np.complex128)
-    for i, (_, s) in enumerate(cuts):
-        fibers = dil.block_slice(i)
+    w = np.zeros((model.ancilla_dim, total), dtype=np.complex128)
+    offset = 0
+    for i, (minimal, s) in enumerate(cuts):
         pointer = model.block_slice(i)
         # columns over (s, n) of the block components of Y h_n and U(h_n (x) xi)
-        psi = y_blocks[:, fibers, :].transpose(1, 0, 2).reshape(len(s), d * d)
+        psi = minimal.stack.reshape(len(s), d * d)
         img = v_blocks[:, pointer, :].transpose(1, 0, 2).reshape(pointer.stop - pointer.start, d * d)
-        w[pointer, fibers] = img @ dagger(psi) / s**2
+        w[pointer, offset : offset + len(s)] = img @ dagger(psi) / s**2
+        offset += len(s)
     residual = max(float(np.linalg.norm(w @ y - v)) for y, v in zip(y_blocks, v_blocks))
     iso_defect = float(np.linalg.norm(w.conj().T @ w - np.eye(total)))
     threshold = tol.eps_eq * float(np.sqrt(d * total))
@@ -399,15 +397,10 @@ def model_intertwiner(
 
 
 def _distinct_eigenvalues(values: np.ndarray, tol: Tolerances) -> list:
-    """Group a descending eigenvalue list into clusters of equal values."""
-    gap = tol.eps_eq * max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    clusters: list[list[int]] = []
-    for idx, value in enumerate(values):
-        if clusters and abs(values[clusters[-1][-1]] - value) <= gap:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
+    """The index arrays of a descending eigenvalue list's clusters, split where neighbours
+    differ by more than the gap."""
+    gap = tol.eps_eq * max(1.0, float(np.max(np.abs(values))))
+    return np.split(np.arange(values.size), np.flatnonzero(np.abs(np.diff(values)) > gap) + 1)
 
 
 def standard_model(
@@ -455,10 +448,10 @@ def standard_model(
     if len(labels) != len(blocks):
         raise ValueError("labels and pointer blocks disagree in length")
 
-    d = a_op.shape[0]
+    d = _integer(a_op.shape[0], "dimensions")  # a 0 x 0 observable has no spectrum to split
     values, vectors = _descending_eigh(a_op, tol)
     clusters = _distinct_eigenvalues(values, tol)
-    distinct = np.array([values[cluster[0]] for cluster in clusters])
+    distinct = values[[cluster[0] for cluster in clusters]]
     projections = np.array([vectors[:, c] @ dagger(vectors[:, c]) for c in clusters])
     # row a is xi(a) = exp(i * distinct[a] * coupling * b_op) xi, from one decomposition of b_op
     b_values, b_vectors = _descending_eigh(b_op, tol)

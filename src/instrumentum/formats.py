@@ -64,7 +64,6 @@ class Document:
     kind: str
     value: object
     meta: dict = field(default_factory=dict)
-    version: str = VERSION
 
 
 def matrix_to_json(a) -> list:
@@ -444,7 +443,7 @@ def load(path) -> Document:
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: payload: expected an object")
     value, meta = _CODECS[kind][0](payload, "payload")
-    return Document(kind=kind, value=value, meta=meta, version=VERSION)
+    return Document(kind=kind, value=value, meta=meta)
 
 
 def save(doc: Document, path) -> None:

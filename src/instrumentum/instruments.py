@@ -352,13 +352,12 @@ def associate_povm(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> Povm
 def associate_channel(m: DiscreteInstrument, tol: Tolerances = DEFAULT_TOL) -> KrausSet:
     """The total channel ``M(Omega, .)``: all Kraus operators pooled across outcomes."""
     require_valid(m, tol)
-    return _pooled(m)
+    return KrausSet(m.dim_in, m.dim_out, _pooled(m))
 
 
-def _pooled(m: DiscreteInstrument, labels=None) -> KrausSet:
-    """The Kraus operators of the outcomes in ``labels`` (default: all), in outcome order."""
-    stacks = [k.stack for label, k in m.outcomes if labels is None or label in labels]
-    return KrausSet(m.dim_in, m.dim_out, np.concatenate(stacks))
+def _pooled(m: DiscreteInstrument, labels=None) -> np.ndarray:
+    """The Kraus stack of the outcomes in ``labels`` (default: all), in outcome order."""
+    return np.concatenate([k.stack for label, k in m.outcomes if labels is None or label in labels])
 
 
 def _checked_subset(m: DiscreteInstrument, subset) -> tuple:
@@ -434,8 +433,6 @@ def nuclear(p: Povm, states, tol: Tolerances = DEFAULT_TOL) -> DiscreteInstrumen
     states = [as_matrix(s, name="output state") for s in states]
     if len(states) != len(p):
         raise ValueError(f"got {len(states)} states for {len(p)} effects")
-    if not states:
-        raise ValueError("at least one outcome is required")
     dim_out = states[0].shape[0]
     if dim_out == 0:
         raise ValueError(f"output state must be nonempty, got shape {states[0].shape}")

@@ -404,6 +404,17 @@ class TestCorrExtreme:
         assert report is None
         assert "correlation matrix must be square" in err
 
+    def test_identity_is_not_extreme(self, run, tmp_path):
+        # three orthogonal unit vectors: r = 3 and r^2 = 9 > n = 3, so a witness splits it
+        path = tmp_path / "id3.json"
+        save(Document(kind="matrix", value=np.eye(3, dtype=complex)), path)
+        code, report, err = run("corr-extreme", str(path))
+        assert (code, err) == (0, "")
+        assert (report["is_extreme"], report["gram_rank"], report["span_rank"]) == (False, 3, 3)
+        assert report["marginal"] is False
+        assert np.shape(report["witness"]) == (3, 3, 2)
+        assert run("corr-extreme", str(path), "--assert-extreme") == (2, report, "")
+
 
 class TestChoiAndCp:
     def test_choi_single_outcome(self, run, luders_file, tmp_path):
@@ -450,6 +461,13 @@ class TestChoiAndCp:
         save(Document(kind="matrix", value=np.eye(4, dtype=complex)), path)
         code, _, err = run("cp-check", str(path), "--dim-in", "3", "--dim-out", "3")
         assert code == 1
+
+    def test_dimension_that_does_not_divide_the_side(self, run, tmp_path):
+        path = tmp_path / "four.json"
+        save(Document(kind="matrix", value=np.eye(4, dtype=complex)), path)
+        code, report, err = run("cp-check", str(path), "--dim-in", "3")
+        assert (code, report) == (1, None)
+        assert err == "error: matrix side 4 is not divisible by dimension 3\n"
 
 
     def test_out_of_range_entry_exits_one(self, run, tmp_path):
@@ -586,6 +604,11 @@ class TestDomainLookupErrors:
             ),
             (("factorize", "{m}", "--subset", "0,0"), "duplicate outcome label 0"),
             (("posterior", "{m}", "--state", "{rho}", "--subset", "1,0,1"), "duplicate outcome label 1"),
+            (("posterior", "{m}", "--state", "{rho}", "--subset", ","), "subset ',': no labels"),
+            (
+                ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0;"),
+                "pointer '0;': empty block",
+            ),
         ],
     )
     def test_exits_one_with_message(self, run, luders_file, state_file, probe_files, argv, message):

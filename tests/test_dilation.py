@@ -15,6 +15,7 @@ from instrumentum import (
     MeasurementModel,
     Povm,
     StinespringDilation,
+    Tolerances,
     load,
     lueders,
     measurement_model,
@@ -27,7 +28,7 @@ from instrumentum import (
     validate,
     verify_dilation,
 )
-from instrumentum.dilation import realized_instrument
+from instrumentum.dilation import _coupled, _distinct_eigenvalues, realized_instrument
 
 from helpers import PAULI, action_distance, basis_pvm, rand_instrument, rand_unitary
 
@@ -363,3 +364,64 @@ class TestMarkovKernel:
             MarkovKernel([[np.nan]], [np.nan], (0,))
         with pytest.raises(ValueError, match="eigenvalue vector contains NaN or Inf entries"):
             MarkovKernel([[1.0]], [np.inf], (0,))
+
+
+def kronecker_coupled(model):
+    """``U (I_d (x) xi)`` as ``[s, a, n]``, through the Kronecker selector."""
+    d, anc = model.system_dim, model.ancilla_dim
+    selector = np.kron(np.eye(d, dtype=np.complex128), model.xi.reshape(anc, 1))
+    return (model.unitary @ selector).reshape(d, anc, d)
+
+
+class TestCoupled:
+    @pytest.mark.parametrize("fibers", [(1, 1), (2, 1, 2), (3, 4)], ids=str)
+    def test_equals_the_kronecker_product(self, fibers):
+        rng = np.random.default_rng(len(fibers))
+        m = rand_instrument(rng, 3, 3, fibers)
+        for xi_index in (0, 1):
+            model = measurement_model(m, xi_index)
+            assert np.array_equal(_coupled(model), kronecker_coupled(model))
+        xi = rng.standard_normal(model.ancilla_dim) + 1j * rng.standard_normal(model.ancilla_dim)
+        mixed = MeasurementModel(3, m.labels, model.block_dims, xi / np.linalg.norm(xi), model.unitary)
+        assert np.max(np.abs(_coupled(mixed) - kronecker_coupled(mixed))) <= 1e-15
+
+
+def looped_clusters(values, tol):
+    """Clusters of a descending list, each value joining its predecessor's within the gap."""
+    gap = tol.eps_eq * max(1.0, float(np.max(np.abs(values))))
+    clusters = []
+    for idx, value in enumerate(values):
+        if clusters and abs(values[clusters[-1][-1]] - value) <= gap:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
+class TestDistinctEigenvalues:
+    # with a power-of-two eps_eq, 1 - 2**-30 lies exactly one gap below 1
+    GAP = 2.0**-30
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 1.0 - GAP, 0.5, 0.5, 0.5, -1.0],  # neighbours exactly at the gap join
+            [1.0, 1.0 - GAP, 1.0 - 2 * GAP, 1.0 - 3 * GAP - 2.0**-40],  # a chain, then a break
+            [2.0, 2.0 - 2 * GAP, 2.0 - 2 * GAP - 2.0**-50, 0.0],  # the gap scales with |values|
+            [0.0, 0.0, 0.0],
+            [3.0],
+        ],
+        ids=["at-gap", "chain", "scaled", "all-equal", "single"],
+    )
+    def test_same_clusters_as_the_loop(self, values):
+        tol = Tolerances(eps_eq=self.GAP)
+        values = np.array(values)
+        clusters = _distinct_eigenvalues(values, tol)
+        assert [c.tolist() for c in clusters] == looped_clusters(values, tol)
+
+    def test_random_degenerate_spectra(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            values = np.sort(rng.choice([-1.0, 0.0, 0.25, 1.0, 1.0 + 1e-12, 2.0], size=8))[::-1]
+            clusters = _distinct_eigenvalues(values, DEFAULT_TOL)
+            assert [c.tolist() for c in clusters] == looped_clusters(values, DEFAULT_TOL)
