@@ -5,10 +5,17 @@ Exit codes: 0 when the command succeeds and any checked property holds,
 failure, non-extreme under ``--assert-extreme``, not completely positive,
 or any domain error), and 1 for malformed input or usage errors.
 
-Reports go to stdout as JSON with a fixed key order, so identical inputs
-produce byte-identical output.  Tolerances can be scaled globally through
-the ``INSTRUMENTUM_TOL`` environment variable or ``--tol-scale``, and the
-individual thresholds overridden with dedicated flags.
+Each handler returns its report, its exit code and the documents it was
+asked to write, as ``(path, Document)`` pairs (a ``None`` path is not
+written).  ``main`` names the report after the command and prints it to
+stdout as JSON with a fixed key order, so identical inputs produce
+byte-identical output.  Only then does it write the documents, in order, so
+a failed write, or a refused one (``extremal --witness`` on an extreme
+input), still leaves the report on stdout.
+
+Tolerances can be scaled globally through the ``INSTRUMENTUM_TOL``
+environment variable or ``--tol-scale``, and the individual thresholds
+overridden with dedicated flags.
 
 Each handler imports the analysis module it calls (``compat``,
 ``dilation``, ``extremality``, ``posterior``), so a process loads only the
@@ -34,9 +41,9 @@ from .instruments import (
     DiscreteInstrument,
     _label_fault,
     _pooled,
-    associate_povm,
     compose_sequential,
     refine_rank1,
+    require_valid,
     validate,
 )
 from .matkernel import DEFAULT_TOL, Tolerances, _rank
@@ -97,10 +104,6 @@ def _resolve_tol(args) -> Tolerances:
     return tol
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, allow_nan=False))
-
-
 def _load_kind(path, kinds) -> Document:
     doc = load(path)
     if doc.kind not in kinds:
@@ -150,16 +153,13 @@ def _vector_from_doc(doc: Document, path) -> np.ndarray:
 def _cmd_validate(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     report = validate(doc.value, tol)
-    _emit(
-        {
-            "command": "validate",
-            "passed": report.passed,
-            "normalization_defect": report.normalization_defect,
-            "threshold": report.threshold,
-            "outcomes": _labelled(report.outcome_kraus_counts, "kraus_count"),
-        }
-    )
-    return 0 if report.passed else 2
+    out = {
+        "passed": report.passed,
+        "normalization_defect": report.normalization_defect,
+        "threshold": report.threshold,
+        "outcomes": _labelled(report.outcome_kraus_counts, "kraus_count"),
+    }
+    return out, 0 if report.passed else 2, ()
 
 
 def _cmd_extremal(args, tol):
@@ -171,20 +171,17 @@ def _cmd_extremal(args, tol):
     else:
         report = instrument_extremal(doc.value, tol)
     out = {
-        "command": "extremal",
         "is_extreme": report.is_extreme,
         "span_rank": report.span_rank,
         "required_rank": report.required_rank,
         "marginal": report.marginal,
         "outcomes": _labelled(zip(report.labels, report.block_dims), "block_dim"),
     }
+    # main raises this in place of writing a witness, after it prints the report
+    witness = InstrumentumError("no witness: the input is extreme")
     if report.witness is not None:
         blocks = map(matrix_to_json, report.witness)
         out["witness"] = _labelled(zip(report.labels, blocks), "matrix")
-    _emit(out)
-    if args.witness is not None:
-        if report.witness is None:
-            raise InstrumentumError("no witness: the input is extreme")
         # a states document carries a single dimension, so narrower blocks
         # are zero-padded; the true sizes are in the report's block_dim fields
         dim = max(block.shape[0] for block in report.witness)
@@ -193,13 +190,9 @@ def _cmd_extremal(args, tol):
             full = np.zeros((dim, dim), dtype=complex)
             full[: block.shape[0], : block.shape[0]] = block
             padded.append((label, full))
-        save(
-            Document(kind="states", value=tuple(padded), meta={"dim": dim}),
-            args.witness,
-        )
-    if args.assert_extreme and not report.is_extreme:
-        return 2
-    return 0
+        witness = Document(kind="states", value=tuple(padded), meta={"dim": dim})
+    code = 2 if args.assert_extreme and not report.is_extreme else 0
+    return out, code, [(args.witness, witness)]
 
 
 def _cmd_dilate(args, tol):
@@ -208,40 +201,31 @@ def _cmd_dilate(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     dilation = minimal_stinespring(doc.value, tol)
     report = verify_dilation(doc.value, dilation, tol)
-    _emit(
-        {
-            "command": "dilate",
-            "passed": report.passed,
-            "isometry_defect": report.isometry_defect,
-            "max_reconstruction_error": report.max_reconstruction_error,
-            "outcomes": _labelled(
-                zip(dilation.labels, report.block_dims, report.block_span_ranks),
-                "block_dim",
-                "span_rank",
-            ),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="dilation", value=dilation), args.output)
-    return 0 if report.passed else 2
+    out = {
+        "passed": report.passed,
+        "isometry_defect": report.isometry_defect,
+        "max_reconstruction_error": report.max_reconstruction_error,
+        "outcomes": _labelled(
+            zip(dilation.labels, report.block_dims, report.block_span_ranks),
+            "block_dim",
+            "span_rank",
+        ),
+    }
+    code = 0 if report.passed else 2
+    return out, code, [(args.output, Document(kind="dilation", value=dilation))]
 
 
 def _cmd_refine(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     refined = refine_rank1(doc.value, tol)
-    _emit(
-        {
-            "command": "refine",
-            "dim_in": refined.dim_in,
-            "dim_out": refined.dim_out,
-            "outcomes": _labelled(
-                ((label, len(kraus)) for label, kraus in refined.outcomes), "kraus_count"
-            ),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="instrument", value=refined), args.output)
-    return 0
+    out = {
+        "dim_in": refined.dim_in,
+        "dim_out": refined.dim_out,
+        "outcomes": _labelled(
+            ((label, len(kraus)) for label, kraus in refined.outcomes), "kraus_count"
+        ),
+    }
+    return out, 0, [(args.output, Document(kind="instrument", value=refined))]
 
 
 def _cmd_posterior(args, tol):
@@ -252,7 +236,6 @@ def _cmd_posterior(args, tol):
     m = doc.value
     rho = state_doc.value
     out = {
-        "command": "posterior",
         "distribution": _labelled(outcome_distribution(m, rho, tol), "probability"),
     }
     if args.outcome is not None:
@@ -265,25 +248,19 @@ def _cmd_posterior(args, tol):
         out["subset"] = [label_to_json(label) for label in result.label]
         out["probability"] = result.probability
         out["state"] = matrix_to_json(result.state)
-    _emit(out)
-    return 0
+    return out, 0, ()
 
 
 def _cmd_compose(args, tol):
     first = _load_kind(args.first, ("instrument",)).value
     second = _load_kind(args.second, ("instrument",)).value
     composed = compose_sequential(first, second, tol)
-    _emit(
-        {
-            "command": "compose",
-            "dim_in": composed.dim_in,
-            "dim_out": composed.dim_out,
-            "outcome_count": len(composed),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="instrument", value=composed), args.output)
-    return 0
+    out = {
+        "dim_in": composed.dim_in,
+        "dim_out": composed.dim_out,
+        "outcome_count": len(composed),
+    }
+    return out, 0, [(args.output, Document(kind="instrument", value=composed))]
 
 
 def _cmd_compat_build(args, tol):
@@ -291,26 +268,20 @@ def _cmd_compat_build(args, tol):
 
     povm = _load_kind(args.povm, ("povm",)).value
     coeffs = _load_kind(args.coefficients, ("coefficients",)).value
-    built = compat_from_coeffs(povm, coeffs, tol)
-    rebuilt = associate_povm(built, tol)
+    built = compat_from_coeffs(povm, coeffs, tol)  # its labels are the POVM's, in order
     defect = max(
-        float(np.linalg.norm(rebuilt.effect(label) - povm.effect(label)))
-        for label in povm.labels
+        float(np.linalg.norm(rebuilt - effect))
+        for rebuilt, (_, effect) in zip(require_valid(built, tol), povm.effects)
     )
-    _emit(
-        {
-            "command": "compat-build",
-            "dim_in": built.dim_in,
-            "dim_out": built.dim_out,
-            "povm_defect": defect,
-            "outcomes": _labelled(
-                ((label, len(kraus)) for label, kraus in built.outcomes), "kraus_count"
-            ),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="instrument", value=built), args.output)
-    return 0
+    out = {
+        "dim_in": built.dim_in,
+        "dim_out": built.dim_out,
+        "povm_defect": defect,
+        "outcomes": _labelled(
+            ((label, len(kraus)) for label, kraus in built.outcomes), "kraus_count"
+        ),
+    }
+    return out, 0, [(args.output, Document(kind="instrument", value=built))]
 
 
 def _cmd_compat_channel(args, tol):
@@ -318,17 +289,14 @@ def _cmd_compat_channel(args, tol):
 
     doc = _load_kind(args.file, ("instrument",))
     dec = compat_channel(doc.value, tol)
-    _emit(
-        {
-            "command": "compat-channel",
-            "passed": dec.passed,
-            "max_residual": dec.max_residual,
-            "outcomes": _labelled(
-                zip(dec.labels, dec.naimark_dims, dec.fiber_dims), "naimark_dim", "fiber_dim"
-            ),
-        }
-    )
-    return 0 if dec.passed else 2
+    out = {
+        "passed": dec.passed,
+        "max_residual": dec.max_residual,
+        "outcomes": _labelled(
+            zip(dec.labels, dec.naimark_dims, dec.fiber_dims), "naimark_dim", "fiber_dim"
+        ),
+    }
+    return out, 0 if dec.passed else 2, ()
 
 
 def _cmd_factorize(args, tol):
@@ -337,20 +305,16 @@ def _cmd_factorize(args, tol):
     doc = _load_kind(args.file, ("instrument",))
     subset = None if args.subset is None else _parse_subset(args.subset)
     channel, report = lueders_factorization(doc.value, subset, tol)
-    _emit(
-        {
-            "command": "factorize",
-            "passed": report.passed,
-            "subset": [label_to_json(label) for label in report.subset],
-            "max_identity_error": report.max_identity_error,
-            "unit_defect": report.unit_defect,
-            "kraus_count": len(channel.ops),
-        }
-    )
-    if args.output is not None:
-        single = DiscreteInstrument(channel.dim_in, channel.dim_out, ((0, channel),))
-        save(Document(kind="instrument", value=single), args.output)
-    return 0 if report.passed else 2
+    out = {
+        "passed": report.passed,
+        "subset": [label_to_json(label) for label in report.subset],
+        "max_identity_error": report.max_identity_error,
+        "unit_defect": report.unit_defect,
+        "kraus_count": len(channel.ops),
+    }
+    single = DiscreteInstrument(channel.dim_in, channel.dim_out, ((0, channel),))
+    code = 0 if report.passed else 2
+    return out, code, [(args.output, Document(kind="instrument", value=single))]
 
 
 def _cmd_nuclear_extract(args, tol):
@@ -358,25 +322,18 @@ def _cmd_nuclear_extract(args, tol):
 
     doc = _load_kind(args.file, ("instrument",))
     povm, states, report = rank1_nuclear_extract(doc.value, tol)
-    _emit(
-        {
-            "command": "nuclear-extract",
-            "passed": report.passed,
-            "max_probe_error": report.max_probe_error,
-            "rebuild_error": report.rebuild_error,
-            "outcomes": _labelled(zip(povm.labels)),
-        }
+    out = {
+        "passed": report.passed,
+        "max_probe_error": report.max_probe_error,
+        "rebuild_error": report.rebuild_error,
+        "outcomes": _labelled(zip(povm.labels)),
+    }
+    written = Document(
+        kind="states",
+        value=tuple(zip(povm.labels, states)),
+        meta={"dim": doc.value.dim_out},
     )
-    if args.output is not None:
-        save(
-            Document(
-                kind="states",
-                value=tuple(zip(povm.labels, states)),
-                meta={"dim": doc.value.dim_out},
-            ),
-            args.output,
-        )
-    return 0 if report.passed else 2
+    return out, 0 if report.passed else 2, [(args.output, written)]
 
 
 def _cmd_model(args, tol):
@@ -384,17 +341,12 @@ def _cmd_model(args, tol):
 
     doc = _load_kind(args.file, ("instrument",))
     model = measurement_model(doc.value, xi_index=args.xi_index, tol=tol)
-    _emit(
-        {
-            "command": "model",
-            "system_dim": model.system_dim,
-            "ancilla_dim": model.ancilla_dim,
-            "outcomes": _labelled(zip(model.labels, model.block_dims), "block_dim"),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="model", value=model), args.output)
-    return 0
+    out = {
+        "system_dim": model.system_dim,
+        "ancilla_dim": model.ancilla_dim,
+        "outcomes": _labelled(zip(model.labels, model.block_dims), "block_dim"),
+    }
+    return out, 0, [(args.output, Document(kind="model", value=model))]
 
 
 def _parse_pointer(text: str) -> tuple:
@@ -418,22 +370,18 @@ def _cmd_standard_model(args, tol):
     if args.labels is not None:
         labels = tuple(_parse_cli_label(piece) for piece in _split_labels(args.labels))
     povm, kernel, m = standard_model(a_op, b_op, args.coupling, xi, pointer, labels, tol)
-    _emit(
-        {
-            "command": "standard-model",
-            "dim": povm.dim,
-            "eigenvalues": list(kernel.eigenvalues.tolist()),
-            "kernel": [[float(x) for x in row] for row in kernel.matrix],
-            "effects": _labelled(
-                ((label, matrix_to_json(effect)) for label, effect in povm.effects), "matrix"
-            ),
-        }
-    )
-    if args.output is not None:
-        save(Document(kind="instrument", value=m), args.output)
-    if args.povm_output is not None:
-        save(Document(kind="povm", value=povm), args.povm_output)
-    return 0
+    out = {
+        "dim": povm.dim,
+        "eigenvalues": list(kernel.eigenvalues.tolist()),
+        "kernel": [[float(x) for x in row] for row in kernel.matrix],
+        "effects": _labelled(
+            ((label, matrix_to_json(effect)) for label, effect in povm.effects), "matrix"
+        ),
+    }
+    return out, 0, [
+        (args.output, Document(kind="instrument", value=m)),
+        (args.povm_output, Document(kind="povm", value=povm)),
+    ]
 
 
 def _cmd_corr_extreme(args, tol):
@@ -442,7 +390,6 @@ def _cmd_corr_extreme(args, tol):
     doc = _load_kind(args.file, ("matrix",))
     report = correlation_extremal(doc.value, tol)
     out = {
-        "command": "corr-extreme",
         "is_extreme": report.is_extreme,
         "gram_rank": report.gram_rank,
         "span_rank": report.span_rank,
@@ -450,10 +397,8 @@ def _cmd_corr_extreme(args, tol):
     }
     if report.witness is not None:
         out["witness"] = matrix_to_json(report.witness)
-    _emit(out)
-    if args.assert_extreme and not report.is_extreme:
-        return 2
-    return 0
+    code = 2 if args.assert_extreme and not report.is_extreme else 0
+    return out, code, ()
 
 
 def _cmd_choi(args, tol):
@@ -465,24 +410,17 @@ def _cmd_choi(args, tol):
         kraus = KrausSet(m.dim_in, m.dim_out, _pooled(m))
     matrix = choi(kraus)
     rank = _rank(matrix.matrix, tol)
-    _emit(
-        {
-            "command": "choi",
-            "dim_in": matrix.dim_in,
-            "dim_out": matrix.dim_out,
-            "rank": rank,
-        }
+    out = {
+        "dim_in": matrix.dim_in,
+        "dim_out": matrix.dim_out,
+        "rank": rank,
+    }
+    written = Document(
+        kind="matrix",
+        value=matrix.matrix,
+        meta={"dim_in": matrix.dim_in, "dim_out": matrix.dim_out},
     )
-    if args.output is not None:
-        save(
-            Document(
-                kind="matrix",
-                value=matrix.matrix,
-                meta={"dim_in": matrix.dim_in, "dim_out": matrix.dim_out},
-            ),
-            args.output,
-        )
-    return 0
+    return out, 0, [(args.output, written)]
 
 
 def _infer_choi_dims(matrix, args, meta):
@@ -516,15 +454,12 @@ def _cmd_cp_check(args, tol):
             f"dimensions {dim_in}x{dim_out} do not match matrix side {matrix.shape[0]}"
         )
     result = cp_check(ChoiMatrix(dim_in, dim_out, matrix), tol)
-    _emit(
-        {
-            "command": "cp-check",
-            "completely_positive": result,
-            "dim_in": dim_in,
-            "dim_out": dim_out,
-        }
-    )
-    return 0 if result else 2
+    out = {
+        "completely_positive": result,
+        "dim_in": dim_in,
+        "dim_out": dim_out,
+    }
+    return out, 0 if result else 2, ()
 
 
 _SUBSET_HELP = "comma-separated outcome subset; a tuple label is a JSON array [a,b], e.g. [0,0],[1,1]"
@@ -625,7 +560,16 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         tol = _resolve_tol(args)
-        return args.func(args, tol)
+        report, code, documents = args.func(args, tol)
+        # the report goes out before any write, so a failed or refused write still leaves it
+        print(json.dumps({"command": args.command, **report}, indent=2, allow_nan=False))
+        for path, written in documents:
+            if path is None:
+                continue
+            if isinstance(written, InstrumentumError):
+                raise written
+            save(written, path)
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,7 +37,7 @@ from .cpmaps import (
     _largest_distance,
     _minimal_cut,
     _rebuilt,
-    apply_schrodinger,
+    _schrodinger,
     minimal_kraus,
 )
 from .errors import InstrumentumError
@@ -382,7 +382,7 @@ def rank1_nuclear_extract(
         if weight <= tol.eps_eq:
             states.append(np.eye(dim_out, dtype=np.complex128) / dim_out)
             continue
-        sigma = apply_schrodinger(kraus, mixed_in) / weight
+        sigma = _schrodinger(kraus, mixed_in) / weight
         states.append((sigma + dagger(sigma)) / 2.0)
     max_probe_error = 0.0
     rng = np.random.default_rng(271828)
@@ -392,7 +392,7 @@ def rank1_nuclear_extract(
         rho = rho / float(np.trace(rho).real)
         for (label, kraus), (_, effect), sigma in zip(m.outcomes, p.effects, states):
             weight = float(np.trace(rho @ effect).real)
-            defect = float(np.linalg.norm(apply_schrodinger(kraus, rho) - weight * sigma))
+            defect = float(np.linalg.norm(_schrodinger(kraus, rho) - weight * sigma))
             max_probe_error = max(max_probe_error, defect)
     # from the instrument's own fibers: nuclear() would re-check p's effects as outside input
     fibers = [_minimal_cut(kraus, "fiber", tol)[0] for _, kraus in m.outcomes]

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cpmaps import KrausSet, _largest_distance, minimal_kraus
 from .errors import InstrumentumError
-from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm
+from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_povm, validate
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
@@ -350,9 +350,11 @@ def povm_extremal(p: Povm, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
 def channel_extremal(t: KrausSet, tol: Tolerances = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality of a unital (Heisenberg) channel among such channels."""
     m = DiscreteInstrument(t.dim_in, t.dim_out, ((0, t),))
-    unital_defect = m._normalization[1]  # ||E(I) - I||_F of the single outcome
-    if unital_defect > tol.eps_eq * float(np.sqrt(t.dim_in)):
-        raise InstrumentumError(f"map is not a channel: unit defect {unital_defect:.3e}")
+    report = validate(m, tol)  # its defect is ||E(I) - I||_F of the single outcome
+    if not report.passed:
+        raise InstrumentumError(
+            f"map is not a channel: unit defect {report.normalization_defect:.3e}"
+        )
     return _extremal(m, [minimal_kraus(t, tol)], tol)
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface through ``main``."""
 
+import argparse
 import json
 
 import numpy as np
@@ -743,3 +744,95 @@ class TestOutOfMemory:
         assert (code, report) == (1, None)
         assert err == f"error: {message}\n"
         assert "Traceback" not in err
+
+
+COMMANDS = (
+    "validate",
+    "extremal",
+    "dilate",
+    "refine",
+    "posterior",
+    "compose",
+    "compat-build",
+    "compat-channel",
+    "factorize",
+    "nuclear-extract",
+    "model",
+    "standard-model",
+    "corr-extreme",
+    "choi",
+    "cp-check",
+)
+
+
+@pytest.fixture
+def report_calls(tmp_path, luders_file, state_file, probe_files):
+    """Arguments of one call per subcommand, each of which exits 0 with a report."""
+    eye = np.eye(2, dtype=complex)
+    paths = {name: tmp_path / f"{name}.json" for name in ("povm", "coeffs", "id3", "choi")}
+    save(Document(kind="povm", value=Povm(2, (("a", eye / 2), ("b", eye / 2)))), paths["povm"])
+    t = np.zeros((2, 2, 1), dtype=complex)
+    t[0, 0, 0] = t[1, 1, 0] = 1.0
+    coeffs = CompatCoefficients(2, (("a", t), ("b", t)))
+    save(Document(kind="coefficients", value=coeffs), paths["coeffs"])
+    save(Document(kind="matrix", value=np.eye(3)), paths["id3"])
+    save(Document(kind="matrix", value=choi(KrausSet(2, 2, (eye,))).matrix), paths["choi"])
+    m = luders_file
+    return {
+        "validate": [m],
+        "extremal": [m],
+        "dilate": [m],
+        "refine": [m],
+        "posterior": [m, "--state", state_file],
+        "compose": [m, m],
+        "compat-build": [str(paths["povm"]), str(paths["coeffs"])],
+        "compat-channel": [m],
+        "factorize": [m],
+        "nuclear-extract": [m],
+        "model": [m],
+        "standard-model": [*probe_files, "--coupling", "1.0", "--pointer", "0;1"],
+        "corr-extreme": [str(paths["id3"])],
+        "choi": [m],
+        "cp-check": [str(paths["choi"])],
+    }
+
+
+class TestOneExitPath:
+    """``main`` names and prints every report, and only then writes documents."""
+
+    def test_the_commands_are_every_subcommand(self):
+        parser = cli.build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(subcommands.choices) == COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_report_opens_with_its_command(self, run, report_calls, command):
+        code, report, err = run(command, *report_calls[command])
+        assert code == 0, err
+        assert next(iter(report.items())) == ("command", command)
+
+    def test_witness_on_extreme_prints_the_report_and_writes_nothing(
+        self, run, luders_file, tmp_path
+    ):
+        _, plain, _ = run("extremal", luders_file)
+        out = tmp_path / "w.json"
+        code, report, err = run("extremal", luders_file, "--witness", str(out))
+        assert (code, report) == (2, plain)
+        assert report["is_extreme"] is True
+        assert err == "error: no witness: the input is extreme\n"
+        assert not out.exists()
+
+    def test_failed_write_keeps_the_report(self, run, luders_file, tmp_path):
+        _, plain, _ = run("dilate", luders_file)
+        code, report, err = run("dilate", luders_file, "-o", str(tmp_path / "missing" / "x.json"))
+        assert (code, report) == (1, plain)
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_top_level_array_exits_one(self, run, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        code, report, err = run("validate", str(path))
+        assert (code, report) == (1, None)
+        assert err == f"error: {path}: top level must be an object\n"

@@ -144,6 +144,11 @@ class TestMalformed:
         with pytest.raises(FormatError, match="not valid JSON"):
             load(self.write(tmp_path, "{nope"))
 
+    def test_top_level_array(self, tmp_path):
+        path = self.write(tmp_path, [{"kind": "matrix", "version": "1", "payload": {}}])
+        with pytest.raises(FormatError, match=r"doc\.json: top level must be an object$"):
+            load(path)
+
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(FormatError, match="kind"):
             load(self.write(tmp_path, {"kind": "mystery", "version": "1", "payload": {}}))
