@@ -5,7 +5,9 @@ Exit codes: 0 when the command succeeds and any checked property holds,
 failure, non-extreme under ``--assert-extreme``, not completely positive,
 or any domain error), and 1 for malformed input or usage errors.
 
-Each handler returns its report, its exit code and the documents it was
+``main`` loads each input document ``build_parser`` declares, in order,
+checks its kind and puts the ``Document`` on ``args`` in place of its path.
+Then the handler returns its report, its exit code and the documents it was
 asked to write, as ``(path, Document)`` pairs (a ``None`` path is not
 written).  ``main`` names the report after the command and prints it to
 stdout as JSON with a fixed key order, so identical inputs produce
@@ -104,11 +106,14 @@ def _resolve_tol(args) -> Tolerances:
     return tol
 
 
-def _load_kind(path, kinds) -> Document:
+def _load_kind(path, kinds, check) -> Document:
     doc = load(path)
     if doc.kind not in kinds:
         wanted = " or ".join(kinds)
-        raise FormatError(f"{path}: expected a {wanted} document, got {doc.kind}")
+        article = "an" if wanted[0] in "aeiou" else "a"
+        raise FormatError(f"{path}: expected {article} {wanted} document, got {doc.kind}")
+    if check is not None:
+        check(doc.value, path)
     return doc
 
 
@@ -143,16 +148,13 @@ def _parse_subset(text: str) -> tuple:
     return labels
 
 
-def _vector_from_doc(doc: Document, path) -> np.ndarray:
-    matrix = doc.value
-    if matrix.shape[0] == 1 or matrix.shape[1] == 1:
-        return np.asarray(matrix).ravel()
-    raise FormatError(f"{path}: expected a row or column vector")
+def _require_vector(matrix, path) -> None:  # standard_model takes the probe vector flattened
+    if 1 not in matrix.shape:
+        raise FormatError(f"{path}: expected a row or column vector")
 
 
 def _cmd_validate(args, tol):
-    doc = _load_kind(args.file, ("instrument",))
-    report = validate(doc.value, tol)
+    report = validate(args.file.value, tol)
     out = {
         "passed": report.passed,
         "normalization_defect": report.normalization_defect,
@@ -165,11 +167,10 @@ def _cmd_validate(args, tol):
 def _cmd_extremal(args, tol):
     from .extremality import instrument_extremal, povm_extremal
 
-    doc = _load_kind(args.file, ("instrument", "povm"))
-    if doc.kind == "povm":
-        report = povm_extremal(doc.value, tol)
+    if args.file.kind == "povm":
+        report = povm_extremal(args.file.value, tol)
     else:
-        report = instrument_extremal(doc.value, tol)
+        report = instrument_extremal(args.file.value, tol)
     out = {
         "is_extreme": report.is_extreme,
         "span_rank": report.span_rank,
@@ -198,9 +199,9 @@ def _cmd_extremal(args, tol):
 def _cmd_dilate(args, tol):
     from .dilation import minimal_stinespring, verify_dilation
 
-    doc = _load_kind(args.file, ("instrument",))
-    dilation = minimal_stinespring(doc.value, tol)
-    report = verify_dilation(doc.value, dilation, tol)
+    m = args.file.value
+    dilation = minimal_stinespring(m, tol)
+    report = verify_dilation(m, dilation, tol)
     out = {
         "passed": report.passed,
         "isometry_defect": report.isometry_defect,
@@ -216,8 +217,7 @@ def _cmd_dilate(args, tol):
 
 
 def _cmd_refine(args, tol):
-    doc = _load_kind(args.file, ("instrument",))
-    refined = refine_rank1(doc.value, tol)
+    refined = refine_rank1(args.file.value, tol)
     out = {
         "dim_in": refined.dim_in,
         "dim_out": refined.dim_out,
@@ -231,10 +231,7 @@ def _cmd_refine(args, tol):
 def _cmd_posterior(args, tol):
     from .posterior import conditional_output, outcome_distribution, posterior_state
 
-    doc = _load_kind(args.file, ("instrument",))
-    state_doc = _load_kind(args.state, ("matrix",))
-    m = doc.value
-    rho = state_doc.value
+    m, rho = args.file.value, args.state.value
     out = {
         "distribution": _labelled(outcome_distribution(m, rho, tol), "probability"),
     }
@@ -252,9 +249,7 @@ def _cmd_posterior(args, tol):
 
 
 def _cmd_compose(args, tol):
-    first = _load_kind(args.first, ("instrument",)).value
-    second = _load_kind(args.second, ("instrument",)).value
-    composed = compose_sequential(first, second, tol)
+    composed = compose_sequential(args.first.value, args.second.value, tol)
     out = {
         "dim_in": composed.dim_in,
         "dim_out": composed.dim_out,
@@ -266,9 +261,8 @@ def _cmd_compose(args, tol):
 def _cmd_compat_build(args, tol):
     from .compat import compat_from_coeffs
 
-    povm = _load_kind(args.povm, ("povm",)).value
-    coeffs = _load_kind(args.coefficients, ("coefficients",)).value
-    built = compat_from_coeffs(povm, coeffs, tol)  # its labels are the POVM's, in order
+    povm = args.povm.value
+    built = compat_from_coeffs(povm, args.coefficients.value, tol)  # its labels are the POVM's, in order
     defect = max(
         float(np.linalg.norm(rebuilt - effect))
         for rebuilt, (_, effect) in zip(require_valid(built, tol), povm.effects)
@@ -287,8 +281,7 @@ def _cmd_compat_build(args, tol):
 def _cmd_compat_channel(args, tol):
     from .compat import compat_channel
 
-    doc = _load_kind(args.file, ("instrument",))
-    dec = compat_channel(doc.value, tol)
+    dec = compat_channel(args.file.value, tol)
     out = {
         "passed": dec.passed,
         "max_residual": dec.max_residual,
@@ -302,9 +295,8 @@ def _cmd_compat_channel(args, tol):
 def _cmd_factorize(args, tol):
     from .compat import lueders_factorization
 
-    doc = _load_kind(args.file, ("instrument",))
     subset = None if args.subset is None else _parse_subset(args.subset)
-    channel, report = lueders_factorization(doc.value, subset, tol)
+    channel, report = lueders_factorization(args.file.value, subset, tol)
     out = {
         "passed": report.passed,
         "subset": [label_to_json(label) for label in report.subset],
@@ -320,8 +312,7 @@ def _cmd_factorize(args, tol):
 def _cmd_nuclear_extract(args, tol):
     from .compat import rank1_nuclear_extract
 
-    doc = _load_kind(args.file, ("instrument",))
-    povm, states, report = rank1_nuclear_extract(doc.value, tol)
+    povm, states, report = rank1_nuclear_extract(args.file.value, tol)
     out = {
         "passed": report.passed,
         "max_probe_error": report.max_probe_error,
@@ -331,7 +322,7 @@ def _cmd_nuclear_extract(args, tol):
     written = Document(
         kind="states",
         value=tuple(zip(povm.labels, states)),
-        meta={"dim": doc.value.dim_out},
+        meta={"dim": args.file.value.dim_out},
     )
     return out, 0 if report.passed else 2, [(args.output, written)]
 
@@ -339,8 +330,7 @@ def _cmd_nuclear_extract(args, tol):
 def _cmd_model(args, tol):
     from .dilation import measurement_model
 
-    doc = _load_kind(args.file, ("instrument",))
-    model = measurement_model(doc.value, xi_index=args.xi_index, tol=tol)
+    model = measurement_model(args.file.value, xi_index=args.xi_index, tol=tol)
     out = {
         "system_dim": model.system_dim,
         "ancilla_dim": model.ancilla_dim,
@@ -362,14 +352,13 @@ def _parse_pointer(text: str) -> tuple:
 def _cmd_standard_model(args, tol):
     from .dilation import standard_model
 
-    a_op = _load_kind(args.a_op, ("matrix",)).value
-    b_op = _load_kind(args.b_op, ("matrix",)).value
-    xi = _vector_from_doc(_load_kind(args.xi, ("matrix",)), args.xi)
     pointer = _parse_pointer(args.pointer)
     labels = None
     if args.labels is not None:
         labels = tuple(_parse_cli_label(piece) for piece in _split_labels(args.labels))
-    povm, kernel, m = standard_model(a_op, b_op, args.coupling, xi, pointer, labels, tol)
+    povm, kernel, m = standard_model(
+        args.a_op.value, args.b_op.value, args.coupling, args.xi.value, pointer, labels, tol
+    )
     out = {
         "dim": povm.dim,
         "eigenvalues": list(kernel.eigenvalues.tolist()),
@@ -387,8 +376,7 @@ def _cmd_standard_model(args, tol):
 def _cmd_corr_extreme(args, tol):
     from .extremality import correlation_extremal
 
-    doc = _load_kind(args.file, ("matrix",))
-    report = correlation_extremal(doc.value, tol)
+    report = correlation_extremal(args.file.value, tol)
     out = {
         "is_extreme": report.is_extreme,
         "gram_rank": report.gram_rank,
@@ -402,8 +390,7 @@ def _cmd_corr_extreme(args, tol):
 
 
 def _cmd_choi(args, tol):
-    doc = _load_kind(args.file, ("instrument",))
-    m = doc.value
+    m = args.file.value
     if args.outcome is not None:
         kraus = m.outcome(_parse_cli_label(args.outcome))
     else:
@@ -444,11 +431,10 @@ def _infer_choi_dims(matrix, args, meta):
 
 
 def _cmd_cp_check(args, tol):
-    doc = _load_kind(args.file, ("matrix",))
-    matrix = doc.value
+    matrix = args.file.value
     if matrix.shape[0] != matrix.shape[1]:
         raise FormatError("Choi matrix must be square")
-    dim_in, dim_out = _infer_choi_dims(matrix, args, doc.meta)
+    dim_in, dim_out = _infer_choi_dims(matrix, args, args.file.meta)
     if dim_in * dim_out != matrix.shape[0]:
         raise FormatError(
             f"dimensions {dim_in}x{dim_out} do not match matrix side {matrix.shape[0]}"
@@ -469,83 +455,92 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="instrumentum", description="Quantum instrument toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, func, help_text):
+    def command(name, func, help_text, *kinds):
+        """A subcommand; with ``kinds``, its ``file`` positional is a document of one of them."""
         p = sub.add_parser(name, help=help_text, description=help_text)
         _tol_arguments(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, inputs=[])
+        if kinds:
+            document(p, "file", kinds)
         return p
 
-    p = command("validate", _cmd_validate, "Check that an instrument is normalized.")
-    p.add_argument("file", help="instrument document")
+    def document(p, name, kinds, help_text=None, check=None):
+        """A required input document: ``main`` loads it and checks its kind before the handler runs."""
+        flag = {"required": True, "metavar": "FILE"} if name.startswith("-") else {}
+        action = p.add_argument(name, help=help_text or f"{' or '.join(kinds)} document", **flag)
+        p.get_default("inputs").append((action.dest, kinds, check))
 
-    p = command("extremal", _cmd_extremal, "Decide extremality of an instrument or POVM.")
-    p.add_argument("file", help="instrument or povm document")
+    command("validate", _cmd_validate, "Check that an instrument is normalized.", "instrument")
+
+    p = command(
+        "extremal", _cmd_extremal, "Decide extremality of an instrument or POVM.", "instrument", "povm"
+    )
     p.add_argument("--witness", metavar="OUT", help="write the witness blocks when not extreme")
     p.add_argument("--assert-extreme", action="store_true", help="exit 2 when not extreme")
 
-    p = command("dilate", _cmd_dilate, "Build and verify a minimal dilation.")
-    p.add_argument("file", help="instrument document")
+    p = command("dilate", _cmd_dilate, "Build and verify a minimal dilation.", "instrument")
     p.add_argument("-o", "--output", metavar="OUT", help="write the dilation document")
 
-    p = command("refine", _cmd_refine, "Split every outcome into rank-one pieces.")
-    p.add_argument("file", help="instrument document")
+    p = command("refine", _cmd_refine, "Split every outcome into rank-one pieces.", "instrument")
     p.add_argument("-o", "--output", metavar="OUT", help="write the refined instrument")
 
-    p = command("posterior", _cmd_posterior, "Outcome distribution and post-measurement states.")
-    p.add_argument("file", help="instrument document")
-    p.add_argument("--state", required=True, metavar="FILE", help="input state document")
+    p = command(
+        "posterior", _cmd_posterior, "Outcome distribution and post-measurement states.", "instrument"
+    )
+    document(p, "--state", ("matrix",), "input state document")
     query = p.add_mutually_exclusive_group()
     query.add_argument("--outcome", metavar="LABEL", help="posterior state for one outcome")
     query.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
 
     p = command("compose", _cmd_compose, "Sequential composition of two instruments.")
-    p.add_argument("first", help="first instrument document")
-    p.add_argument("second", help="second instrument document")
+    document(p, "first", ("instrument",), "first instrument document")
+    document(p, "second", ("instrument",), "second instrument document")
     p.add_argument("-o", "--output", metavar="OUT", help="write the composed instrument")
 
     p = command("compat-build", _cmd_compat_build, "Build a compatible instrument from coefficients.")
-    p.add_argument("povm", help="povm document")
-    p.add_argument("coefficients", help="coefficients document")
+    document(p, "povm", ("povm",))
+    document(p, "coefficients", ("coefficients",))
     p.add_argument("-o", "--output", metavar="OUT", help="write the built instrument")
 
-    p = command("compat-channel", _cmd_compat_channel, "Decompose outcomes through the associated channel.")
-    p.add_argument("file", help="instrument document")
+    command(
+        "compat-channel", _cmd_compat_channel, "Decompose outcomes through the associated channel.",
+        "instrument",
+    )
 
-    p = command("factorize", _cmd_factorize, "Factor outcomes through the associated channel.")
-    p.add_argument("file", help="instrument document")
+    p = command(
+        "factorize", _cmd_factorize, "Factor outcomes through the associated channel.", "instrument"
+    )
     p.add_argument("--subset", metavar="LABELS", help=_SUBSET_HELP)
     p.add_argument("-o", "--output", metavar="OUT", help="write the factor channel as an instrument")
 
-    p = command("nuclear-extract", _cmd_nuclear_extract, "Recover states of a rank-one nuclear instrument.")
-    p.add_argument("file", help="instrument document")
+    p = command(
+        "nuclear-extract", _cmd_nuclear_extract, "Recover states of a rank-one nuclear instrument.",
+        "instrument",
+    )
     p.add_argument("-o", "--output", metavar="OUT", help="write the recovered states")
 
-    p = command("model", _cmd_model, "Build an indirect measurement model.")
-    p.add_argument("file", help="instrument document")
+    p = command("model", _cmd_model, "Build an indirect measurement model.", "instrument")
     p.add_argument("--xi-index", type=int, default=0, metavar="N", help="ancilla index of the probe vector")
     p.add_argument("-o", "--output", metavar="OUT", help="write the model document")
 
     p = command("standard-model", _cmd_standard_model, "Pointer statistics of a standard indirect model.")
-    p.add_argument("--a-op", required=True, metavar="FILE", help="system observable document")
-    p.add_argument("--b-op", required=True, metavar="FILE", help="probe observable document")
+    document(p, "--a-op", ("matrix",), "system observable document")
+    document(p, "--b-op", ("matrix",), "probe observable document")
     p.add_argument("--coupling", required=True, type=float, metavar="X", help="coupling strength")
-    p.add_argument("--xi", required=True, metavar="FILE", help="probe vector document")
+    document(p, "--xi", ("matrix",), "probe vector document", _require_vector)
     p.add_argument("--pointer", required=True, metavar="SPEC", help="pointer blocks, e.g. '0,1;2'")
     p.add_argument("--labels", metavar="LABELS", help="comma-separated outcome labels")
     p.add_argument("-o", "--output", metavar="OUT", help="write the realized instrument")
     p.add_argument("--povm-output", metavar="OUT", help="write the pointer POVM")
 
-    p = command("corr-extreme", _cmd_corr_extreme, "Decide extremality of a correlation matrix.")
-    p.add_argument("file", help="matrix document")
+    p = command("corr-extreme", _cmd_corr_extreme, "Decide extremality of a correlation matrix.", "matrix")
     p.add_argument("--assert-extreme", action="store_true", help="exit 2 when not extreme")
 
-    p = command("choi", _cmd_choi, "Choi matrix of an outcome or of the full channel.")
-    p.add_argument("file", help="instrument document")
+    p = command("choi", _cmd_choi, "Choi matrix of an outcome or of the full channel.", "instrument")
     p.add_argument("--outcome", metavar="LABEL", help="restrict to one outcome")
     p.add_argument("-o", "--output", metavar="OUT", help="write the Choi matrix document")
 
-    p = command("cp-check", _cmd_cp_check, "Check complete positivity of a Choi matrix.")
-    p.add_argument("file", help="matrix document")
+    p = command("cp-check", _cmd_cp_check, "Check complete positivity of a Choi matrix.", "matrix")
     p.add_argument("--dim-in", type=int, metavar="N", help="input dimension")
     p.add_argument("--dim-out", type=int, metavar="N", help="output dimension")
 
@@ -560,6 +555,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         tol = _resolve_tol(args)
+        for dest, kinds, check in args.inputs:  # each declared input, in declaration order
+            setattr(args, dest, _load_kind(getattr(args, dest), kinds, check))
         report, code, documents = args.func(args, tol)
         # the report goes out before any write, so a failed or refused write still leaves it
         print(json.dumps({"command": args.command, **report}, indent=2, allow_nan=False))
@@ -570,13 +567,13 @@ def main(argv=None) -> int:
                 raise written
             save(written, path)
         return code
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:  # an OSError's text names the path and the reason
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InstrumentumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormatError, ValueError, KeyError, OSError) as exc:
+    except (FormatError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -291,8 +291,10 @@ def _difference(pairs: list, dim_in: int) -> list:
     ``G_s = q_s^dag q_s``, ``||block(s, t)||_F^2 = tr(M^dag G_s M G_t)``: a
     trace of a product of two positive matrices, the first scaled by the
     core, so the result is small exactly when the core is and keeps its
-    absolute accuracy when the maps nearly agree.  Costs ``O(dim_out *
-    dim_in * N^2)``; ``D`` is never formed.
+    absolute accuracy when the maps nearly agree.  ``D`` is never formed; with
+    ``k = min(dim_out * dim_in, N)`` a pair costs about ``dim_out * dim_in *
+    (N k + k^2)`` for the QR and block Grams, ``2 dim_out k^3`` for ``H_s =
+    M^dag G_s M`` and ``dim_out^2 k^2`` for the traces.
 
     One rule stacks the pairs.  When every pair padded to the widest ``N``
     fits ``_SLAB_ENTRIES`` padded columns and block Grams, the whole call is

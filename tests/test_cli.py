@@ -824,11 +824,13 @@ class TestOneExitPath:
 
     def test_failed_write_keeps_the_report(self, run, luders_file, tmp_path):
         _, plain, _ = run("dilate", luders_file)
-        code, report, err = run("dilate", luders_file, "-o", str(tmp_path / "missing" / "x.json"))
+        target = str(tmp_path / "missing" / "x.json")
+        code, report, err = run("dilate", luders_file, "-o", target)
         assert (code, report) == (1, plain)
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        assert err == f"error: [Errno 2] No such file or directory: {target!r}\n"
 
     def test_top_level_array_exits_one(self, run, tmp_path):
         path = tmp_path / "array.json"
@@ -836,3 +838,54 @@ class TestOneExitPath:
         code, report, err = run("validate", str(path))
         assert (code, report) == (1, None)
         assert err == f"error: {path}: top level must be an object\n"
+
+
+class TestInputDocuments:
+    """``main`` loads each declared input in declaration order and checks its kind."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, luders_file, state_file, probe_files):
+        eye = np.eye(2, dtype=complex)
+        paths = {"m": luders_file, "rho": state_file, "probe": probe_files}
+        paths["povm"] = str(tmp_path / "povm.json")
+        save(Document(kind="povm", value=Povm(2, (("a", eye / 2), ("b", eye / 2)))), paths["povm"])
+        t = np.zeros((2, 2, 1), dtype=complex)
+        t[0, 0, 0] = t[1, 1, 0] = 1.0
+        paths["coeffs"] = str(tmp_path / "coeffs.json")
+        coeffs = CompatCoefficients(2, (("a", t), ("b", t)))
+        save(Document(kind="coefficients", value=coeffs), paths["coeffs"])
+        paths["bad"] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text('{"kind": ')
+        paths["square"] = str(tmp_path / "square.json")
+        save(Document(kind="matrix", value=eye), paths["square"])
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv, culprit, message",
+        [
+            (("validate", "{povm}"), "povm", "expected an instrument document, got povm"),
+            (("extremal", "{rho}"), "rho", "expected an instrument or povm document, got matrix"),
+            (("corr-extreme", "{m}"), "m", "expected a matrix document, got instrument"),
+            (("compat-build", "{m}", "{coeffs}"), "m", "expected a povm document, got instrument"),
+        ],
+    )
+    def test_wrong_kind_names_the_kinds_it_accepts(self, run, paths, argv, culprit, message):
+        code, report, err = run(*(arg.format(**paths) for arg in argv))
+        assert (code, report) == (1, None)
+        assert err == f"error: {paths[culprit]}: {message}\n"
+
+    def test_of_two_bad_inputs_the_first_declared_is_reported(self, run, paths):
+        code, report, err = run("posterior", paths["bad"], "--state", paths["m"])
+        assert (code, report) == (1, None)
+        assert err.startswith(f"error: {paths['bad']}: not valid JSON")
+        assert paths["m"] not in err
+        code, report, err = run("compat-build", paths["m"], paths["povm"])
+        assert (code, report) == (1, None)
+        assert err == f"error: {paths['m']}: expected a povm document, got instrument\n"
+
+    def test_xi_must_be_a_row_or_a_column(self, run, paths):
+        probe = list(paths["probe"])
+        probe[probe.index("--xi") + 1] = paths["square"]
+        code, report, err = run("standard-model", *probe, "--coupling", "1.0", "--pointer", "0;1")
+        assert (code, report) == (1, None)
+        assert err == f"error: {paths['square']}: expected a row or column vector\n"

@@ -20,7 +20,7 @@ from instrumentum import (
 )
 from instrumentum import cpmaps
 from instrumentum.cpmaps import _difference
-from instrumentum.matkernel import numeric_rank
+from instrumentum.matkernel import DEFAULT_TOL, numeric_rank
 
 from helpers import (
     depolarizing_kraus,
@@ -311,6 +311,21 @@ class TestKrausEquivalent:
         u = kraus_equivalent(k1, k2)
         assert u is not None
         assert kraus_action_distance(k1, k2) < 1e-12
+
+    def test_choi_match_with_a_non_unitary_relation_is_refused(self):
+        # tiny operators: scaling them by 1 + 1e-7 moves the Choi matrix by about 4e-12,
+        # within eps_eq, but relates the two sets by u = (1 + 1e-7) I, which is not unitary
+        rng = np.random.default_rng(3)
+        ops = tuple(
+            1e-3 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) for _ in range(2)
+        )
+        k1 = KrausSet(3, 3, ops)
+        k2 = KrausSet(3, 3, tuple((1 + 1e-7) * op for op in ops))
+        tol = DEFAULT_TOL
+        assert np.linalg.norm(choi(k1).matrix - choi(k2).matrix) <= tol.eps_eq
+        assert np.linalg.norm(choi(k1).matrix) < 1e-4
+        assert np.allclose(kraus_equivalent(k1, k1, tol), np.eye(2), rtol=0, atol=1e-12)
+        assert kraus_equivalent(k1, k2, tol) is None
 
 
 def corpus_kraus_sets(corpus):
