@@ -26,6 +26,7 @@ vector xi, and a pointer partition of the ancilla basis into outcome blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .matkernel import (
     _integer,
     _rank,
     _require_finite,
+    _require_orthonormal,
     as_matrix,
     dagger,
     isometry_complete,
@@ -136,6 +138,16 @@ class DilationReport:
     block_dims: tuple
 
 
+class _Householder(NamedTuple):
+    """The unitary of a model that ``measurement_model`` builds, held factored."""
+
+    y: np.ndarray  # the dilation isometry: U's columns at the slots h_n (x) xi
+    h: np.ndarray  # np.linalg.qr(y, mode="raw"): reflector k is 1 at k and h[k, k + 1:] below
+    tau: np.ndarray  # the reflectors' scalars, H_k = I - tau[k] v_k v_k^dag
+    order: np.ndarray  # the column of isometry_complete(y) that each slot of U takes
+    tol: Tolerances  # the call's tolerances, under which y was checked and U is formed
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Unitary realization of an instrument on system (x) ancilla.
@@ -144,6 +156,12 @@ class MeasurementModel:
     pointer blocks of the outcomes in ``labels``; ``xi`` is the initial
     ancilla vector and ``unitary`` acts on the system-major product space.
     Only structure is checked here; ``model_intertwiner`` judges ``unitary`` and ``xi``.
+
+    A model that ``measurement_model`` builds is factored: it holds the
+    dilation isometry ``Y`` and the Householder reflectors of its QR in place
+    of ``unitary``, which is formed on its first read (``save`` and
+    ``model -o`` read it) and kept.  A copy or a pickle is rebuilt by the
+    constructor from the formed ``unitary``, so it comes back dense.
     """
 
     system_dim: int
@@ -152,26 +170,50 @@ class MeasurementModel:
     xi: np.ndarray = field(repr=False)
     unitary: np.ndarray = field(repr=False)
 
+    _factors = None  # a _Householder on a factored model, None on a dense one
+
     def __post_init__(self) -> None:
-        system_dim = _integer(self.system_dim, "dimensions")
-        labels, block_dims = _block_partition(self.labels, self.block_dims)
+        self._set_structure(self.system_dim, self.labels, self.block_dims, self.xi)
+        u = as_matrix(self.unitary, name="model unitary")
+        side = self.system_dim * self.ancilla_dim
+        if u.shape != (side, side):
+            raise ValueError(f"unitary has shape {u.shape}, expected {(side, side)}")
+        object.__setattr__(self, "unitary", u)
+
+    def _set_structure(self, system_dim, labels, block_dims, xi) -> None:
+        """Check and set every field but ``unitary``."""
+        system_dim = _integer(system_dim, "dimensions")
+        labels, block_dims = _block_partition(labels, block_dims)
         ancilla = sum(block_dims)
         if ancilla < 1:
             raise ValueError("ancilla must have positive dimension")
-        xi = np.array(self.xi, dtype=np.complex128).reshape(-1)
+        xi = np.array(xi, dtype=np.complex128).reshape(-1)
         _require_finite(xi, "xi")
         if xi.shape != (ancilla,):
             raise ValueError(f"xi has length {xi.size}, expected {ancilla}")
-        u = as_matrix(self.unitary, name="model unitary")
-        side = system_dim * ancilla
-        if u.shape != (side, side):
-            raise ValueError(f"unitary has shape {u.shape}, expected {(side, side)}")
         xi.setflags(write=False)
         object.__setattr__(self, "system_dim", system_dim)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "block_dims", block_dims)
         object.__setattr__(self, "xi", xi)
+
+    @classmethod
+    def _factored(cls, system_dim, labels, block_dims, xi, factors: _Householder):
+        """A model whose ``unitary`` is held as ``factors`` until it is read."""
+        model = object.__new__(cls)
+        model._set_structure(system_dim, labels, block_dims, xi)
+        object.__setattr__(model, "_factors", factors)
+        return model
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a factored model's unitary, before its first read
+        factors = self._factors
+        if name != "unitary" or factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        u = isometry_complete(factors.y, factors.tol)[:, factors.order]
+        u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
+        return u
 
     __reduce__ = _rebuilt
 
@@ -290,8 +332,13 @@ def measurement_model(
     The ancilla is the fiber space of the minimal dilation, prepared in the
     basis vector ``xi_index``; the unitary sends ``h_n (x) xi`` to ``Y h_n``,
     and its remaining slots take, in order, the trailing columns of the
-    complete Householder QR of ``Y`` (``isometry_complete``).  The model is
-    checked against ``m`` by one ``_difference`` call over all outcomes.  ``xi_index``
+    complete Householder QR of ``Y`` (``isometry_complete``).  ``Y`` is
+    checked to be orthonormal under ``tol`` here, with ``isometry_complete``'s
+    refusal.  The model returned is factored (see ``MeasurementModel``): it
+    keeps ``Y``, the raw reflectors ``np.linalg.qr(Y, mode="raw")``, the slot
+    order and ``tol``, and forms ``unitary`` as ``isometry_complete(Y,
+    tol)[:, order]`` on its first read.  The model is checked against ``m``
+    by one ``_difference`` call over all outcomes.  ``xi_index``
     is read like a dimension (``matkernel._integer``), so a boolean, a float
     or a string raises ``ValueError``.
     """
@@ -313,13 +360,13 @@ def measurement_model(
     order[~given] = np.arange(d, side)
     xi = np.zeros(total, dtype=np.complex128)
     xi[xi_index] = 1.0
-    model = MeasurementModel(
-        system_dim=d,
-        labels=dil.labels,
-        block_dims=dil.block_dims,
-        xi=xi,
-        unitary=isometry_complete(dil.isometry, tol)[:, order],  # the completion is freed here
-    )
+    y = dil.isometry
+    _require_orthonormal(y, tol)
+    h, tau = np.linalg.qr(y, mode="raw")
+    for a in (h, tau, order):
+        a.setflags(write=False)
+    factors = _Householder(y, h, tau, order, tol)
+    model = MeasurementModel._factored(d, dil.labels, dil.block_dims, xi, factors)
     realized = realized_instrument(model)
     pairs = [(k1.stack, k2.stack) for (_, k1), (_, k2) in zip(m.outcomes, realized.outcomes)]
     err = _largest_distance(pairs, d)
@@ -340,10 +387,54 @@ def realized_instrument(model: MeasurementModel) -> DiscreteInstrument:
 
 
 def _coupled(model: MeasurementModel) -> np.ndarray:
-    """``[s, a, n] = <h_s (x) e_a | U (h_n (x) xi)>``, shape ``(d, ancilla, d)``."""
+    """``[s, a, n] = <h_s (x) e_a | U (h_n (x) xi)>``, shape ``(d, ancilla, d)``.
+
+    A dense model is read by one matrix-vector product, the unitary's rows
+    reshaped to blocks of ``ancilla`` columns times ``xi``.  On a factored
+    model ``U (h_n (x) xi)`` is ``Y h_n``, so this is ``Y`` reshaped; adding
+    ``0.0`` turns its ``-0.0`` entries into the ``+0.0`` the product gives.
+    """
     d = model.system_dim
     anc = model.ancilla_dim
+    if model._factors is not None:
+        return (model._factors.y + 0.0).reshape(d, anc, d)
     return (model.unitary.reshape(-1, anc) @ model.xi).reshape(d, anc, d)
+
+
+def _unitarity_defect(model: MeasurementModel) -> float:
+    """How far a model's unitary is from unitary, read off what the model holds.
+
+    Of a dense model, ``||U^dag U - I||_F``.  A factored model's ``U`` is, up
+    to the order of its columns, ``Q = H_0 ... H_{d-1}`` with its leading
+    ``d`` columns replaced by ``Y``.  For a unitary ``Q``, ``||U^dag U -
+    I||_F^2`` is ``||Y^dag Y - I||_F^2`` plus twice the squared norm of the
+    rows of ``Q^dag Y`` past ``d``; those come from the compact WY form ``Q =
+    I - V T V^dag`` (Schreiber and Van Loan), ``T^-1`` being the strict upper
+    triangle of ``V^dag V`` plus ``diag(1 / tau)`` over the reflectors with
+    ``tau != 0`` (the others are the identity).  The third term is the sum
+    of ``||H_k^dag H_k - I||_F = |2 Re tau_k - |tau_k|^2 ||v_k||^2| ||v_k||^2``,
+    which bounds ``||Q^dag Q - I||_F`` to first order.  All of it costs
+    ``O(side d^2)``.
+    """
+    factors = model._factors
+    if factors is None:
+        u = model.unitary
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
+    y, h, tau = factors.y, factors.h, factors.tau
+    d = y.shape[1]
+    vt = np.triu(h, 1)  # row k: the reflector v_k, zero before its unit entry k
+    vt[np.arange(d), np.arange(d)] = 1.0
+    kept = tau != 0
+    vt, tau = vt[kept], tau[kept]
+    vh = vt.conj()  # V^dag
+    v_gram = vh @ vt.T
+    norms = v_gram.diagonal().real  # ||v_k||^2
+    reflectors = float(np.sum(np.abs(2.0 * tau.real - np.abs(tau) ** 2 * norms) * norms))
+    t_inverse = np.triu(v_gram, 1) + np.diag(1.0 / tau)
+    # the rows past d of Q^dag Y = Y - V T^dag V^dag Y
+    beyond = y[d:] - vt[:, d:].T @ np.linalg.solve(dagger(t_inverse), vh @ y)
+    gram = float(np.linalg.norm(dagger(y) @ y - np.eye(d)))
+    return float(np.sqrt(gram**2 + 2.0 * float(np.linalg.norm(beyond)) ** 2 + reflectors**2))
 
 
 def model_intertwiner(
@@ -355,19 +446,20 @@ def model_intertwiner(
     compatibility ``P'_j W = W P_j``, block by block as ``img psi^dag S^-2``,
     as the rows ``psi`` of block ``i`` are the conjugated columns ``U S`` of
     the minimal cut of outcome ``i``'s Choi columns, kept with its singular
-    values ``S`` (``cpmaps._minimal_cut``).  Raises when ``||U^dag U - I||_F
-    > eps_eq * sqrt(side)`` or the model does not realize ``m`` within
-    ``eps_eq * sqrt(dim)``; a non-unit ``xi`` shows as the isometry defect of
-    ``W``.
+    values ``S`` (``cpmaps._minimal_cut``).  Raises when the model's defect
+    from unitary exceeds ``eps_eq * sqrt(side)`` or the model does not
+    realize ``m`` within ``eps_eq * sqrt(dim)``; a non-unit ``xi`` shows as
+    the isometry defect of ``W``.  The defect is ``||U^dag U - I||_F`` of a
+    dense model, and of a factored one is read off ``Y`` and its reflectors
+    without forming ``U`` (``_unitarity_defect``).
     """
     require_valid(m, tol)
     if m.dim_out != m.dim_in or model.system_dim != m.dim_in:
         raise ValueError("model and instrument dimensions disagree")
     if model.labels != m.labels:
         raise ValueError("model and instrument outcome labels disagree")
-    u = model.unitary
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(len(u))))
-    if defect > tol.eps_eq * float(np.sqrt(len(u))):
+    defect = _unitarity_defect(model)
+    if defect > tol.eps_eq * float(np.sqrt(model.system_dim * model.ancilla_dim)):
         raise InstrumentumError(f"model matrix is not unitary: defect {defect:.3e}")
     cuts = [_minimal_cut(kraus, "minimal", tol) for _, kraus in m.outcomes]
     d = m.dim_in

@@ -304,15 +304,21 @@ def isometry_complete(v, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     identity.
     """
     v = as_matrix(v, name="isometry columns")
+    _require_orthonormal(v, tol)
+    completed = np.linalg.qr(v, mode="complete")[0]
+    completed[:, : v.shape[1]] = v
+    return completed
+
+
+def _require_orthonormal(v: np.ndarray, tol: Tolerances) -> None:
+    """``isometry_complete``'s refusals of the checked matrix ``v``: more columns than rows,
+    or ``||v^dag v - I||_F > eps_eq * max(1, sqrt(cols))``."""
     rows, cols = v.shape
     if rows < cols:
         raise InstrumentumError(f"cannot complete {rows}x{cols}: more columns than rows")
     gram_defect = float(np.linalg.norm(v.conj().T @ v - np.eye(cols)))
     if gram_defect > tol.eps_eq * max(1.0, np.sqrt(cols)):
         raise InstrumentumError(f"columns are not orthonormal: defect {gram_defect:.3e}")
-    completed = np.linalg.qr(v, mode="complete")[0]
-    completed[:, :cols] = v
-    return completed
 
 
 def herm_exp(a, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -261,9 +261,10 @@ def test_no_choi_sided_decomposition(decompositions, name):
         for n, a, out in decompositions
         if n in ("svd", "qr") and any(np.shape(part) == (36, 36) for part in out)
     ]
-    # the model's unitary acts on system (x) ancilla, 6 * 6 = 36 sided here as well:
-    # completing the 36 x 6 dilation isometry to it takes one complete QR of the isometry
-    assert sided == ([(36, 6)] if name == "measurement_model" else [])
+    # the model's unitary acts on system (x) ancilla, 6 * 6 = 36 sided here as well, but
+    # measurement_model keeps the raw QR of the 36 x 6 dilation isometry, (6, 36) reflectors,
+    # and forms that unitary only when it is read
+    assert sided == []
 
 
 def _checked_calls(rng):

@@ -1,5 +1,7 @@
 """Stinespring dilations, Naimark extensions, and measurement models."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -28,7 +30,13 @@ from instrumentum import (
     validate,
     verify_dilation,
 )
-from instrumentum.dilation import _coupled, _distinct_eigenvalues, realized_instrument
+from instrumentum.dilation import (
+    _coupled,
+    _distinct_eigenvalues,
+    _unitarity_defect,
+    realized_instrument,
+)
+from instrumentum.matkernel import isometry_complete
 
 from helpers import PAULI, action_distance, basis_pvm, rand_instrument, rand_unitary
 
@@ -226,6 +234,124 @@ class TestModelIntertwiner:
         w, report = model_intertwiner(model, m)
         assert report.passed
         assert np.allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-9)
+
+
+def self_built_models(corpus):
+    """``(instrument, model)`` for the square corpus instruments and random ones at d = 8 to 24."""
+    rng = np.random.default_rng(4242)
+    square = [m for m in corpus.values() if m.dim_in == m.dim_out]
+    square += [rand_instrument(rng, d, d, (2, 1, 3)) for d in (8, 16, 24)]
+    return [(m, measurement_model(m, xi_index)) for m in square for xi_index in (0, 1)
+            if xi_index < sum(minimal_stinespring(m).block_dims)]
+
+
+def dense_copy(model):
+    """The same model through the constructor, from its formed unitary."""
+    return MeasurementModel(model.system_dim, model.labels, model.block_dims, model.xi, model.unitary)
+
+
+def outcome_bytes(m):
+    return [(label, kraus.stack.tobytes()) for label, kraus in m.outcomes]
+
+
+def multiplied_out_defect(factors):
+    """``_unitarity_defect``'s three terms, with ``Q`` formed as the product of its reflectors."""
+    y, h, tau = factors.y, factors.h, factors.tau
+    side, d = y.shape
+    q = np.eye(side, dtype=np.complex128)
+    condition = 0.0
+    for k in range(d):
+        v = np.zeros(side, dtype=np.complex128)
+        v[k], v[k + 1 :] = 1.0, h[k, k + 1 :]
+        q = q @ (np.eye(side) - tau[k] * np.outer(v, v.conj()))
+        norm = np.vdot(v, v).real
+        condition += abs(2.0 * tau[k].real - abs(tau[k]) ** 2 * norm) * norm
+    gram = np.linalg.norm(y.conj().T @ y - np.eye(d))
+    beyond = np.linalg.norm(q[:, d:].conj().T @ y)
+    return float(np.sqrt(gram**2 + 2.0 * beyond**2 + condition**2))
+
+
+def perturbed(model, part):
+    """``model`` with its ``Y`` column 1 scaled by ``1 + 1e-7``, or ``1e-7`` added to ``tau[0]``
+    or to entry 2 of reflector 0 (``h[0, 2]``)."""
+    factors = model._factors
+    changed = np.array(getattr(factors, part))
+    if part == "y":
+        changed[:, 1] *= 1 + 1e-7
+    else:
+        assert factors.tau[0] != 0  # a reflector with tau = 0 is dropped as the identity
+        changed[0 if part == "tau" else (0, 2)] += 1e-7
+    object.__setattr__(model, "_factors", factors._replace(**{part: changed}))
+    return model
+
+
+class TestFactoredModel:
+    """``measurement_model`` returns a model that holds ``Y`` and the reflectors of its QR."""
+
+    @pytest.mark.parametrize("part", ["y", "tau"])
+    def test_perturbed_factors_are_refused(self, part):
+        m = rand_instrument(np.random.default_rng(31), 3, 3, (2, 1, 2))
+        model = perturbed(measurement_model(m), part)
+        with pytest.raises(InstrumentumError, match="model matrix is not unitary: defect "):
+            model_intertwiner(model, m)
+        assert model_intertwiner(model, m, DEFAULT_TOL.scaled(1e3))[1].passed
+
+    @pytest.mark.parametrize("part", [None, "y", "tau", "h"])
+    def test_defect_is_read_off_the_reflectors(self, part):
+        model = measurement_model(rand_instrument(np.random.default_rng(33), 3, 3, (2, 1)))
+        if part is not None:
+            model = perturbed(model, part)
+        expected = multiplied_out_defect(model._factors)
+        assert abs(_unitarity_defect(model) - expected) <= 1e-13 + 1e-6 * expected
+        if part is not None:
+            assert expected > 1e-8
+
+    def test_defects_stay_at_rounding(self, corpus):
+        for m, model in self_built_models(corpus):
+            assert model._factors is not None
+            assert _unitarity_defect(model) <= 1e-12
+            assert _unitarity_defect(dense_copy(model)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_unitary_is_the_completion_under_the_calls_tolerances(self, scale):
+        # over-normalized by 2e-5, as test_cli's tol-scale case: Y passes only the scaled check
+        s = 1 + 1e-5 * (scale > 1)
+        m = DiscreteInstrument(2, 2, ((0, (s * np.diag([1.0, 0.0]),)), (1, (s * np.diag([0.0, 1.0]),))))
+        tol = DEFAULT_TOL.scaled(scale)
+        model = measurement_model(m, 1, tol)
+        factors = model._factors
+        assert "unitary" not in vars(model)
+        unitary = model.unitary
+        expected = isometry_complete(factors.y, tol)[:, factors.order]
+        assert unitary.tobytes() == expected.tobytes() and unitary.shape == expected.shape
+        assert model.unitary is unitary and not unitary.flags.writeable
+        assert not any(a.flags.writeable for a in (factors.y, factors.h, factors.tau, factors.order))
+        if scale > 1:
+            with pytest.raises(InstrumentumError, match="columns are not orthonormal"):
+                isometry_complete(factors.y)
+
+    def test_reads_match_a_dense_copy_to_the_byte(self, corpus):
+        for m, model in self_built_models(corpus):
+            dense = dense_copy(model)
+            assert dense._factors is None
+            assert _coupled(model).tobytes() == _coupled(dense).tobytes()
+            assert outcome_bytes(realized_instrument(model)) == outcome_bytes(realized_instrument(dense))
+            (w, report), (w_dense, report_dense) = model_intertwiner(model, m), model_intertwiner(dense, m)
+            assert w.tobytes() == w_dense.tobytes() and report == report_dense
+
+    @pytest.mark.parametrize("copier", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy])
+    def test_copies_come_back_dense(self, copier):
+        m = rand_instrument(np.random.default_rng(32), 3, 3, (2, 1))
+        model = measurement_model(m)
+        twin = copier(model)
+        assert model._factors is not None and twin._factors is None
+        assert twin.unitary.tobytes() == model.unitary.tobytes() and twin.unitary is not model.unitary
+        assert model_intertwiner(twin, m)[0].tobytes() == model_intertwiner(model, m)[0].tobytes()
+
+    def test_other_missing_attributes_raise(self):
+        model = measurement_model(lueders(basis_pvm(2, ((0,), (1,)))))
+        assert not hasattr(model, "unitaries")
+        assert not hasattr(dense_copy(model), "_householder")
 
 
 class TestStandardModel:

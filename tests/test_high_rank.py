@@ -27,6 +27,7 @@ from instrumentum import (
     instrument_extremal,
     measurement_model,
     minimal_stinespring,
+    model_intertwiner,
     validate,
     verify_dilation,
     witness_decompose,
@@ -128,9 +129,10 @@ def _wide_instrument():
 
 # tracemalloc peaks on the wide instrument: verify_dilation reads 54.0 MiB (55.0 MiB when each
 # outcome was checked by a _difference call of its own, 486 MiB with all nine outcomes zero-padded
-# to the wide one's 512 columns in one stacked QR); measurement_model reads 579.6 MiB (872.9 MiB
-# when its completion kept a second copy of the 4224-sided unitary beside the model's own)
-@pytest.mark.parametrize("name, bound_mib", (("verify_dilation", 55), ("measurement_model", 600)))
+# to the wide one's 512 columns in one stacked QR); measurement_model reads 57.2 MiB, as it keeps
+# the raw QR of the 4224 x 16 dilation isometry (579.6 MiB when it formed the 4224-sided unitary
+# and the model copied it, 872.9 MiB when its completion kept a second copy beside the model's own)
+@pytest.mark.parametrize("name, bound_mib", (("verify_dilation", 55), ("measurement_model", 60)))
 def test_stacked_checks_keep_the_memory_peak(name, bound_mib):
     m = _wide_instrument()
     dilation = minimal_stinespring(m)
@@ -147,3 +149,22 @@ def test_stacked_checks_keep_the_memory_peak(name, bound_mib):
     if name == "verify_dilation":
         assert result.passed and result.block_span_ranks == (256,) + (1,) * 8
     assert peak <= bound_mib * 2**20
+
+
+# a full-rank channel at d = 16 has a model of side 16 * 256 = 4096, whose unitary would take
+# 256 MiB; the pair builds and checks it from the 4096 x 16 dilation isometry and its
+# reflectors, with a tracemalloc peak of 58.1 MiB
+def test_full_rank_model_is_checked_without_its_unitary():
+    m = full_rank_channel(16)
+    tracemalloc.start()
+    try:
+        model = measurement_model(m)
+        w, report = model_intertwiner(model, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.system_dim * model.ancilla_dim == 4096
+    assert "unitary" not in vars(model)
+    assert report.passed and w.shape == (256, 256)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(256))) <= 1e-12
+    assert peak <= 64 * 2**20

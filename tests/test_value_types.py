@@ -129,10 +129,14 @@ def _form_kept(value) -> None:
 
 
 def _kept(value) -> tuple:
-    """What ``value`` and its Kraus sets hold beyond their fields."""
+    """What ``value`` and its Kraus sets hold beyond their fields.
+
+    A factored measurement model's ``_factors`` is the form its unitary is
+    held in, not data formed on demand, so it does not count here.
+    """
     kept = []
     for holder in _holders(value):
-        fields = {f.name for f in dataclasses.fields(holder)}
+        fields = {f.name for f in dataclasses.fields(holder)} | {"_factors"}
         kept += [v for name, v in vars(holder).items() if name not in fields]
     return tuple(kept)
 
@@ -147,6 +151,7 @@ def test_copies_are_rebuilt_read_only_and_keep_nothing(name, copier):
     twin = copier(original)
     assert type(twin) is type(original)
     assert _kept(twin) == ()  # recomputed on demand, never carried over
+    assert getattr(twin, "_factors", None) is None  # a factored model comes back dense
     pairs = list(zip(_arrays(original), _arrays(twin)))
     assert pairs and len(pairs) == len(_arrays(twin))
     for a, b in pairs:
