@@ -284,17 +284,67 @@ def _difference(pairs: list, dim_in: int) -> list:
     twice for a one-sided (ordinary) difference; it is factored once.  The
     values come back in the order of ``pairs``.
 
+    Two forms give the same values to rounding, and each call takes the one
+    with the smaller operation count, over all its pairs at once.  With ``rows =
+    dim_out * dim_in``, ``N = len(a) + len(b)`` the width of a pair and ``k =
+    min(rows, N)``:
+
+    * the direct form (``_direct_difference``) forms each pair's ``conj(D) =
+      [a; -b]^T conj([c; d])``, one ``rows x rows`` product, and sums ``|D|^2``
+      over its blocks.  A pair costs ``rows^2 N`` and holds one ``rows x
+      rows`` complex array (16 MiB at ``rows = 1024``), the pairs one at a
+      time;
+    * the QR core (``_core_difference``) never forms ``D``.  A pair costs
+      ``rows N k + rows k^2`` for its QR and block Grams, twice in a call
+      with a two-sided pair, where the right columns are factored too, plus
+      ``2 dim_out k^3`` for ``H_s = M^dag G_s M`` and ``dim_out^2 k^2`` for
+      the traces.  It holds ``dim_out`` block Grams of ``k^2`` entries per
+      factored side and per pair of a slab.
+
+    The direct form is taken when its count is no larger.  Where it is, its
+    one array is never larger than the ``rows x N`` columns the core would
+    factor for a wide pair (``N >= rows``), and at most about twice all the
+    core would hold for a narrow one.  Both forms carry an absolute error of
+    order ``eps ||W||_F^2``, so each keeps its accuracy when the maps nearly
+    agree.
+    """
+    if not pairs:
+        return []
+    dim_out = pairs[0][0][0].shape[1]
+    rows = dim_out * dim_in
+    factored = 1 + any(right is not left for left, right in pairs)
+    widths = [len(a) + len(b) for (a, b), _ in pairs]
+    core = 0
+    for n in widths:
+        k = min(rows, n)
+        core += factored * (rows * n * k + rows * k * k) + 2 * dim_out * k**3 + dim_out**2 * k**2
+    if rows * rows * sum(widths) <= core:
+        return [_direct_difference(pair, dim_out, dim_in) for pair in pairs]
+    return _core_difference(pairs, dim_in)
+
+
+def _direct_difference(pair: tuple, dim_out: int, dim_in: int) -> tuple:
+    """``(largest block norm, ||D||_F)`` of one pair of ``_difference``, from ``conj(D)`` itself."""
+    (a, b), (c, d) = pair
+    rows = dim_out * dim_in
+    left = np.concatenate((a.reshape(len(a), rows), -b.reshape(len(b), rows)))
+    right = np.concatenate((c.reshape(len(c), rows), d.reshape(len(d), rows)))
+    # the real and imaginary parts of entry (s * dim_in + m, t * dim_in + n) of conj(D)
+    parts = (left.T @ right.conj()).view(np.float64).reshape(dim_out, dim_in, dim_out, 2 * dim_in)
+    squares = np.einsum("smtn,smtn->st", parts, parts)
+    return float(np.sqrt(squares.max())), float(np.sqrt(squares.sum()))
+
+
+def _core_difference(pairs: list, dim_in: int) -> list:
+    """``_difference``'s values from its QR core: ``D = q_l M q_r^dag`` is never formed.
+
     With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``,
     ``D = q_l M q_r^dag`` for the core ``M = r_l J r_r^dag`` with ``J = diag(1,
-    .., 1, -1, .., -1)``, at most ``N x N`` for ``N = len(a) + len(b)``, and
-    ``||D||_F = ||M||_F``.  With ``q_s`` the rows of block row ``s`` and
-    ``G_s = q_s^dag q_s``, ``||block(s, t)||_F^2 = tr(M^dag G_s M G_t)``: a
-    trace of a product of two positive matrices, the first scaled by the
-    core, so the result is small exactly when the core is and keeps its
-    absolute accuracy when the maps nearly agree.  ``D`` is never formed; with
-    ``k = min(dim_out * dim_in, N)`` a pair costs about ``dim_out * dim_in *
-    (N k + k^2)`` for the QR and block Grams, ``2 dim_out k^3`` for ``H_s =
-    M^dag G_s M`` and ``dim_out^2 k^2`` for the traces.
+    .., 1, -1, .., -1)``, at most ``N x N``, and ``||D||_F = ||M||_F``.  With
+    ``q_s`` the rows of block row ``s`` and ``G_s = q_s^dag q_s``,
+    ``||block(s, t)||_F^2 = tr(M^dag G_s M G_t)``: a trace of a product of two
+    positive matrices, the first scaled by the core, so the result is small
+    exactly when the core is.
 
     One rule stacks the pairs.  When every pair padded to the widest ``N``
     fits ``_SLAB_ENTRIES`` padded columns and block Grams, the whole call is
@@ -305,15 +355,13 @@ def _difference(pairs: list, dim_in: int) -> list:
     others to its width and the call holds no more than its largest pair.
     """
     n = len(pairs)
-    if not n:
-        return []
     dim_out = pairs[0][0][0].shape[1]
     rows = dim_out * dim_in
     two_sided = any(right is not left for left, right in pairs)
     width = max(len(a) + len(b) for (a, b), _ in pairs)
     entries = (1 + two_sided) * (rows * width + dim_out * min(rows, width) ** 2)  # per padded pair
     if n > 1 and n * entries > _SLAB_ENTRIES:
-        return [value for pair in pairs for value in _difference([pair], dim_in)]
+        return [value for pair in pairs for value in _core_difference([pair], dim_in)]
     sides = [left for left, _ in pairs] + ([right for _, right in pairs] if two_sided else [])
     q, r = np.linalg.qr(_padded_columns(sides, width, rows))  # the columns are freed here
     k = min(rows, width)
@@ -352,8 +400,9 @@ def action_distance(k1: KrausSet, k2: KrausSet) -> float:
     Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
     ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
     It is the first value of ``_difference``, the one map-difference
-    routine, here on one pair: it reads every block norm off an ``N x N``
-    core (``N = len(k1) + len(k2)``) and never forms the Choi matrices.
+    routine, here on one pair: with ``N = len(k1) + len(k2)`` it forms the
+    difference of the Choi matrices when that costs no more, and otherwise
+    reads every block norm off an ``N x N`` QR core without forming it.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")

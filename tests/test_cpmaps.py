@@ -501,25 +501,82 @@ def _pvm_compat_form(rng, counts, dims):
     return (ops @ effect.conj().T, kraus), (ops, kraus)
 
 
+class TestDifferenceForms:
+    """``_difference`` forms ``D`` itself exactly when that costs no more than the QR core."""
+
+    # at dim_in 8, dim_out 4 (a Choi side of 32), a one-sided pair of width N costs 32^2 N
+    # formed against 80 N^2 + 8 N^3 on the core, so widths 8 and up are formed; a two-sided
+    # pair factors its right columns too, 144 N^2 + 8 N^3, so widths 6 and up are formed
+    @pytest.mark.parametrize("form, formed_from", [(_one_sided, 8), (_pvm_compat_form, 6)])
+    def test_widths_across_the_boundary_agree_with_the_dense_difference(
+        self, decompositions, form, formed_from
+    ):
+        rng = np.random.default_rng(107)
+        dims = (8, 4)
+        qrs = []
+        for width in range(1, 17):
+            pair = form(rng, (width - width // 3, width // 3), dims)
+            decompositions.clear()
+            got = _difference([pair], 8)[0]
+            qrs.append(decompositions.number("qr"))
+            want = dense_difference(pair, 8)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * w
+        assert qrs == [1] * (formed_from - 1) + [0] * (17 - formed_from)
+
+    @pytest.mark.parametrize("d", [8, 12])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
+    def test_exactly_agreeing_maps_read_near_zero_on_both_forms(self, decompositions, d, scale):
+        # a full-rank Kraus stack and its unitary remix: the same map, so every block of D is
+        # zero but for rounding, of order eps ||W||_F^2 on either form
+        rng = np.random.default_rng([108, d])
+        k = rand_instrument(rng, d, d, (d * d,)).outcome(0)
+        a = scale * k.stack
+        b = np.tensordot(rand_unitary(rng, d * d), a, axes=1)
+        pair = (a, b)
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(a) ** 2
+        decompositions.clear()
+        formed = _difference([(pair, pair)], d)[0]
+        assert len(decompositions) == 0
+        core = cpmaps._core_difference([(pair, pair)], d)[0]
+        assert decompositions.number("qr") == 1
+        assert formed[0] <= bound and core[0] <= bound
+        assert formed[1] <= d * bound and core[1] <= d * bound
+
+
 class TestStackedDifference:
-    """One ``_difference`` call over many pairs gives each pair's values alone."""
+    """One ``_difference`` call over many pairs gives each pair's values alone.
+
+    Calls whose pairs are wide against the Choi side form each difference and
+    decompose nothing; tall narrow ones go to the QR core, one stacked QR
+    within the slab budget.
+    """
 
     @pytest.mark.parametrize(
-        "form, dims, counts",
+        "form, dims, counts, qrs",
         [
-            (_one_sided, (3, 2), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2))),
-            (_pvm_compat_form, (3, 3), ((2, 2), (0, 3), (3, 1), (0, 0))),
-            (_one_sided, (2, 2), ((7, 5), (1, 1), (3, 0))),  # 12 columns against a Choi side of 4
-            (_pvm_compat_form, (2, 2), ((6, 4), (1, 0))),
+            (_one_sided, (3, 2), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 0),
+            (_pvm_compat_form, (3, 3), ((2, 2), (0, 3), (3, 1), (0, 0)), 0),
+            (_one_sided, (2, 2), ((7, 5), (1, 1), (3, 0)), 0),  # 12 columns against a Choi side of 4
+            (_pvm_compat_form, (2, 2), ((6, 4), (1, 0)), 0),
+            (_one_sided, (6, 4), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 1),  # a Choi side of 24
+            (_pvm_compat_form, (6, 4), ((2, 2), (0, 3), (3, 1), (0, 0)), 1),
         ],
-        ids=["mixed-widths", "two-sided", "wider-than-choi-side", "two-sided-wide"],
+        ids=[
+            "mixed-widths",
+            "two-sided",
+            "wider-than-choi-side",
+            "two-sided-wide",
+            "tall-mixed-widths",
+            "tall-two-sided",
+        ],
     )
-    def test_each_pair_as_alone(self, decompositions, form, dims, counts):
+    def test_each_pair_as_alone(self, decompositions, form, dims, counts, qrs):
         rng = np.random.default_rng(105)
         pairs = [form(rng, n, dims) for n in counts]
         decompositions.clear()
         values = _difference(pairs, dims[0])
-        assert decompositions.number("qr") == 1
+        assert len(decompositions) == decompositions.number("qr") == qrs
         assert len(values) == len(pairs)
         for pair, got in zip(pairs, values):
             alone = _difference([pair], dims[0])[0]
@@ -541,13 +598,20 @@ class TestStackedDifference:
         decompositions.clear()
         _difference(narrow[:per_call], 8)  # at the budget: the whole call in one QR
         assert [np.shape(a) for _, a, _ in decompositions] == [(per_call, 64, 8)]
-        pairs = [_one_sided(rng, (32, 32), dims)] + narrow
+        # a pair of width 16 alone is cheaper formed (64^2 * 16 multiply-adds against
+        # 114688 for the core); beside 40 narrow ones the call stays on the core
+        pairs = [_one_sided(rng, (8, 8), dims)] + narrow
         decompositions.clear()
+        assert _difference(pairs[:1], 8) and len(decompositions) == 0
         values = _difference(pairs, 8)
         shapes = [np.shape(a) for name, a, _ in decompositions if name == "qr"]
         # over the budget: each pair alone, in order, unpadded
-        assert shapes == [(1, 64, 64)] + [(1, 64, 8)] * 40
+        assert shapes == [(1, 64, 16)] + [(1, 64, 8)] * 40
         for pair, got in zip(pairs, values):
+            want = dense_difference(pair, 8)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * max(w, 1.0)
+        for pair, got in zip(pairs[1:], values[1:]):
             assert got == _difference([pair], 8)[0]
 
     def test_no_pairs(self):

@@ -85,10 +85,17 @@ def test_minimal_kraus_skips_the_hermiticity_check(decompositions):
 
 
 def test_action_distance_factors_once(decompositions):
+    # 5 operators against a Choi side of 6: the difference itself costs 6^2 * 5 = 180
+    # multiply-adds against 900 for the QR core, so it is formed and nothing is decomposed
     m = rand_instrument(np.random.default_rng(RNG_SEED), 3, 2, (3, 2))
     decompositions.clear()
     action_distance(m.outcome(0), m.outcome(1))
-    assert decompositions.number("qr") == decompositions.number("qr", (1, 6, 5)) == 1
+    assert len(decompositions) == 0
+    # 3 operators against a Choi side of 24: 1728 against 792, so one QR of the 24 x 3 columns
+    m = rand_instrument(np.random.default_rng(RNG_SEED), 6, 4, (2, 1))
+    decompositions.clear()
+    action_distance(m.outcome(0), m.outcome(1))
+    assert decompositions.number("qr") == decompositions.number("qr", (1, 24, 3)) == 1
     assert len(decompositions) == 1
 
 
@@ -267,46 +274,68 @@ def test_no_choi_sided_decomposition(decompositions, name):
     assert sided == []
 
 
-def _checked_calls(rng):
-    """Calls on 3-outcome instruments of each operation that checks its result map by map."""
-    m = rand_instrument(rng, 3, 3, (2, 1, 2))
+def _checked_calls(rng, d):
+    """Calls on ``d``-dimensional instruments of each operation that checks its result map by map.
+
+    Each entry is the call and the number of Kraus stacks its check factors:
+    one per outcome, two for the two-sided check of ``pvm_compat``.
+    """
+    m = rand_instrument(rng, d, d, (2, 1, 2))
     dilation = minimal_stinespring(m)
-    mixture = _unitary_mixture(rng, 3, 3, 2)
+    mixture = _unitary_mixture(rng, d, 3, 2)
     witness = instrument_extremal(mixture).witness
-    pvm_instrument = lueders(rotate_povm(basis_pvm(3, ((0,), (1,), (2,))), rand_unitary(rng, 3)))
-    p = rank1_povm(rng, 3, 3)
-    nuclear_instrument = nuclear(p, [rand_state(rng, 3, 1), rand_state(rng, 3), rand_state(rng, 3, 2)])
+    blocks = tuple(tuple(int(i) for i in block) for block in np.array_split(np.arange(d), 3))
+    pvm_instrument = lueders(rotate_povm(basis_pvm(d, blocks), rand_unitary(rng, d)))
+    p = rank1_povm(rng, d, d)
+    states = [rand_state(rng, d, 1), rand_state(rng, d, 3), rand_state(rng, d, 2)]
+    nuclear_instrument = nuclear(p, (states * d)[:d])
     return {
-        "verify_dilation": lambda: verify_dilation(m, dilation),
-        "measurement_model": lambda: measurement_model(m),
-        "compat_channel": lambda: compat_channel(m),
-        "witness_decompose": lambda: witness_decompose(mixture, witness),
-        "pvm_compat": lambda: pvm_compat(pvm_instrument),
-        "rank1_nuclear_extract": lambda: rank1_nuclear_extract(nuclear_instrument),
+        "verify_dilation": (lambda: verify_dilation(m, dilation), 3),
+        "measurement_model": (lambda: measurement_model(m), 3),
+        "compat_channel": (lambda: compat_channel(m), 3),
+        "witness_decompose": (lambda: witness_decompose(mixture, witness), 3),
+        "pvm_compat": (lambda: pvm_compat(pvm_instrument), 6),
+        "rank1_nuclear_extract": (lambda: rank1_nuclear_extract(nuclear_instrument), d),
     }
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "verify_dilation",
-        "measurement_model",
-        "compat_channel",
-        "witness_decompose",
-        "pvm_compat",
-        "rank1_nuclear_extract",
-    ],
-)
+CHECKED_OPERATIONS = [
+    "verify_dilation",
+    "measurement_model",
+    "compat_channel",
+    "witness_decompose",
+    "pvm_compat",
+    "rank1_nuclear_extract",
+]
+
+
+def _model_qr(name, d, decompositions):
+    """The 2-D QRs besides the check: only the model's raw QR of its ``d * 5 x d`` isometry."""
+    others = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) != 3]
+    assert others == ([(d * 5, d)] if name == "measurement_model" else [])
+
+
+@pytest.mark.parametrize("name", CHECKED_OPERATIONS)
 def test_a_map_difference_check_is_one_qr(decompositions, name):
-    """All outcomes go to one stacked QR, two matrices per outcome for the two-sided check."""
-    call = _checked_calls(np.random.default_rng(RNG_SEED))[name]
+    """At d = 8 (a Choi side of 64 against at most 8 columns a pair) the QR core costs less
+    than forming the differences: all outcomes go to one stacked QR, two matrices per
+    outcome for the two-sided check."""
+    call, sides = _checked_calls(np.random.default_rng(RNG_SEED), 8)[name]
     decompositions.clear()
     call()
     stacked = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) == 3]
-    assert [shape[0] for shape in stacked] == [6 if name == "pvm_compat" else 3]
-    # besides it, only the model's completion: one complete QR of its 3 * 5 x 3 isometry
-    others = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) != 3]
-    assert others == ([(15, 3)] if name == "measurement_model" else [])
+    assert [shape[0] for shape in stacked] == [sides]
+    _model_qr(name, 8, decompositions)
+
+
+@pytest.mark.parametrize("name", CHECKED_OPERATIONS)
+def test_a_small_map_difference_check_takes_no_qr(decompositions, name):
+    """At d = 3 (a Choi side of 9) forming each difference costs less than the QR core."""
+    call, _ = _checked_calls(np.random.default_rng(RNG_SEED), 3)[name]
+    decompositions.clear()
+    call()
+    assert [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) == 3] == []
+    _model_qr(name, 3, decompositions)
 
 
 KEPT_OPERATIONS = {

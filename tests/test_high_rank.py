@@ -22,9 +22,11 @@ import pytest
 
 from instrumentum import (
     KrausSet,
+    compat_channel,
     correlation_extremal,
     correlation_witness_split,
     instrument_extremal,
+    lueders_factorization,
     measurement_model,
     minimal_stinespring,
     model_intertwiner,
@@ -127,11 +129,13 @@ def _wide_instrument():
     return rand_instrument(rng, 16, 16, (256,) + (1,) * 8)
 
 
-# tracemalloc peaks on the wide instrument: verify_dilation reads 54.0 MiB (55.0 MiB when each
-# outcome was checked by a _difference call of its own, 486 MiB with all nine outcomes zero-padded
-# to the wide one's 512 columns in one stacked QR); measurement_model reads 57.2 MiB, as it keeps
-# the raw QR of the 4224 x 16 dilation isometry (579.6 MiB when it formed the 4224-sided unitary
-# and the model copied it, 872.9 MiB when its completion kept a second copy beside the model's own)
+# tracemalloc peaks on the wide instrument: verify_dilation reads 7.0 MiB, as its check forms
+# each outcome's 256 x 256 Choi difference in turn (54.0 MiB when the check took a QR core of
+# the wide outcome's 512 columns, 55.0 MiB when each outcome was checked by a _difference call
+# of its own, 486 MiB with all nine outcomes zero-padded to 512 columns in one stacked QR);
+# measurement_model reads 10.2 MiB, as it keeps the raw QR of the 4224 x 16 dilation isometry
+# and checks the same way (57.2 MiB with the QR core, 579.6 MiB when it formed the 4224-sided
+# unitary and the model copied it, 872.9 MiB when its completion kept a second copy)
 @pytest.mark.parametrize("name, bound_mib", (("verify_dilation", 55), ("measurement_model", 60)))
 def test_stacked_checks_keep_the_memory_peak(name, bound_mib):
     m = _wide_instrument()
@@ -153,7 +157,8 @@ def test_stacked_checks_keep_the_memory_peak(name, bound_mib):
 
 # a full-rank channel at d = 16 has a model of side 16 * 256 = 4096, whose unitary would take
 # 256 MiB; the pair builds and checks it from the 4096 x 16 dilation isometry and its
-# reflectors, with a tracemalloc peak of 58.1 MiB
+# reflectors, with a tracemalloc peak of 11.1 MiB (58.1 MiB when its realization check took
+# the QR core of the 512 Choi columns instead of forming the 256 x 256 difference)
 def test_full_rank_model_is_checked_without_its_unitary():
     m = full_rank_channel(16)
     tracemalloc.start()
@@ -167,4 +172,19 @@ def test_full_rank_model_is_checked_without_its_unitary():
     assert "unitary" not in vars(model)
     assert report.passed and w.shape == (256, 256)
     assert np.max(np.abs(w.conj().T @ w - np.eye(256))) <= 1e-12
-    assert peak <= 64 * 2**20
+    assert peak <= 16 * 2**20
+
+
+# at full Choi rank each map-difference check compares about 2 d^2 Kraus operators against a
+# Choi side of d^2, so it forms each difference (d^4 entries) and takes no QR of its core
+def test_full_rank_checks_pass(decompositions):
+    m = full_rank_channel(12)
+    decompositions.clear()
+    assert verify_dilation(m, minimal_stinespring(m)).passed
+    assert compat_channel(m).passed
+    assert lueders_factorization(m)[1].passed
+    model = measurement_model(m)
+    w, report = model_intertwiner(model, m)
+    assert report.passed and w.shape == (144, 144)
+    # the only QR is the model's raw QR of its 12 * 144 x 12 dilation isometry
+    assert [np.shape(a) for n, a, _ in decompositions if n == "qr"] == [(1728, 12)]
