@@ -28,7 +28,11 @@ short side (``matkernel._full_span_rank``) reports full rank, not marginal,
 without them; only when it fails are the singular values taken.  With more
 columns than rows (``sum_i n(i)^2 > dim_in^2``, Choi's bound, or ``r^2 > n``,
 Li and Tam's) the count decides the verdict, and the witness is the kernel
-vector of the first ``rows + 1`` columns; there, when it costs less, the
+vector of the first ``rows + 1`` columns: at full span rank ``[-B1^-1 c; 1]``
+from one LU solve of their leading square block ``B1`` against the last
+column ``c``, and otherwise (below full rank, at a zero pivot, or where a
+singular ``B1`` leaves them a kernel wider than a line) the last column of the
+complete QR factor of their transpose.  There, when it costs less, the
 Gram comes from the Choi blocks of each outcome (``_choi_gram``) and no
 other column of ``R`` is formed unless the certificate fails.  Otherwise a
 rank below the column count takes one thin SVD, and the witness is the first
@@ -50,7 +54,9 @@ from .instruments import DiscreteInstrument, Povm, require_valid, trivial_from_p
 from .matkernel import (
     DEFAULT_TOL,
     Tolerances,
+    _descending_eigh,
     _factor,
+    _factor_of,
     _full_span_rank,
     _span_rank,
     dagger,
@@ -255,9 +261,43 @@ def _singular_values(r: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False)
 
 
-def _op_norm(blocks) -> float:
-    """Largest operator norm among Hermitian blocks (an empty block counts zero)."""
-    return max((float(np.max(np.abs(np.linalg.eigvalsh(b)))) if b.size else 0.0) for b in blocks)
+def _op_norm(spectra) -> float:
+    """Largest operator norm of Hermitian blocks with eigenvalues ``spectra`` (empty ones: zero)."""
+    return max((float(np.max(np.abs(s))) if s.size else 0.0) for s in spectra)
+
+
+def _count_candidates(b: np.ndarray, full: bool, cols: int, tol: Tolerances):
+    """Kernel vectors of the ``rows x (rows + 1)`` matrix ``b``, zero-padded to ``cols`` entries.
+
+    With ``full`` (the whole criterion has rank ``rows``) the first is ``[-x; 1]``,
+    ``x = B1^-1 c`` from one LU solve of the leading square block ``B1`` against
+    the last column ``c``.  Partial pivoting is backward stable: ``[-x; 1]`` is a
+    kernel vector of a matrix within ``eps ||b||`` of ``b``, however ``B1`` is
+    conditioned, so it is the kernel of ``b`` whenever that is a line.  A
+    singular ``B1`` makes ``x`` huge along its null space.  When that is a line,
+    as at full Choi rank, where the diagonal products ``A_k^dag A_k`` alone are
+    dependent, so is the kernel of ``b``, and ``x`` finds it; when it is wider,
+    as for the completely depolarizing channel at d = 2 and 3, whose Choi
+    spectrum is flat, so is the kernel of ``b``, and rounding would pick the
+    vector.  The same LU tells the two apart: against a fixed second
+    right-hand side ``z`` it gives ``y = B1^-1 z``, huge along the same line
+    only, and ``x`` is taken when its part across ``y`` stays below ``1 /
+    sv_rel_cutoff``.  The next candidate, and the only one otherwise, below full
+    rank or when LU meets a zero pivot, is the last column of the complete QR
+    factor of ``b^T``, formed only when reached.
+    """
+    rows = b.shape[0]
+    pad = np.zeros(cols - rows - 1)
+    if full:
+        z = np.sin(np.arange(1.0, rows + 1.0))  # fixed, with no structure a criterion shares
+        try:
+            x, y = np.linalg.solve(b[:, :rows], np.stack((b[:, rows], z), axis=1)).T
+        except np.linalg.LinAlgError:  # a zero pivot
+            pass
+        else:  # an inf or nan norm compares False
+            if np.linalg.norm(x - (x @ y) / (y @ y) * y) * tol.sv_rel_cutoff < 1.0:
+                yield np.concatenate((-x, [1.0], pad))
+    yield np.concatenate((np.linalg.qr(b.T, mode="complete")[0][:, -1], pad))
 
 
 def _rank_and_witness(
@@ -276,12 +316,14 @@ def _rank_and_witness(
 
     The witness is None when the columns are independent.  Otherwise the
     candidates are, with more columns than rows, the kernel vector of the
-    first ``rows + 1`` columns (the last column of the complete QR factor of
-    their transpose), zero-padded, and else the projections ``P e_j = e_j -
-    V_r V_r^T e_j`` in order of ``j``.  The witness is the first candidate
-    that, with its largest entry positive and scaled to unit operator norm,
-    leaves a residual ``||r v|| <= eps_eq * max(1, n)``: a tuple of read-only
-    blocks.  Raises when no candidate qualifies.
+    first ``rows + 1`` columns, zero-padded: at full rank from one LU solve of
+    their leading square block, then from the last column of the complete QR
+    factor of their transpose, which ``_count_candidates`` takes alone below
+    full rank and where the solve cannot tell the kernel; and else the
+    projections ``P e_j = e_j - V_r V_r^T e_j`` in order of ``j``.  The witness
+    is the first candidate that, with its largest entry positive and scaled to
+    unit operator norm, leaves a residual ``||r v|| <= eps_eq * max(1, n)``: a
+    tuple of read-only blocks.  Raises when no candidate qualifies.
     """
     rows = r.shape[0]
     shape = rows, cols = rows, sum(k * k for k in block_dims)
@@ -292,8 +334,7 @@ def _rank_and_witness(
     else:
         rank, marginal = _span_rank(_singular_values(r if whole is None else whole()), shape, tol)
     if cols > rows:  # dependent by the count: Choi, Theorem 5; Li and Tam
-        q = np.linalg.qr(r[:, : rows + 1].T, mode="complete")[0][:, -1]
-        candidates = [np.concatenate((q, np.zeros(cols - rows - 1)))]
+        candidates = _count_candidates(r[:, : rows + 1], rank == rows, cols, tol)
     elif rank == cols:
         return rank, marginal, None
     else:
@@ -303,7 +344,7 @@ def _rank_and_witness(
     for v in candidates:
         v = v * np.sign(v[np.argmax(np.abs(v))])
         blocks = [_hermitian(x, k) for x, k in zip(np.split(v, cuts), block_dims)]
-        op_norm = _op_norm(blocks)
+        op_norm = _op_norm(np.linalg.eigvalsh(b) for b in blocks if b.size)
         residual = np.linalg.norm(r @ v[: r.shape[1]])  # v is zero past the columns of r
         if op_norm > 0.0 and residual <= tol.eps_eq * max(1.0, float(n)) * op_norm:
             for b in blocks:
@@ -364,9 +405,14 @@ def witness_decompose(
     """Split a non-extreme instrument along a witness into two distinct halves.
 
     Factoring ``I +- D(i) = S^dag S`` per outcome yields instruments with
-    Kraus operators ``sum_k S[n, k] A_k(i)`` whose average is ``m``.  Raises
-    when the witness is zero, is not blockwise Hermitian with operator norm
-    at most one, or does not annihilate ``{A_k(i)^dag A_l(i)}``.
+    Kraus operators ``sum_k S[n, k] A_k(i)`` whose average is ``m``.  One
+    ``eigh`` per block, ``D(i) = V diag(lam) V^dag``, serves the operator-norm
+    check and both halves: with ``lam`` descending, ``I + D(i)`` has the
+    descending eigenvalues ``1 + lam`` along ``V``, and ``I - D(i)`` has ``1 -
+    lam`` along ``V`` reversed; the phase rule acts column by column, so it is
+    applied once.  Raises when the witness is zero, is not blockwise Hermitian
+    with operator norm at most one, or does not annihilate ``{A_k(i)^dag
+    A_l(i)}``.
     """
     require_valid(m, tol)
     blocks = [minimal_kraus(kraus, tol) for _, kraus in m.outcomes]
@@ -383,7 +429,8 @@ def witness_decompose(
     total_norm = np.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in herm))
     if total_norm <= tol.eps_eq:
         raise InstrumentumError("witness is numerically zero")
-    op_norm = _op_norm(herm)
+    spectra = [_descending_eigh(block, tol) for block in herm]  # lam descending
+    op_norm = _op_norm(values for values, _ in spectra)
     if op_norm > 1.0 + tol.eps_psd:
         raise InstrumentumError(f"witness operator norm {op_norm:.6f} exceeds one")
     # ||R x|| for the coordinates x of the witness: the Frobenius norm of the image
@@ -399,25 +446,23 @@ def witness_decompose(
             f"witness does not annihilate the Kraus products: defect {kernel_defect:.3e}"
         )
 
-    def build(sign: float) -> DiscreteInstrument:
+    def build(halves) -> DiscreteInstrument:
         outcomes = []
-        for (label, _), ks, block in zip(m.outcomes, blocks, herm):
-            n_i = len(ks)
-            if n_i == 0:
+        for (label, _), ks, (values, vectors) in zip(m.outcomes, blocks, halves):
+            if len(ks) == 0:
                 outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ())))
                 continue
-            # exactly Hermitian: block is symmetrized and the identity is real; the factor
-            # S = w^dag keeps the eigenvalues above the rank cut, so the eigenvalue 1 - 1
-            # of a unit-norm witness is dropped whatever sign rounding gives it
-            f = _factor(np.eye(n_i) + sign * block, tol)
+            # the factor S = w^dag keeps the eigenvalues above the rank cut, so the
+            # eigenvalue 1 - 1 of a unit-norm witness is dropped whatever sign rounding gives it
+            f = _factor_of(values, vectors, tol)
             if not f.psd:
                 raise InstrumentumError("witness block pushes an eigenvalue below zero")
             mixed = np.tensordot(dagger(f.w), ks.stack, axes=(1, 0))
             outcomes.append((label, KrausSet(m.dim_in, m.dim_out, mixed)))
         return DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes))
 
-    plus = build(1.0)
-    minus = build(-1.0)
+    plus = build([(1.0 + values, vectors) for values, vectors in spectra])
+    minus = build([(1.0 - values[::-1], vectors[:, ::-1]) for values, vectors in spectra])
     pairs = [(k1.stack, k2.stack) for (_, k1), (_, k2) in zip(plus.outcomes, minus.outcomes)]
     distance = _largest_distance(pairs, m.dim_in)
     if distance <= tol.eps_eq:

@@ -56,7 +56,8 @@ class Tolerances:
         shifted by four times the square of ten times an upper bound of the
         cutoff, fails; more columns than rows decide the verdict by the
         count, with no cut), the Gram rank of ``correlation_extremal`` and
-        the ``rank`` of CLI ``choi``.
+        the ``rank`` of CLI ``choi``.  Its inverse also bounds the solve that
+        finds a count-route witness (``extremality._count_candidates``).
     """
 
     eps_herm: float = 1e-9
@@ -199,7 +200,11 @@ def _factor(sym: np.ndarray, tol: Tolerances) -> _Factor:
     positive ``sym``; ``psd`` applies ``psd_check``'s criterion to the same
     eigenvalues.  The caller checks Hermiticity, or knows it.
     """
-    values, vectors = _descending_eigh(sym, tol)
+    return _factor_of(*_descending_eigh(sym, tol), tol)
+
+
+def _factor_of(values: np.ndarray, vectors: np.ndarray, tol: Tolerances) -> _Factor:
+    """``_factor``'s rank cut and positivity verdict on a descending eigendecomposition."""
     r = _kept(values, tol)  # values descend, so the kept ones lead
     w = vectors[:, :r] * np.sqrt(values[:r])
     return _Factor(values, vectors, w, _psd_verdict(float(values[-1]), float(values[0]), tol))

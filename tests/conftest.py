@@ -127,9 +127,10 @@ def _count_package_calls(monkeypatch, log, owner, fn_names):
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Log numpy's ``eigh``/``eigvalsh``/``svd``/``qr``, ``require_hermitian`` and ``isometry_complete``."""
+    """Log numpy's ``eigh``, ``eigvalsh``, ``svd``, ``qr`` and ``solve``, ``require_hermitian`` and
+    ``isometry_complete``."""
     log = CallLog()
-    for name in ("eigh", "eigvalsh", "svd", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "qr", "solve"):
         monkeypatch.setattr(np.linalg, name, _counted(log, name, getattr(np.linalg, name)))
     _count_package_calls(monkeypatch, log, matkernel, ("require_hermitian", "isometry_complete"))
     return log

@@ -172,12 +172,14 @@ def test_correlation_extremal_decomposes_its_input_once(decompositions):
 
 def test_full_rank_extremal_takes_no_svd_of_its_criterion(decompositions):
     # 4096 criterion columns against 64 rows: full span rank is certified from the Gram,
-    # so the one SVD is the minimal Kraus set's, and the one QR that of the witness columns
+    # so the one SVD is the minimal Kraus set's, and the witness columns' kernel vector
+    # comes from one solve of their leading 64 x 64 block, with no QR
     m = full_rank_channel(8)
     decompositions.clear()
     instrument_extremal(m)
     assert decompositions.number("svd") == decompositions.number("svd", (64, 64)) == 1
-    assert decompositions.number("qr") == decompositions.number("qr", (65, 64)) == 1
+    assert decompositions.number("qr") == 0
+    assert decompositions.number("solve") == decompositions.number("solve", (64, 64)) == 1
     decompositions.clear()
     instrument_extremal(m)  # the minimal Kraus set is kept
     assert decompositions.number("svd") == 0
@@ -423,9 +425,9 @@ def test_a_second_call_decomposes_no_kraus_set_again(monkeypatch, decompositions
     call(m)
     assert _kraus_svds(decompositions, m) == 0
     # no minimal set is cut again: the only phases fixed are those of the call's own
-    # eigendecompositions, the witness's factors of I +- D(i), two per outcome
+    # eigendecompositions, one of each witness block D(i), which factors both I +- D(i)
     assert decompositions.number("_fix_phases") == decompositions.number("eigh")
-    assert decompositions.number("eigh") == (6 if name == "witness_decompose" else 0)
+    assert decompositions.number("eigh") == (3 if name == "witness_decompose" else 0)
 
 
 @pytest.mark.parametrize("name", sorted(KEPT_OPERATIONS))

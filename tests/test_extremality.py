@@ -35,8 +35,11 @@ from helpers import (
     basis_pvm,
     depolarizing_kraus,
     full_rank_channel,
+    full_rank_correlation,
+    kraus_action_distance,
     near_cut_instrument,
     rand_instrument,
+    rand_povm,
     rand_state,
     rand_unitary,
 )
@@ -577,3 +580,191 @@ class TestWideCriterionReduction:
         assert decompositions.number("qr") == -(-shape[1] // (8 * shape[0]))  # one per slab
         want = np.linalg.svd(r, compute_uv=False)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def unit_coordinates(blocks):
+    """The coordinates of witness blocks in ``hermitian_basis``, scaled to a unit vector."""
+    v = np.array([np.trace(h @ b).real for b in blocks for h in hermitian_basis(len(b))])
+    return v / np.linalg.norm(v)
+
+
+def qr_kernel(r, cols=None):
+    """The kernel vector of the first ``rows + 1`` columns of ``r``: the last column of the
+    complete QR factor of their transpose, zero-padded to ``cols``, by default those of ``r``."""
+    rows = r.shape[0]
+    v = np.zeros(r.shape[1] if cols is None else cols)
+    v[: rows + 1] = np.linalg.qr(r[:, : rows + 1].T, mode="complete")[0][:, -1]
+    return v
+
+
+def qr_route_witness(r, block_dims):
+    """The witness of ``qr_kernel(r)`` by the sign rule and op-norm scaling, in the package's
+    order of operations, so that it can be compared bit for bit."""
+    v = qr_kernel(r, sum(k * k for k in block_dims))
+    v = v * np.sign(v[np.argmax(np.abs(v))])
+    herm = []
+    for part, n in zip(np.split(v, np.cumsum([k * k for k in block_dims])[:-1]), block_dims):
+        k, l = np.triu_indices(n, 1)
+        h = np.zeros((n, n), dtype=complex)
+        h[np.arange(n), np.arange(n)] = part[:n]
+        h[k, l] = (part[n : n + len(k)] + 1j * part[n + len(k) :]) / np.sqrt(2.0)
+        h[l, k] = h[k, l].conj()
+        herm.append(h)
+    op_norm = max(float(np.max(np.abs(np.linalg.eigvalsh(h)))) for h in herm if h.size)
+    return [h / op_norm for h in herm]
+
+
+def weyl_channel(d, step=1):
+    """The channel over the Weyl operators ``X^a Z^b`` with ``b`` a multiple of ``step``, each
+    over the square root of their number: completely depolarizing for ``step`` 1, and for
+    ``step`` 2 its products span only the subgroup, ``d^2 / 2`` of ``d^2`` rows."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    power = np.linalg.matrix_power
+    ops = [power(shift, a) @ power(clock, b) for a in range(d) for b in range(0, d, step)]
+    return DiscreteInstrument(d, d, ((0, KrausSet(d, d, np.array(ops) / np.sqrt(len(ops)))),))
+
+
+COUNT_ROUTE_INSTRUMENTS = {
+    "d8-wide": lambda: rand_instrument(np.random.default_rng(81), 8, 4, (5, 5, 5)),
+    "d12-wide": lambda: rand_instrument(np.random.default_rng(82), 12, 3, (9, 8)),
+    "d12-wide-zero": lambda: rand_instrument(np.random.default_rng(83), 12, 3, (9, 0, 8)),
+    "full-rank-d3": lambda: full_rank_channel(3),  # the Gram from the Choi blocks
+}
+
+
+class TestCountRouteKernel:
+    """Above the count at full span rank, the kernel vector comes from one solve, else a QR."""
+
+    @pytest.mark.parametrize("name", sorted(COUNT_ROUTE_INSTRUMENTS))
+    def test_instrument_witness_is_the_qr_kernel_vector(self, decompositions, name):
+        m = COUNT_ROUTE_INSTRUMENTS[name]()
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        r = criterion_matrix(blocks, m.dim_in)
+        assert r.shape[1] > r.shape[0] == np.linalg.matrix_rank(r)
+        decompositions.clear()
+        report = instrument_extremal(m)
+        assert decompositions.number("solve") == 1
+        assert decompositions.number("qr", (r.shape[0] + 1, r.shape[0])) == 0
+        got, want = unit_coordinates(report.witness), qr_kernel(r)
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+
+    def test_povm_witness_is_the_qr_kernel_vector(self, decompositions):
+        p = rand_povm(np.random.default_rng(84), 3, 4)  # four effects of rank 3: 36 > 9
+        decompositions.clear()
+        report = povm_extremal(p)
+        assert decompositions.number("solve") == 1 and decompositions.number("qr", (10, 9)) == 0
+        assert (report.is_extreme, report.span_rank, report.required_rank) == (False, 9, 36)
+        r = criterion_matrix([k for _, k in trivial_from_povm(p).outcomes], 3)
+        got, want = unit_coordinates(report.witness), qr_kernel(r)
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+
+    def test_correlation_witness_is_the_qr_kernel_vector(self, decompositions):
+        c = full_rank_correlation(5, 3)  # Gram rank 3: 9 columns against 5 rows
+        decompositions.clear()
+        report = correlation_extremal(c)
+        assert decompositions.number("solve") == 1 and decompositions.number("qr", (6, 5)) == 0
+        assert (report.is_extreme, report.gram_rank, report.span_rank) == (False, 3, 5)
+        gram = report.gram_vectors
+        basis = hermitian_basis(3)
+        r = np.array([[np.trace(h @ np.outer(g, g.conj())).real for h in basis] for g in gram])
+        got, want = unit_coordinates([report.witness]), qr_kernel(r)
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(COUNT_ROUTE_INSTRUMENTS))
+    def test_a_singular_solve_falls_back_to_the_qr_bit_for_bit(self, monkeypatch, name):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        m = COUNT_ROUTE_INSTRUMENTS[name]()
+        blocks = [minimal_kraus(k) for _, k in m.outcomes]
+        r = _criterion_matrix(blocks, m.dim_in, m.dim_in**2 + 1)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report = instrument_extremal(m)
+        want = qr_route_witness(r, report.block_dims)
+        assert [b.tobytes() for b in report.witness] == [b.tobytes() for b in want]
+
+    def test_below_full_rank_the_witness_takes_no_solve(self, decompositions):
+        m = weyl_channel(8, 2)
+        decompositions.clear()
+        report = instrument_extremal(m)
+        assert (report.span_rank, report.required_rank) == (32, 1024)
+        assert decompositions.number("solve") == 0
+        assert decompositions.number("qr", (65, 64)) == 1
+        r = _criterion_matrix([minimal_kraus(k) for _, k in m.outcomes], 8, 65)
+        want = qr_route_witness(r, report.block_dims)
+        assert [b.tobytes() for b in report.witness] == [b.tobytes() for b in want]
+
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_a_wider_kernel_at_full_rank_keeps_the_qr_witness(self, decompositions, d):
+        # the completely depolarizing channel: at d = 2 and 3 its first rows + 1 columns have
+        # a kernel of more than one dimension though the whole criterion has full rank; the
+        # solve would pick one of its vectors by rounding, so the QR's is kept
+        m = weyl_channel(d)
+        r = criterion_matrix([minimal_kraus(k) for _, k in m.outcomes], d)
+        assert np.linalg.matrix_rank(r) == d * d > np.linalg.matrix_rank(r[:, : d * d + 1])
+        decompositions.clear()
+        report = instrument_extremal(m)
+        assert decompositions.number("qr", (d * d + 1, d * d)) == 1
+        head = _criterion_matrix([minimal_kraus(k) for _, k in m.outcomes], d, d * d + 1)
+        want = qr_route_witness(head, report.block_dims)
+        assert [b.tobytes() for b in report.witness] == [b.tobytes() for b in want]
+
+
+def eigh_halves(m, witness):
+    """The halves along ``witness`` with ``I +- D(i)`` each factored by its own ``eigh``."""
+    halves = []
+    for sign in (1.0, -1.0):
+        outcomes = []
+        for (label, kraus), block in zip(m.outcomes, witness):
+            ks = minimal_kraus(kraus)
+            values, vectors = np.linalg.eigh(np.eye(len(ks)) + sign * np.asarray(block))
+            keep = values > 1e-10 * values.max(initial=0.0)
+            w = vectors[:, keep] * np.sqrt(values[keep])
+            ops = np.tensordot(w.conj().T, ks.stack, 1)
+            outcomes.append((label, KrausSet(m.dim_in, m.dim_out, ops)))
+        halves.append(DiscreteInstrument(m.dim_in, m.dim_out, tuple(outcomes)))
+    return halves
+
+
+def pauli_split():
+    """The qubit depolarizing channel and the witness ``u diag(1, 1, -1, -1) u^dag`` in the gauge
+    ``A' = u A`` of its minimal Kraus set: repeated eigenvalues, and unit norm, so each half
+    drops two directions."""
+    kraus = depolarizing_kraus()
+    m = DiscreteInstrument(2, 2, ((0, kraus),))
+    flat = minimal_kraus(kraus).stack.reshape(4, 4)
+    # the Pauli operators over 2 are orthogonal, each of squared norm 1/2
+    u = 2.0 * flat @ kraus.stack.reshape(4, 4).conj().T
+    return m, (u @ np.diag([1.0, 1.0, -1.0, -1.0]) @ u.conj().T,)
+
+
+class TestSplitFromOneEigh:
+    """Both halves and the operator-norm check come from one ``eigh`` of each witness block."""
+
+    SPLITS = {
+        **{
+            name: lambda make=make: (make(), instrument_extremal(make()).witness)
+            for name, make in COUNT_ROUTE_INSTRUMENTS.items()
+        },
+        "pauli-repeated-unit": pauli_split,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPLITS))
+    def test_halves_match_factors_of_their_own(self, name):
+        m, witness = self.SPLITS[name]()
+        got, want = witness_decompose(m, witness), eigh_halves(m, witness)
+        for half, oracle in zip(got, want):
+            counts = [len(k) for _, k in half.outcomes]
+            assert counts == [len(k) for _, k in oracle.outcomes]
+            if name == "pauli-repeated-unit":
+                assert counts == [2]  # the eigenvalues 1 - 1 are dropped
+            for (_, k1), (_, k2) in zip(half.outcomes, oracle.outcomes):
+                assert kraus_action_distance(k1, k2) <= 1e-12
+
+    def test_a_witness_past_unit_norm_is_refused(self):
+        m = COUNT_ROUTE_INSTRUMENTS["d8-wide"]()
+        witness = [b * (1.0 + 1e-6) for b in instrument_extremal(m).witness]
+        message = "witness operator norm 1.000001 exceeds one"
+        with pytest.raises(InstrumentumError, match=re.escape(message)):
+            witness_decompose(m, witness)
