@@ -342,10 +342,15 @@ def _cmd_model(args, tol):
 def _parse_pointer(text: str) -> tuple:
     blocks = []
     for piece in text.split(";"):
-        indices = tuple(int(x) for x in piece.split(",") if x != "")
+        indices = []
+        for x in filter(None, piece.split(",")):
+            try:
+                indices.append(int(x))
+            except ValueError:
+                raise _UsageError(f"pointer {text!r}: {x!r} is not an integer") from None
         if not indices:
             raise _UsageError(f"pointer {text!r}: empty block")
-        blocks.append(indices)
+        blocks.append(tuple(indices))
     return tuple(blocks)
 
 

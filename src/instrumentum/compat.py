@@ -352,7 +352,7 @@ def pvm_compat(
         ((ops @ dagger(effect), kraus.stack), (ops, kraus.stack))
         for (_, effect), (_, kraus) in zip(effects, m.outcomes)
     ]
-    max_err = max(largest for largest, _ in _difference(pairs, m.dim_in))
+    max_err = max(_difference(left, right, m.dim_in)[0] for left, right in pairs)
     threshold = tol.eps_eq * max(1.0, float(np.sqrt(m.dim_in)))
     return conjugated, PvmCompatReport(max_err <= threshold, max_err)
 

@@ -270,72 +270,62 @@ def _running_sum(terms: np.ndarray) -> np.ndarray:
     return sum(terms, np.zeros(terms.shape[1:], dtype=np.complex128))
 
 
-_SLAB_ENTRIES = 1 << 15  # a call's padded Choi columns and block Grams past which pairs go alone
+def _difference(left: tuple, right: tuple, dim_in: int) -> tuple:
+    """``(largest block norm, ||D||_F)`` of the difference ``D`` of two two-sided Choi matrices.
 
+    ``left = (a, b)`` and ``right = (c, d)`` are Kraus stacks with ``len(a)
+    == len(c)`` and ``len(b) == len(d)``; ``D`` is ``W(a) W(c)^dag - W(b)
+    W(d)^dag`` in the notation of ``_choi_columns``, the Choi matrix of ``B ->
+    sum_k a_k^dag B c_k - sum_k b_k^dag B d_k``, and a block is
+    ``dim_in``-sided.  Pass the same tuple twice for a one-sided (ordinary)
+    difference; it is factored once.  A caller with many pairs calls this once
+    a pair, so a pair's values never depend on the others.
 
-def _difference(pairs: list, dim_in: int) -> list:
-    """``(largest block norm, ||D||_F)`` of each difference ``D`` of two-sided Choi matrices.
+    Two forms give the same values to rounding, and the pair takes the one
+    with the smaller operation count.  With ``rows = dim_out * dim_in``, ``N =
+    len(a) + len(b)`` and ``k = min(rows, N)``:
 
-    Each of ``pairs`` is ``(left, right)`` with ``left = (a, b)`` and ``right
-    = (c, d)`` Kraus stacks, ``len(a) == len(c)`` and ``len(b) == len(d)``;
-    ``D`` is ``W(a) W(c)^dag - W(b) W(d)^dag`` in the notation of
-    ``_choi_columns``, the Choi matrix of ``B -> sum_k a_k^dag B c_k - sum_k
-    b_k^dag B d_k``, and a block is ``dim_in``-sided.  Pass the same tuple
-    twice for a one-sided (ordinary) difference; it is factored once.  The
-    values come back in the order of ``pairs``.
-
-    Two forms give the same values to rounding, and each call takes the one
-    with the smaller operation count, over all its pairs at once.  With ``rows =
-    dim_out * dim_in``, ``N = len(a) + len(b)`` the width of a pair and ``k =
-    min(rows, N)``:
-
-    * the direct form (``_direct_difference``) forms each pair's ``conj(D) =
-      [a; -b]^T conj([c; d])``, one ``rows x rows`` product, and sums ``|D|^2``
-      over its blocks.  A pair costs ``rows^2 N`` and holds one ``rows x
-      rows`` complex array (16 MiB at ``rows = 1024``), the pairs one at a
-      time;
-    * the QR core (``_core_difference``) never forms ``D``.  A pair costs
-      ``rows N k + rows k^2`` for its QR and block Grams, twice in a call
-      with a two-sided pair, where the right columns are factored too, plus
-      ``2 dim_out k^3`` for ``H_s = M^dag G_s M`` and ``dim_out^2 k^2`` for
-      the traces.  It holds ``dim_out`` block Grams of ``k^2`` entries per
-      factored side and per pair of a slab.
+    * the direct form (``_direct_difference``) forms ``conj(D) = [a; -b]^T
+      conj([c; d])``, one ``rows x rows`` product, and sums ``|D|^2`` over its
+      blocks.  It costs ``rows^2 N`` and holds one ``rows x rows`` complex
+      array (16 MiB at ``rows = 1024``);
+    * the QR core (``_core_difference``) never forms ``D``.  It costs ``rows N
+      k + rows k^2`` for the QR and block Grams of each factored side, the
+      right one too when the pair is two-sided, plus ``2 dim_out k^3`` for
+      ``H_s = M^dag G_s M`` and ``dim_out^2 k^2`` for the traces.  It holds
+      the ``rows x N`` columns and ``dim_out`` block Grams of ``k^2`` entries
+      per factored side.
 
     The direct form is taken when its count is no larger.  Where it is, its
-    one array is never larger than the ``rows x N`` columns the core would
-    factor for a wide pair (``N >= rows``), and at most about twice all the
-    core would hold for a narrow one.  Both forms carry an absolute error of
-    order ``eps ||W||_F^2``, so each keeps its accuracy when the maps nearly
-    agree.
+    one array is never larger than the columns the core would factor for a
+    wide pair (``N >= rows``), and at most about twice all the core would hold
+    for a narrow one.  Both forms carry an absolute error of order ``eps
+    ||W||_F^2``, so each keeps its accuracy when the maps nearly agree.
     """
-    if not pairs:
-        return []
-    dim_out = pairs[0][0][0].shape[1]
+    dim_out = left[0].shape[1]
     rows = dim_out * dim_in
-    factored = 1 + any(right is not left for left, right in pairs)
-    widths = [len(a) + len(b) for (a, b), _ in pairs]
-    core = 0
-    for n in widths:
-        k = min(rows, n)
-        core += factored * (rows * n * k + rows * k * k) + 2 * dim_out * k**3 + dim_out**2 * k**2
-    if rows * rows * sum(widths) <= core:
-        return [_direct_difference(pair, dim_out, dim_in) for pair in pairs]
-    return _core_difference(pairs, dim_in)
+    n = len(left[0]) + len(left[1])
+    k = min(rows, n)
+    factored = 1 + (right is not left)
+    core = factored * (rows * n * k + rows * k * k) + 2 * dim_out * k**3 + dim_out**2 * k**2
+    if rows * rows * n <= core:
+        return _direct_difference(left, right, dim_out, dim_in)
+    return _core_difference(left, right, dim_out, dim_in)
 
 
-def _direct_difference(pair: tuple, dim_out: int, dim_in: int) -> tuple:
-    """``(largest block norm, ||D||_F)`` of one pair of ``_difference``, from ``conj(D)`` itself."""
-    (a, b), (c, d) = pair
+def _direct_difference(left: tuple, right: tuple, dim_out: int, dim_in: int) -> tuple:
+    """``_difference``'s values from ``conj(D)`` itself."""
+    (a, b), (c, d) = left, right
     rows = dim_out * dim_in
-    left = np.concatenate((a.reshape(len(a), rows), -b.reshape(len(b), rows)))
-    right = np.concatenate((c.reshape(len(c), rows), d.reshape(len(d), rows)))
+    signed = np.concatenate((a.reshape(len(a), rows), -b.reshape(len(b), rows)))
+    plain = np.concatenate((c.reshape(len(c), rows), d.reshape(len(d), rows)))
     # the real and imaginary parts of entry (s * dim_in + m, t * dim_in + n) of conj(D)
-    parts = (left.T @ right.conj()).view(np.float64).reshape(dim_out, dim_in, dim_out, 2 * dim_in)
+    parts = (signed.T @ plain.conj()).view(np.float64).reshape(dim_out, dim_in, dim_out, 2 * dim_in)
     squares = np.einsum("smtn,smtn->st", parts, parts)
     return float(np.sqrt(squares.max())), float(np.sqrt(squares.sum()))
 
 
-def _core_difference(pairs: list, dim_in: int) -> list:
+def _core_difference(left: tuple, right: tuple, dim_out: int, dim_in: int) -> tuple:
     """``_difference``'s values from its QR core: ``D = q_l M q_r^dag`` is never formed.
 
     With the thin QRs ``[W(a) W(b)] = q_l r_l`` and ``[W(c) W(d)] = q_r r_r``,
@@ -344,54 +334,31 @@ def _core_difference(pairs: list, dim_in: int) -> list:
     ``q_s`` the rows of block row ``s`` and ``G_s = q_s^dag q_s``,
     ``||block(s, t)||_F^2 = tr(M^dag G_s M G_t)``: a trace of a product of two
     positive matrices, the first scaled by the core, so the result is small
-    exactly when the core is.
-
-    One rule stacks the pairs.  When every pair padded to the widest ``N``
-    fits ``_SLAB_ENTRIES`` padded columns and block Grams, the whole call is
-    factored by one stacked ``np.linalg.qr`` (the right columns of every
-    pair too, when some pair is two-sided); padding only adds zero rows and
-    columns to a core, so each value is the pair's own, to rounding.
-    Otherwise each pair is factored alone, so a wide pair never pads the
-    others to its width and the call holds no more than its largest pair.
+    exactly when the core is.  A one-sided pair is factored once.
     """
-    n = len(pairs)
-    dim_out = pairs[0][0][0].shape[1]
-    rows = dim_out * dim_in
-    two_sided = any(right is not left for left, right in pairs)
-    width = max(len(a) + len(b) for (a, b), _ in pairs)
-    entries = (1 + two_sided) * (rows * width + dim_out * min(rows, width) ** 2)  # per padded pair
-    if n > 1 and n * entries > _SLAB_ENTRIES:
-        return [value for pair in pairs for value in _core_difference([pair], dim_in)]
-    sides = [left for left, _ in pairs] + ([right for _, right in pairs] if two_sided else [])
-    q, r = np.linalg.qr(_padded_columns(sides, width, rows))  # the columns are freed here
-    k = min(rows, width)
-    blocks = q.reshape(len(sides), dim_out, dim_in, k)  # [j, s] = q_s of side j
-    grams = dagger(blocks) @ blocks
-    r_l, g_l = r[:n], grams[:n]
-    r_r, g_r = (r[n:], grams[n:]) if two_sided else (r_l, g_l)
+    r_l, g_l = _factored_side(left, dim_out, dim_in)
+    r_r, g_r = (r_l, g_l) if right is left else _factored_side(right, dim_out, dim_in)
     j_r_dag = dagger(r_r)  # a fresh array, so r_r is left intact
-    for signs, ((a, _), _) in zip(j_r_dag, pairs):
-        signs[len(a) :] *= -1.0
+    j_r_dag[len(left[0]) :] *= -1.0
     core = r_l @ j_r_dag
-    h = dagger(core)[:, None] @ g_l @ core[:, None]
+    h = dagger(core) @ g_l @ core
     # tr(H_s G_t) = <H_s, G_t> for Hermitian G_t: one product over the flattened blocks
-    side = k * k
-    squares = (h.reshape(n, dim_out, side) @ dagger(g_r.reshape(n, dim_out, side))).real
-    return [
-        (float(np.sqrt(max(float(sq.max()), 0.0))), float(np.linalg.norm(m)))
-        for sq, m in zip(squares, core)
-    ]
+    side = core.size
+    squares = (h.reshape(dim_out, side) @ dagger(g_r.reshape(dim_out, side))).real
+    return float(np.sqrt(max(float(squares.max()), 0.0))), float(np.linalg.norm(core))
 
 
-def _padded_columns(sides: list, width: int, rows: int) -> np.ndarray:
-    """The Choi columns ``[W(a) W(b)]`` of each side ``(a, b)``, padded to ``width``, stacked."""
-    padded = np.zeros((len(sides), width, rows), dtype=np.complex128)  # [j, k] = column k of side j
-    for columns, stacks in zip(padded, sides):
-        offset = 0
-        for stack in stacks:
-            np.conjugate(stack.reshape(len(stack), rows), out=columns[offset : offset + len(stack)])
-            offset += len(stack)
-    return padded.transpose(0, 2, 1)
+def _factored_side(side: tuple, dim_out: int, dim_in: int) -> tuple:
+    """``(r, G)`` of a core side ``(a, b)``, from one thin QR of its Choi columns.
+
+    ``[W(a) W(b)] = q r``, and ``G`` stacks the Grams ``G_s = q_s^dag q_s``
+    of the rows of ``q`` in each block row ``s``.
+    """
+    rows = dim_out * dim_in
+    columns = np.concatenate([stack.reshape(len(stack), rows) for stack in side])
+    q, r = np.linalg.qr(np.conjugate(columns, out=columns).T)
+    blocks = q.reshape(dim_out, dim_in, q.shape[1])
+    return r, dagger(blocks) @ blocks
 
 
 def action_distance(k1: KrausSet, k2: KrausSet) -> float:
@@ -400,22 +367,24 @@ def action_distance(k1: KrausSet, k2: KrausSet) -> float:
     Equivalently, the largest Frobenius norm of a ``dim_in``-sided block of
     ``choi(k1) - choi(k2)``; it vanishes exactly when the two maps agree.
     It is the first value of ``_difference``, the one map-difference
-    routine, here on one pair: with ``N = len(k1) + len(k2)`` it forms the
-    difference of the Choi matrices when that costs no more, and otherwise
-    reads every block norm off an ``N x N`` QR core without forming it.
+    routine, on the one-sided pair ``(k1, k2)``: with ``N = len(k1) +
+    len(k2)`` it forms the difference of the Choi matrices when that costs no
+    more, and otherwise reads every block norm off an ``N x N`` QR core
+    without forming it.
     """
     if (k1.dim_in, k1.dim_out) != (k2.dim_in, k2.dim_out):
         raise ValueError("Kraus sets act between different spaces")
-    return _largest_distance([(k1.stack, k2.stack)], k1.dim_in)
+    pair = (k1.stack, k2.stack)
+    return _difference(pair, pair, k1.dim_in)[0]
 
 
 def _largest_distance(pairs: list, dim_in: int) -> float:
-    """The largest ``action_distance`` over ``(a, b)`` pairs of Kraus stacks, from one ``_difference``.
+    """The largest ``action_distance`` over ``(a, b)`` pairs of Kraus stacks, pair by pair.
 
     The stacks all act between the same spaces, which the caller knows; an
     empty list gives 0.
     """
-    return max((largest for largest, _ in _difference([(p, p) for p in pairs], dim_in)), default=0.0)
+    return max((_difference(pair, pair, dim_in)[0] for pair in pairs), default=0.0)
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
@@ -440,7 +409,7 @@ def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: Tolerances = DEFAULT_TOL):
         return np.zeros((0, 0), dtype=np.complex128)
     # ||choi(k1) - choi(k2)||_F from _difference; ||choi(k1)||_F = ||W1^dag W1||_F
     pair = (k1.stack, k2.stack)
-    difference = _difference([(pair, pair)], k1.dim_in)[0][1]
+    difference = _difference(pair, pair, k1.dim_in)[1]
     if difference > tol.eps_eq * max(1.0, float(np.linalg.norm(dagger(m1) @ m1))):
         return None
     u, *_ = np.linalg.lstsq(m1, m2, rcond=None)

@@ -338,12 +338,11 @@ def measurement_model(
     keeps ``Y``, the raw reflectors ``np.linalg.qr(Y, mode="raw")``, the slot
     order and ``tol``, and forms ``unitary`` as ``isometry_complete(Y,
     tol)[:, order]`` on its first read.  The model is checked against ``m``
-    by one ``_difference`` call over all outcomes; at high Choi rank (``2
-    n_i`` of order ``d^2`` operators an outcome) that call forms each
-    outcome's ``d^2``-sided Choi difference, a ``d^4``-entry array, and
-    takes no QR.  ``xi_index`` is read like a dimension
-    (``matkernel._integer``), so a boolean, a float or a string raises
-    ``ValueError``.
+    by one ``_difference`` call an outcome; at high Choi rank (``2 n_i`` of
+    order ``d^2`` operators an outcome) that call forms the outcome's
+    ``d^2``-sided Choi difference, a ``d^4``-entry array, and takes no QR.
+    ``xi_index`` is read like a dimension (``matkernel._integer``), so a
+    boolean, a float or a string raises ``ValueError``.
     """
     xi_index = _integer(xi_index, "xi_index values", minimum=0)
     if m.dim_out != m.dim_in:

@@ -244,7 +244,7 @@ def _choi_gram(blocks: list, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 def _singular_values(r: np.ndarray) -> np.ndarray:
-    """Singular values of ``r``, one SVD without singular vectors.
+    """Singular values of a criterion ``r`` wider than tall, one SVD without singular vectors.
 
     A ``r`` more than four times wider than tall is first reduced to the
     triangular factor of ``r^T``, which has the same singular values; the
@@ -312,7 +312,9 @@ def _rank_and_witness(
     any orthonormal basis, and ``whole``, which forms the whole.  The rank and
     ``marginal`` are ``_span_rank``'s on the singular values of the whole; when
     the Gram certifies full rank (``_full_span_rank``) they are read off it and
-    no SVD runs.
+    no SVD runs.  Otherwise they come from ``_singular_values`` of the whole
+    when it is wider than tall, and else from one thin SVD of ``r``, whose
+    ``V_r^T`` also gives the candidates below full rank.
 
     The witness is None when the columns are independent.  Otherwise the
     candidates are, with more columns than rows, the kernel vector of the
@@ -331,15 +333,17 @@ def _rank_and_witness(
         gram = r.T @ r if cols <= rows else r @ r.T
     if _full_span_rank(gram, shape, tol):
         rank, marginal = min(shape), False
-    else:
+    elif cols > rows:
         rank, marginal = _span_rank(_singular_values(r if whole is None else whole()), shape, tol)
+    else:
+        _, s, vh = np.linalg.svd(r, full_matrices=False)
+        rank, marginal = _span_rank(s, shape, tol)
     if cols > rows:  # dependent by the count: Choi, Theorem 5; Li and Tam
         candidates = _count_candidates(r[:, : rows + 1], rank == rows, cols, tol)
     elif rank == cols:
         return rank, marginal, None
-    else:
-        kept = np.linalg.svd(r, full_matrices=False)[2][:rank]  # V_r^T
-        candidates = np.eye(cols) - kept.T @ kept  # row j is P e_j
+    else:  # below full rank, so the thin SVD above ran: vh[:rank] is V_r^T
+        candidates = np.eye(cols) - vh[:rank].T @ vh[:rank]  # row j is P e_j
     cuts = np.cumsum([k * k for k in block_dims])[:-1]
     for v in candidates:
         v = v * np.sign(v[np.argmax(np.abs(v))])

@@ -587,7 +587,8 @@ def probe_files(tmp_path):
 
 
 class TestDomainLookupErrors:
-    """A label or pointer the input does not have exits 1 with the library's message."""
+    """A label or pointer the input does not have, or a pointer that does not parse, exits 1
+    with its message."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -609,6 +610,14 @@ class TestDomainLookupErrors:
             (
                 ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0;"),
                 "pointer '0;': empty block",
+            ),
+            (
+                ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "a;1"),
+                "pointer 'a;1': 'a' is not an integer",
+            ),
+            (
+                ("standard-model", "{probe}", "--coupling", "1.0", "--pointer", "0;1.5"),
+                "pointer '0;1.5': '1.5' is not an integer",
             ),
         ],
     )

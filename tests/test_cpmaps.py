@@ -19,7 +19,7 @@ from instrumentum import (
     minimal_kraus,
 )
 from instrumentum import cpmaps
-from instrumentum.cpmaps import _difference
+from instrumentum.cpmaps import _difference, _largest_distance
 from instrumentum.matkernel import DEFAULT_TOL, numeric_rank
 
 from helpers import (
@@ -431,7 +431,7 @@ class TestActionDistance:
                 )
                 for u in matrix_units(4)
             )
-        got = _difference([((a, b), (c, d))], 3)[0][0]
+        got = _difference((a, b), (c, d), 3)[0]
         assert worst["ac"] == pytest.approx(worst["ca"], rel=1e-14)
         assert got == pytest.approx(worst["ac"], rel=1e-13)
 
@@ -464,7 +464,7 @@ def test_difference_norm_is_that_of_the_choi_difference(counts, dims):
         for s in shapes
     )
     pair = (k1.stack, k2.stack)
-    (largest, frobenius), = _difference([(pair, pair)], dim_in)
+    largest, frobenius = _difference(pair, pair, dim_in)
     want = np.linalg.norm(choi(k1).matrix - choi(k2).matrix)
     assert abs(frobenius - want) <= 1e-13 * want
     assert largest == action_distance(k1, k2)
@@ -506,10 +506,13 @@ class TestDifferenceForms:
 
     # at dim_in 8, dim_out 4 (a Choi side of 32), a one-sided pair of width N costs 32^2 N
     # formed against 80 N^2 + 8 N^3 on the core, so widths 8 and up are formed; a two-sided
-    # pair factors its right columns too, 144 N^2 + 8 N^3, so widths 6 and up are formed
-    @pytest.mark.parametrize("form, formed_from", [(_one_sided, 8), (_pvm_compat_form, 6)])
+    # pair factors its right columns too, 144 N^2 + 8 N^3, so widths 6 and up are formed;
+    # the core takes one QR a factored side
+    @pytest.mark.parametrize(
+        "form, formed_from, sides", [(_one_sided, 8, 1), (_pvm_compat_form, 6, 2)]
+    )
     def test_widths_across_the_boundary_agree_with_the_dense_difference(
-        self, decompositions, form, formed_from
+        self, decompositions, form, formed_from, sides
     ):
         rng = np.random.default_rng(107)
         dims = (8, 4)
@@ -517,12 +520,12 @@ class TestDifferenceForms:
         for width in range(1, 17):
             pair = form(rng, (width - width // 3, width // 3), dims)
             decompositions.clear()
-            got = _difference([pair], 8)[0]
+            got = _difference(*pair, 8)
             qrs.append(decompositions.number("qr"))
             want = dense_difference(pair, 8)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * w
-        assert qrs == [1] * (formed_from - 1) + [0] * (17 - formed_from)
+        assert qrs == [sides] * (formed_from - 1) + [0] * (17 - formed_from)
 
     @pytest.mark.parametrize("d", [8, 12])
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-3])
@@ -536,31 +539,33 @@ class TestDifferenceForms:
         pair = (a, b)
         bound = 4 * np.finfo(float).eps * np.linalg.norm(a) ** 2
         decompositions.clear()
-        formed = _difference([(pair, pair)], d)[0]
+        formed = _difference(pair, pair, d)
         assert len(decompositions) == 0
-        core = cpmaps._core_difference([(pair, pair)], d)[0]
+        core = cpmaps._core_difference(pair, pair, d, d)
         assert decompositions.number("qr") == 1
         assert formed[0] <= bound and core[0] <= bound
         assert formed[1] <= d * bound and core[1] <= d * bound
 
 
 class TestStackedDifference:
-    """One ``_difference`` call over many pairs gives each pair's values alone.
+    """A check over many pairs, one ``_difference`` call a pair, gives each pair's values alone.
 
-    Calls whose pairs are wide against the Choi side form each difference and
-    decompose nothing; tall narrow ones go to the QR core, one stacked QR
-    within the slab budget.
+    Pairs wide against the Choi side form their difference and decompose
+    nothing; tall narrow ones go to the QR core, one QR a factored side.
     """
 
+    # qrs: one a one-sided pair on the core, two a two-sided one; on the core are, at Choi
+    # side 6, the width-1 pair, and at 24 every nonempty one-sided pair (widths 1-5) and the
+    # width-3 two-sided one (at width 4 the two forms cost the same, and the direct one is taken)
     @pytest.mark.parametrize(
         "form, dims, counts, qrs",
         [
-            (_one_sided, (3, 2), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 0),
+            (_one_sided, (3, 2), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 1),
             (_pvm_compat_form, (3, 3), ((2, 2), (0, 3), (3, 1), (0, 0)), 0),
             (_one_sided, (2, 2), ((7, 5), (1, 1), (3, 0)), 0),  # 12 columns against a Choi side of 4
             (_pvm_compat_form, (2, 2), ((6, 4), (1, 0)), 0),
-            (_one_sided, (6, 4), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 1),  # a Choi side of 24
-            (_pvm_compat_form, (6, 4), ((2, 2), (0, 3), (3, 1), (0, 0)), 1),
+            (_one_sided, (6, 4), ((2, 3), (0, 0), (4, 1), (1, 0), (0, 2)), 4),  # a Choi side of 24
+            (_pvm_compat_form, (6, 4), ((2, 2), (0, 3), (3, 1), (0, 0)), 2),
         ],
         ids=[
             "mixed-widths",
@@ -575,44 +580,19 @@ class TestStackedDifference:
         rng = np.random.default_rng(105)
         pairs = [form(rng, n, dims) for n in counts]
         decompositions.clear()
-        values = _difference(pairs, dims[0])
+        values = [_difference(*pair, dims[0]) for pair in pairs]
         assert len(decompositions) == decompositions.number("qr") == qrs
-        assert len(values) == len(pairs)
-        for pair, got in zip(pairs, values):
-            alone = _difference([pair], dims[0])[0]
+        assert all(np.ndim(a) == 2 for _, a, _ in decompositions)
+        if form is _one_sided:
+            largest = _largest_distance([left for left, _ in pairs], dims[0])
+            assert largest == max(got[0] for got in values)
+        for pair, got in zip(reversed(pairs), reversed(values)):
+            assert got == _difference(*pair, dims[0])  # bit for bit, in any order
             want = dense_difference(pair, dims[0])
-            for g, a, w in zip(got, alone, want):
-                assert abs(g - a) <= 1e-15 * a
+            for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * max(w, 1.0)
             if not sum(len(s) for s in pair[0]):
                 assert got == (0.0, 0.0)
 
-    def test_slabs_stay_under_the_entry_budget(self, decompositions):
-        # at d = 8 (Choi side 64) a pair of width 8 counts 64 * 8 + 8 * 8**2 = 1024 padded
-        # entries, and one of width 64 counts 64 * 64 + 8 * 64**2, over the budget alone
-        rng = np.random.default_rng(106)
-        dims = (8, 8)
-        per_call = cpmaps._SLAB_ENTRIES // 1024
-        assert 64 * 64 + 8 * 64**2 > cpmaps._SLAB_ENTRIES and 1 < per_call < 40
-        narrow = [_one_sided(rng, (4, 4), dims) for _ in range(40)]
-        decompositions.clear()
-        _difference(narrow[:per_call], 8)  # at the budget: the whole call in one QR
-        assert [np.shape(a) for _, a, _ in decompositions] == [(per_call, 64, 8)]
-        # a pair of width 16 alone is cheaper formed (64^2 * 16 multiply-adds against
-        # 114688 for the core); beside 40 narrow ones the call stays on the core
-        pairs = [_one_sided(rng, (8, 8), dims)] + narrow
-        decompositions.clear()
-        assert _difference(pairs[:1], 8) and len(decompositions) == 0
-        values = _difference(pairs, 8)
-        shapes = [np.shape(a) for name, a, _ in decompositions if name == "qr"]
-        # over the budget: each pair alone, in order, unpadded
-        assert shapes == [(1, 64, 16)] + [(1, 64, 8)] * 40
-        for pair, got in zip(pairs, values):
-            want = dense_difference(pair, 8)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-13 * max(w, 1.0)
-        for pair, got in zip(pairs[1:], values[1:]):
-            assert got == _difference([pair], 8)[0]
-
     def test_no_pairs(self):
-        assert _difference([], 3) == []
+        assert _largest_distance([], 3) == 0.0

@@ -95,7 +95,7 @@ def test_action_distance_factors_once(decompositions):
     m = rand_instrument(np.random.default_rng(RNG_SEED), 6, 4, (2, 1))
     decompositions.clear()
     action_distance(m.outcome(0), m.outcome(1))
-    assert decompositions.number("qr") == decompositions.number("qr", (1, 24, 3)) == 1
+    assert decompositions.number("qr") == decompositions.number("qr", (24, 3)) == 1
     assert len(decompositions) == 1
 
 
@@ -311,33 +311,38 @@ CHECKED_OPERATIONS = [
 ]
 
 
-def _model_qr(name, d, decompositions):
-    """The 2-D QRs besides the check: only the model's raw QR of its ``d * 5 x d`` isometry."""
-    others = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) != 3]
+def _check_qrs(name, d, decompositions):
+    """The shapes of the check's QRs, of Choi columns ``d * d`` long, after asserting that
+    every QR is 2-D and that the only other one is the model's raw QR of its ``d * 5 x d``
+    isometry."""
+    shapes = [np.shape(a) for n, a, _ in decompositions if n == "qr"]
+    assert all(len(shape) == 2 for shape in shapes)
+    others = [shape for shape in shapes if shape[0] != d * d]
     assert others == ([(d * 5, d)] if name == "measurement_model" else [])
+    return [shape for shape in shapes if shape[0] == d * d]
 
 
 @pytest.mark.parametrize("name", CHECKED_OPERATIONS)
 def test_a_map_difference_check_is_one_qr(decompositions, name):
     """At d = 8 (a Choi side of 64 against at most 8 columns a pair) the QR core costs less
-    than forming the differences: all outcomes go to one stacked QR, two matrices per
-    outcome for the two-sided check."""
+    than forming the differences: one QR a factored side of each outcome's pair, two for
+    the two-sided check."""
     call, sides = _checked_calls(np.random.default_rng(RNG_SEED), 8)[name]
     decompositions.clear()
     call()
-    stacked = [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) == 3]
-    assert [shape[0] for shape in stacked] == [sides]
-    _model_qr(name, 8, decompositions)
+    assert len(_check_qrs(name, 8, decompositions)) == sides
 
 
 @pytest.mark.parametrize("name", CHECKED_OPERATIONS)
-def test_a_small_map_difference_check_takes_no_qr(decompositions, name):
-    """At d = 3 (a Choi side of 9) forming each difference costs less than the QR core."""
+def test_a_small_map_difference_check_forms_its_wider_pairs(decompositions, name):
+    """At d = 3 (a Choi side of 9) forming a difference costs less than the QR core for every
+    pair but one of width 2 (a one-operator outcome against one operator: 9^2 * 2 = 162
+    multiply-adds against 156), which only the two-sided and the witness checks lack."""
     call, _ = _checked_calls(np.random.default_rng(RNG_SEED), 3)[name]
     decompositions.clear()
     call()
-    assert [np.shape(a) for n, a, _ in decompositions if n == "qr" and np.ndim(a) == 3] == []
-    _model_qr(name, 3, decompositions)
+    narrow = 0 if name in ("witness_decompose", "pvm_compat") else 1
+    assert _check_qrs(name, 3, decompositions) == [(9, 2)] * narrow
 
 
 KEPT_OPERATIONS = {

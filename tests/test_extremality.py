@@ -31,6 +31,7 @@ from instrumentum.extremality import _choi_gram, _criterion_matrix, _rank_and_wi
 from instrumentum.matkernel import _full_span_rank
 
 from helpers import (
+    PAULI,
     action_distance,
     basis_pvm,
     depolarizing_kraus,
@@ -454,23 +455,36 @@ class TestSpanCertificate:
     @pytest.mark.parametrize("shape, block_dims", (((9, 4), (2,)), ((4, 8), (2, 2))))
     @pytest.mark.parametrize("side", (1.1, 0.9))
     def test_both_sides_of_the_shift_match_the_svd_oracle(
-        self, monkeypatch, shape, block_dims, side
+        self, decompositions, shape, block_dims, side
     ):
         smallest = np.sqrt(side * certificate_shift(shape, self.TOL, leading_values(shape)))
         r = seeded_criterion(41, shape, smallest)
-        fallbacks = []
-        original = extremality._singular_values
-        monkeypatch.setattr(
-            extremality, "_singular_values", lambda a: fallbacks.append(a) or original(a)
-        )
+        decompositions.clear()
         rank, marginal, witness = _rank_and_witness(r, block_dims, 2, self.TOL)
-        assert len(fallbacks) == (side < 1.0)  # certified above the shift, the SVD below it
+        # certified above the shift, one SVD below it
+        assert decompositions.number("svd") == decompositions.number("svd", shape) == (side < 1.0)
         assert (rank, marginal) == oracle_span_rank(r, self.TOL) == (min(shape), False)
         if shape[1] <= shape[0]:
             assert witness is None
         else:
             for got, want in zip(witness, oracle_count_witness(r, block_dims)):
                 assert np.allclose(got, want, atol=1e-10)
+
+    def test_a_rank_deficient_tall_criterion_takes_one_svd(self, decompositions):
+        # X / sqrt(2) and Z / sqrt(2): both products are I / 2, so the 4 x 2 criterion has
+        # rank 1; its rank, flag and kernel all come from one thin SVD
+        m = DiscreteInstrument(
+            2, 2, tuple((k, KrausSet(2, 2, [PAULI[k] / np.sqrt(2)])) for k in "XZ")
+        )
+        decompositions.clear()
+        report = instrument_extremal(m)
+        assert [np.shape(a) for n, a, _ in decompositions if n == "svd"] == [(4, 1)] * 2 + [(4, 2)]
+        r = _criterion_matrix([minimal_kraus(k) for _, k in m.outcomes], 2)
+        want = oracle_span_rank(r, Tolerances())
+        assert (report.span_rank, report.marginal) == want == (1, False)
+        assert not report.is_extreme
+        v = [np.trace(h @ b).real for b in report.witness for h in hermitian_basis(1)]
+        assert np.linalg.norm(r @ np.array(v)) <= 1e-15
 
     @pytest.mark.parametrize("shape", ((9, 4), (4, 8), (16, 17)))
     def test_a_certificate_is_never_wrong(self, shape):
